@@ -16,7 +16,6 @@ from .tensor import (
     ATOL,
     ContractError,
     I2,
-    LabelError,
     QubitRegister,
     StateVector,
     _as_complex,
@@ -41,22 +40,17 @@ class ChannelSpec:
     """A two-qubit dressing applied to the receiver half of the EPR-pair channel.
 
     Only the net dressing is stored: the protocol cannot distinguish how it
-    was factored. `label_map` names the four slots, sender pair first.
+    was factored.
     """
 
     dressing: np.ndarray
     name: str = ""
-    label_map: tuple[str, str, str, str] = CHANNEL_LABELS
 
     def __post_init__(self):
         d = require_unitary(self.dressing, what="channel dressing")
         if d.shape != (4, 4):
             raise ContractError("channel dressing must be a two-qubit (4x4) operator")
         object.__setattr__(self, "dressing", d)
-        lm = tuple(self.label_map)
-        if len(lm) != 4 or len(set(lm)) != 4:
-            raise LabelError(f"label_map must name four distinct qubits, got {lm}")
-        object.__setattr__(self, "label_map", lm)
 
 
 def epr_pair_channel() -> StateVector:
@@ -70,10 +64,7 @@ def epr_pair_channel() -> StateVector:
 
 def dressed_channel(spec: ChannelSpec) -> StateVector:
     """The EPR-pair channel with `spec.dressing` applied to the receiver pair."""
-    state = apply_unitary(epr_pair_channel(), spec.dressing, RECEIVER_LABELS)
-    if spec.label_map != CHANNEL_LABELS:
-        state = StateVector(QubitRegister(spec.label_map), state.amplitudes)
-    return state
+    return apply_unitary(epr_pair_channel(), spec.dressing, RECEIVER_LABELS)
 
 
 def bell_transform_matrix() -> np.ndarray:

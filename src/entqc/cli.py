@@ -194,6 +194,17 @@ def _parse_state_arg(text: str) -> UnknownState:
     return UnknownState(vec)
 
 
+def _positive_tol(text: str) -> float:
+    """argparse type for --tol: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _pairs(vec) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(vec).reshape(-1)]
 
@@ -334,7 +345,7 @@ def _add_common(sub, with_channel=None, with_search=False):
     if with_search:
         sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                          help="witness-search restarts")
-        sub.add_argument("--tol", type=float, default=DEFAULT_WITNESS_TOL,
+        sub.add_argument("--tol", type=_positive_tol, default=DEFAULT_WITNESS_TOL,
                          help="tolerance for witness-bound checks")
     sub.add_argument("--output", default=None, help="write the report to a file")
     sub.add_argument("--format", choices=("json", "text"), default="json",

@@ -17,7 +17,6 @@ from .tensor import (
     DensityMatrix,
     LabelError,
     QubitRegister,
-    SIGMA_Y,
     SIGMA_Z,
     StateVector,
     _as_complex,
@@ -81,7 +80,8 @@ class WitnessSearchResult:
     converged_fraction: float
 
     def __post_init__(self):
-        if not -1.0 - 1e-9 <= self.min_value <= 0.75 + 1e-9:
+        # 3/4 - <phi|rho|phi> with 0 <= <phi|rho|phi> <= 1
+        if not -0.25 - 1e-9 <= self.min_value <= 0.75 + 1e-9:
             raise ContractError(
                 f"witness value {self.min_value} outside the admissible range"
             )
@@ -192,22 +192,7 @@ def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
 
 # --- GHZ witness over local rotations --------------------------------------
 
-_GHZ3 = np.zeros(8, dtype=complex)
-_GHZ3[0] = _GHZ3[7] = 1.0 / np.sqrt(2.0)
 _HALF_Z = -0.5j * SIGMA_Z
-_HALF_Y = -0.5j * SIGMA_Y
-
-
-def _rotation(a: float, b: float, c: float) -> np.ndarray:
-    """Z-Y-Z Euler rotation; the witness never sees the global phase."""
-    cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
-    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
-    return np.array(
-        [
-            [ea * ec * cb, -ea * np.conj(ec) * sb],
-            [np.conj(ea) * ec * sb, np.conj(ea * ec) * cb],
-        ]
-    )
 
 
 def _split_params(rotation_params) -> np.ndarray:
@@ -219,11 +204,7 @@ def _split_params(rotation_params) -> np.ndarray:
 
 def witness_state(rotation_params) -> np.ndarray:
     """(R1 (x) R2 (x) R3)(|000> + |111>)/sqrt2 for 9 stacked Euler angles."""
-    params = _split_params(rotation_params)
-    rots = [_rotation(*params[3 * k : 3 * k + 3]) for k in range(3)]
-    branch0 = np.kron(np.kron(rots[0][:, 0], rots[1][:, 0]), rots[2][:, 0])
-    branch1 = np.kron(np.kron(rots[0][:, 1], rots[1][:, 1]), rots[2][:, 1])
-    return (branch0 + branch1) / np.sqrt(2.0)
+    return _batch_states(_euler_columns(_split_params(rotation_params)))[0]
 
 
 def _density8(rho) -> np.ndarray:
@@ -240,12 +221,11 @@ def _density8(rho) -> np.ndarray:
 def witness_value(rho, rotation_params) -> float:
     """Witness expectation 3/4 - <phi|rho|phi> at the given rotation angles."""
     m = _density8(rho)
-    phi = witness_state(rotation_params)
-    return float(0.75 - np.real(np.vdot(phi, m @ phi)))
+    return float(_batch_value(m, _split_params(rotation_params)[None, :])[0])
 
 
 def _euler_columns(params2d: np.ndarray) -> np.ndarray:
-    """Rotations for stacked angle rows: (n, 9) -> (n, 3, 2, 2)."""
+    """Z-Y-Z Euler rotations (global phase dropped): (n, 9) -> (n, 3, 2, 2)."""
     p = params2d.reshape(-1, 3, 3)
     a, b, c = p[..., 0], p[..., 1], p[..., 2]
     cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
@@ -264,17 +244,20 @@ def _batch_states(rots: np.ndarray) -> np.ndarray:
     return phi.reshape(-1, 8) / np.sqrt(2.0)
 
 
-def _batch_value(m: np.ndarray, params2d: np.ndarray) -> np.ndarray:
-    phi = _batch_states(_euler_columns(params2d))
+def _states_values(m: np.ndarray, rots: np.ndarray):
+    """(phi, rho.phi, witness values) for a rotation stack."""
+    phi = _batch_states(rots)
     y = phi @ m.T
-    return 0.75 - np.real(np.einsum("ni,ni->n", phi.conj(), y))
+    return phi, y, 0.75 - np.real(np.einsum("ni,ni->n", phi.conj(), y))
+
+
+def _batch_value(m: np.ndarray, params2d: np.ndarray) -> np.ndarray:
+    return _states_values(m, _euler_columns(params2d))[2]
 
 
 def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
     rots = _euler_columns(params2d)
-    phi = _batch_states(rots)
-    y = phi @ m.T
-    value = 0.75 - np.real(np.einsum("ni,ni->n", phi.conj(), y))
+    phi, y, value = _states_values(m, rots)
     yc = y.conj().reshape(-1, 2, 2, 2)
     pt = phi.reshape(-1, 2, 2, 2)
     overlaps = (

@@ -39,6 +39,7 @@ from .tensor import (
     haar_random_unitary,
     hermitian_eigenvalues,
     operator_schmidt_rank,
+    partial_transpose,
     reduced_density,
     schmidt_coefficients,
     schmidt_rank,
@@ -295,8 +296,6 @@ def section_pairs(cfg: SuiteConfig):
         if pair in expected:
             dev = float(np.abs(rep.reduced.matrix - expected[pair]).max())
             checks.append(check(f"pair {tag} matches its reference marginal", dev, 0.0, 1e-12))
-            from .tensor import partial_transpose  # local import to avoid cycle noise
-
             spectrum = hermitian_eigenvalues(partial_transpose(rep.reduced, (pair[1],)))
             pt_dev = float(np.abs(np.sort(spectrum) - pt_target).max())
             checks.append(check(f"pair {tag} PT spectrum deviation from (0,0,1/2,1/2)", pt_dev, 0.0, 1e-10))

@@ -2,8 +2,9 @@
 
 Roles by register: the unknown input lives on (U1,U2), the sender keeps
 (A1,A2), the receiver holds (B1,B2). Measurement bases are four-qubit states
-on (A1,A2,U1,U2); the protocol itself is simulated as an honest six-qubit
-contraction, with no algebraic shortcuts.
+on (A1,A2,U1,U2). The protocol contracts each basis ket against
+unknown (x) channel, all sixteen in one batched contraction, and never uses
+the known answer.
 """
 from __future__ import annotations
 
@@ -11,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, dressed_channel
+from .channel import CHANNEL_LABELS, SENDER_LABELS, ChannelSpec, dressed_channel
 from .tensor import (
     ATOL,
     EIG_ATOL,
     ContractError,
-    LabelError,
     PAULIS,
     QubitRegister,
     StateVector,
@@ -24,11 +24,9 @@ from .tensor import (
     apply_unitary,
     haar_random_state,
     kron,
-    partial_inner,
     reduced_density,
     require_unitary,
     schmidt_rank,
-    tensor,
 )
 
 UNKNOWN_LABELS = ("U1", "U2")
@@ -50,6 +48,11 @@ def pauli_pair(alpha: int, beta: int) -> np.ndarray:
     if alpha not in (1, 2, 3, 4) or beta not in (1, 2, 3, 4):
         raise ContractError(f"outcome indices must lie in 1..4, got {(alpha, beta)}")
     return kron(PAULIS[alpha - 1], PAULIS[beta - 1])
+
+
+#: the sixteen sigma-pairs stacked in OUTCOMES order, shape (16, 4, 4)
+_SIGMA_PAIRS = np.stack([pauli_pair(a, b) for a, b in OUTCOMES])
+_SIGMA_PAIRS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,9 @@ class CorrectionTable:
         return zip(OUTCOMES, self.ops)
 
 
+_STANDARD_CORRECTIONS = CorrectionTable(tuple(_SIGMA_PAIRS))
+
+
 @dataclass(frozen=True)
 class TeleportOutcome:
     """One of the sixteen measurement results and the receiver's states."""
@@ -159,50 +165,58 @@ class TeleportOutcome:
     corrected_state: StateVector
 
 
-def _epr_pairs_on(labels) -> StateVector:
-    """Two EPR pairs pairing slots (0,2) and (1,3) of the given labels."""
-    amps = np.zeros(16, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            amps[(i << 3) | (j << 2) | (i << 1) | j] = 0.5
-    return StateVector(QubitRegister(tuple(labels)), amps)
+def _ket_stack(basis: MeasurementBasis) -> np.ndarray:
+    """The basis kets as amplitude matrices (16, A1A2, U1U2)."""
+    return np.stack([ket.amplitudes for ket in basis.kets]).reshape(16, 4, 4)
+
+
+def _states(labels, rows) -> tuple[StateVector, ...]:
+    register = QubitRegister(tuple(labels))
+    return tuple(StateVector(register, row) for row in rows)
+
+
+def _transfer_blocks(kets: np.ndarray, channel_state: StateVector):
+    """Contract kets (n, A1A2, U1U2) against a channel on A1, A2 and `rest`.
+
+    Returns (rest, blocks): each (rest, U1U2) block maps input amplitudes on
+    U to receiver amplitudes on the two `rest` qubits, in register order.
+    """
+    labels = channel_state.register.labels
+    rest = tuple(lab for lab in labels if lab not in SENDER_LABELS)
+    if len(labels) != 4 or len(rest) != 2 or set(rest) & set(UNKNOWN_LABELS):
+        raise ContractError(f"register mismatch: channel on {labels}")
+    channel = channel_state.permuted(SENDER_LABELS + rest).amplitudes.reshape(4, 4)
+    return rest, channel.T @ kets.conj()
 
 
 def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
-    """The sixteen kets (1 (x) sigma-pair . dressing) |EPR pairs> on (A,U)."""
-    base = apply_unitary(
-        _epr_pairs_on(MEASURED_LABELS), channel.dressing, UNKNOWN_LABELS
-    )
-    kets = tuple(
-        apply_unitary(base, pauli_pair(a, b), UNKNOWN_LABELS) for a, b in OUTCOMES
-    )
-    return MeasurementBasis(kets)
+    """The sixteen kets (1 (x) sigma-pair . dressing) |EPR pairs> on (A,U).
+
+    The EPR-pair ket acted on by M on (U1,U2) has amplitude matrix M^T / 2.
+    """
+    kets = (_SIGMA_PAIRS @ channel.dressing).transpose(0, 2, 1) / 2.0
+    return MeasurementBasis(_states(MEASURED_LABELS, kets))
 
 
 def standard_corrections() -> CorrectionTable:
     """Recovery table for the dressed protocol: plain sigma-pairs."""
-    return CorrectionTable(tuple(pauli_pair(a, b) for a, b in OUTCOMES))
+    return _STANDARD_CORRECTIONS
 
 
 def partial_inner_transfer(
     basis_ket: StateVector, channel_state: StateVector
 ) -> np.ndarray:
-    """Contract a basis ket against a channel state over their shared labels.
+    """Contract a basis ket against a channel state over (A1,A2).
 
-    For a ket on (A,U) and a channel on (A,B) this is the 4x4 block mapping
-    input amplitudes on U to receiver amplitudes on B; for the standard
-    protocol it equals 1/4 times the inverse correction.
+    The ket must live on (A1,A2,U1,U2), as every MeasurementBasis ket does;
+    the channel on A1, A2 and two receiver qubits. The result is the 4x4
+    block mapping input amplitudes on U to receiver amplitudes; for the
+    standard protocol it equals 1/4 times the inverse correction.
     """
-    try:
-        ket_only, bra_only, block = partial_inner(basis_ket, channel_state)
-    except LabelError as exc:
-        raise ContractError(f"register mismatch: {exc}") from exc
-    if block.shape != (4, 4):
-        raise ContractError(
-            "register mismatch: expected two shared and two private qubits per "
-            f"side, got leftovers {ket_only} / {bra_only}"
-        )
-    return block
+    if basis_ket.register.labels != MEASURED_LABELS:
+        raise ContractError(f"register mismatch: ket on {basis_ket.register.labels}")
+    _, blocks = _transfer_blocks(basis_ket.amplitudes.reshape(1, 4, 4), channel_state)
+    return blocks[0]
 
 
 def corrections_from(
@@ -212,11 +226,8 @@ def corrections_from(
 
     Fails (non-unitary transfer) when the channel is not maximally entangled.
     """
-    ops = []
-    for ket in basis.kets:
-        block = 4.0 * partial_inner_transfer(ket, channel_state)
-        ops.append(block.conj().T)
-    return CorrectionTable(tuple(ops))
+    _, blocks = _transfer_blocks(_ket_stack(basis), channel_state)
+    return CorrectionTable(tuple((4.0 * blocks).conj().transpose(0, 2, 1)))
 
 
 def run_protocol(
@@ -226,16 +237,15 @@ def run_protocol(
     corrections: CorrectionTable,
 ) -> list[TeleportOutcome]:
     """Simulate all sixteen outcomes of one protocol variant end to end."""
-    psi = tensor(unknown.as_state(), channel_state)
-    results = []
-    for (outcome, ket), (_, op) in zip(basis.items(), corrections.items()):
-        rest, _, block = partial_inner(ket, psi)
-        raw = block.reshape(-1)
-        probability = float(np.real(np.vdot(raw, raw)))
-        bob = StateVector.from_raw(rest, raw)
-        corrected = apply_unitary(bob, op, rest)
-        results.append(TeleportOutcome(outcome, probability, bob, corrected))
-    return results
+    rest, blocks = _transfer_blocks(_ket_stack(basis), channel_state)
+    raw = blocks @ unknown.coefficients
+    probabilities = np.real(np.einsum("gr,gr->g", raw.conj(), raw))
+    if probabilities.min() < 1e-28:  # |raw| < 1e-14, as in StateVector.from_raw
+        raise ContractError("cannot normalize a zero amplitude vector")
+    bob = raw / np.sqrt(probabilities)[:, None]
+    corrected = np.einsum("gij,gj->gi", np.stack(corrections.ops), bob)
+    bobs, fixed = _states(rest, bob), _states(rest, corrected)
+    return list(map(TeleportOutcome, OUTCOMES, probabilities.tolist(), bobs, fixed))
 
 
 def teleport_all_outcomes(
@@ -267,19 +277,12 @@ def invariance_transform(
     wr = require_unitary(w_r, what="w_r")
     if wl.shape != (4, 4) or wr.shape != (4, 4):
         raise ContractError("w_l and w_r must be two-qubit (4x4) unitaries")
-    wrt = wr.T
-    bare = basis.ket((1, 1)).relabeled({"U1": "B1", "U2": "B2"})
-    new_kets = []
-    new_channels = []
-    for (_, ket), (_, op) in zip(basis.items(), corrections.items()):
-        t_ket = apply_unitary(ket, wrt, ("A1", "A2"))
-        t_ket = apply_unitary(t_ket, wl, UNKNOWN_LABELS)
-        chan = apply_unitary(bare, op, ("B1", "B2"))
-        chan = apply_unitary(chan, wrt, ("A1", "A2"))
-        chan = apply_unitary(chan, wl, ("B1", "B2"))
-        new_kets.append(t_ket)
-        new_channels.append(chan)
-    return MeasurementBasis(tuple(new_kets)), tuple(new_channels)
+    # X on the first pair and Y on the second map an amplitude matrix K to
+    # X K Y^T; the bare channel is the (1,1) ket, kets[0]
+    kets = _ket_stack(basis)
+    channels = wr.T @ kets[0] @ np.stack(corrections.ops).transpose(0, 2, 1) @ wl.T
+    t_basis = MeasurementBasis(_states(MEASURED_LABELS, wr.T @ kets @ wl.T))
+    return t_basis, _states(CHANNEL_LABELS, channels)
 
 
 def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable]:
@@ -297,10 +300,7 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
         np.eye(4, dtype=complex),
         inverse,
     )
-    table = CorrectionTable(
-        tuple(pauli_pair(a, b) @ inverse for a, b in OUTCOMES)
-    )
-    return basis, table
+    return basis, CorrectionTable(tuple(_SIGMA_PAIRS @ inverse))
 
 
 def is_separable_basis(basis: MeasurementBasis) -> dict:

@@ -51,8 +51,9 @@ def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray
     u = _as_complex(m, what).copy()
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ContractError(f"{what} is not square: shape {u.shape}")
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if not dev <= tol:  # a NaN deviation fails too
         raise ContractError(f"{what} is not unitary: deviation {dev:.3e} > {tol:g}")
     u.setflags(write=False)
     return u
@@ -63,8 +64,9 @@ def require_hermitian(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarr
     h = _as_complex(m, what).copy()
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractError(f"{what} is not square: shape {h.shape}")
-    dev = np.abs(h - h.conj().T).max()
-    if dev > tol:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(h - h.conj().T).max()
+    if not dev <= tol:  # a NaN deviation fails too
         raise ContractError(f"{what} is not Hermitian: deviation {dev:.3e} > {tol:g}")
     h.setflags(write=False)
     return h

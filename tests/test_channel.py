@@ -116,12 +116,10 @@ def test_dressing_composes():
 def test_channel_spec_rejects_nonunitary_dressing():
     with pytest.raises(ContractError):
         ChannelSpec(np.ones((4, 4)))
-
-
-def test_channel_spec_label_map_relabels():
-    spec = ChannelSpec(np.eye(4), label_map=("P", "Q", "R", "S"))
-    state = dressed_channel(spec)
-    assert state.register.labels == ("P", "Q", "R", "S")
+    nan_dev = np.eye(4, dtype=complex)
+    nan_dev[:2, :2] = [[1e200, 1e200], [1e200j, -1e200j]]
+    with pytest.raises(ContractError, match="not unitary"):
+        ChannelSpec(nan_dev)
 
 
 def test_ghz_default_is_canonical():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entqc
 from entqc.cli import main, render_json, render_text
 
 BELL_DRESSING_PAIRS = [
@@ -133,6 +137,27 @@ def test_teleport_malformed_channel_file(capsys, tmp_path):
     assert "JSON" in err
 
 
+def test_teleport_overflowing_channel_file_is_a_usage_error(tmp_path):
+    # the unitarity deviation of this finite dressing overflows to NaN
+    dressing = np.eye(4, dtype=complex)
+    dressing[:2, :2] = [[1e200, 1e200], [1e200j, -1e200j]]
+    path = tmp_path / "overflow.json"
+    pairs = [[z.real, z.imag] for z in dressing.reshape(-1)]
+    path.write_text(json.dumps({"dressing": pairs}))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.path.dirname(os.path.dirname(entqc.__file__)),
+        PYTHONWARNINGS="default",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "entqc.cli", "teleport", "--channel", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "not unitary" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_analyze_reference_channel(capsys):
     code, out, _ = run(
         capsys, ["analyze", "--restarts", "4", "--seed", "2"]
@@ -239,6 +264,14 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert captured.out == ""
     doc = json.loads(path.read_text())
     assert doc["sections"][0]["name"] == "ghz"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_repro_rejects_tol_not_finite_and_positive(capsys, tol):
+    with pytest.raises(SystemExit) as err:
+        main(["repro", "--section", "ghz", f"--tol={tol}"])
+    assert err.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

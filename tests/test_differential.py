@@ -1,0 +1,213 @@
+"""Differential checks of the batched kernels against the serial code they
+replaced.
+
+The reference functions below are the per-outcome protocol loop (a six-qubit
+`tensor` + `partial_inner` per outcome), the per-outcome `apply_unitary`
+invariance transform and the serial Euler/`np.kron` witness. They are kept
+here, test-only, as the oracle. The batched code sums in a different order,
+so results are compared at a tolerance fixed beforehand from complex128
+roundoff on 16-amplitude contractions.
+"""
+import numpy as np
+import pytest
+
+from entqc.channel import ChannelSpec, dressed_channel, epr_pair_channel, generalized_ghz
+from entqc.entanglement import witness_state, witness_value
+from entqc.tensor import (
+    PAULIS,
+    ContractError,
+    StateVector,
+    apply_unitary,
+    haar_random_state,
+    haar_random_unitary,
+    kron,
+    partial_inner,
+    tensor,
+)
+from entqc.teleport import (
+    OUTCOMES,
+    UnknownState,
+    corrections_from,
+    invariance_transform,
+    measurement_basis,
+    partial_inner_transfer,
+    run_protocol,
+    standard_corrections,
+)
+
+TOL = 1e-13
+SEEDS = range(50)
+UNKNOWN = ("U1", "U2")
+PERMUTED_ORDER = ("B1", "A2", "A1", "B2")
+
+
+# --- test-only references: the serial implementations ------------------------
+
+def ref_measurement_basis(dressing):
+    base = epr_pair_channel().relabeled({"B1": "U1", "B2": "U2"})
+    base = apply_unitary(base, dressing, UNKNOWN)
+    return [
+        apply_unitary(base, kron(PAULIS[a - 1], PAULIS[b - 1]), UNKNOWN)
+        for a, b in OUTCOMES
+    ]
+
+
+def ref_transfer(ket, channel_state):
+    _, _, block = partial_inner(ket, channel_state)
+    return block
+
+
+def ref_run_protocol(unknown, kets, channel_state, ops):
+    psi = tensor(unknown.as_state(), channel_state)
+    results = []
+    for outcome, ket, op in zip(OUTCOMES, kets, ops):
+        rest, _, block = partial_inner(ket, psi)
+        raw = block.reshape(-1)
+        probability = float(np.real(np.vdot(raw, raw)))
+        bob = StateVector.from_raw(rest, raw)
+        corrected = apply_unitary(bob, op, rest)
+        results.append((outcome, probability, bob, corrected))
+    return results
+
+
+def ref_invariance_transform(kets, ops, wl, wr):
+    wrt = wr.T
+    bare = kets[0].relabeled({"U1": "B1", "U2": "B2"})
+    new_kets, new_channels = [], []
+    for ket, op in zip(kets, ops):
+        t_ket = apply_unitary(ket, wrt, ("A1", "A2"))
+        new_kets.append(apply_unitary(t_ket, wl, UNKNOWN))
+        chan = apply_unitary(bare, op, ("B1", "B2"))
+        chan = apply_unitary(chan, wrt, ("A1", "A2"))
+        new_channels.append(apply_unitary(chan, wl, ("B1", "B2")))
+    return new_kets, new_channels
+
+
+def ref_rotation(a, b, c):
+    cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
+    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
+    return np.array(
+        [
+            [ea * ec * cb, -ea * np.conj(ec) * sb],
+            [np.conj(ea) * ec * sb, np.conj(ea * ec) * cb],
+        ]
+    )
+
+
+def ref_witness_state(params):
+    rots = [ref_rotation(*params[3 * k : 3 * k + 3]) for k in range(3)]
+    branch0 = np.kron(np.kron(rots[0][:, 0], rots[1][:, 0]), rots[2][:, 0])
+    branch1 = np.kron(np.kron(rots[0][:, 1], rots[1][:, 1]), rots[2][:, 1])
+    return (branch0 + branch1) / np.sqrt(2.0)
+
+
+def ref_witness_value(m, params):
+    phi = ref_witness_state(params)
+    return float(0.75 - np.real(np.vdot(phi, m @ phi)))
+
+
+# --- helpers -----------------------------------------------------------------
+
+def assert_states_close(state, ref):
+    assert state.register.labels == ref.register.labels
+    assert np.abs(state.amplitudes - ref.amplitudes).max() <= TOL
+
+
+def assert_outcomes_match(outcomes, reference):
+    assert len(outcomes) == len(reference) == 16
+    for out, (outcome, probability, bob, corrected) in zip(outcomes, reference):
+        assert out.outcome == outcome
+        assert abs(out.probability - probability) <= TOL
+        assert_states_close(out.bob_state, bob)
+        assert_states_close(out.corrected_state, corrected)
+
+
+def random_case(seed):
+    rng = np.random.default_rng([seed, 77])
+    spec = ChannelSpec(haar_random_unitary(2, rng))
+    unknown = UnknownState(haar_random_state(2, rng))
+    return rng, spec, unknown
+
+
+# --- the protocol ---------------------------------------------------------------
+
+@pytest.mark.parametrize("permute", [False, True])
+def test_run_protocol_matches_per_outcome_loop(permute):
+    for seed in SEEDS:
+        _, spec, unknown = random_case(seed)
+        channel = dressed_channel(spec)
+        if permute:
+            channel = channel.permuted(PERMUTED_ORDER)
+        basis = measurement_basis(spec)
+        ref_kets = ref_measurement_basis(spec.dressing)
+        for ket, ref in zip(basis.kets, ref_kets):
+            assert_states_close(ket, ref)
+        table = standard_corrections()
+        assert_outcomes_match(
+            run_protocol(unknown, basis, channel, table),
+            ref_run_protocol(unknown, ref_kets, channel, table.ops),
+        )
+
+
+@pytest.mark.parametrize("permute", [False, True])
+def test_transfer_and_corrections_match_partial_inner(permute):
+    for seed in SEEDS:
+        _, spec, _ = random_case(seed)
+        channel = dressed_channel(spec)
+        if permute:
+            channel = channel.permuted(PERMUTED_ORDER)
+        basis = measurement_basis(spec)
+        refs = [ref_transfer(ket, channel) for ket in basis.kets]
+        for ket, ref in zip(basis.kets, refs):
+            assert np.abs(partial_inner_transfer(ket, channel) - ref).max() <= TOL
+        table = corrections_from(basis, channel)
+        for op, ref in zip(table.ops, refs):
+            assert np.abs(op - 4.0 * ref.conj().T).max() <= TOL
+
+
+def test_invariance_transform_matches_loop():
+    for seed in SEEDS:
+        rng, spec, unknown = random_case(seed)
+        basis = measurement_basis(spec)
+        table = corrections_from(basis, dressed_channel(spec))
+        wl = haar_random_unitary(2, rng)
+        wr = haar_random_unitary(2, rng)
+        t_basis, t_channels = invariance_transform(basis, table, wl, wr)
+        ref_kets, ref_channels = ref_invariance_transform(basis.kets, table.ops, wl, wr)
+        for ket, ref in zip(t_basis.kets, ref_kets):
+            assert_states_close(ket, ref)
+        assert len(t_channels) == 16
+        for chan, ref in zip(t_channels, ref_channels):
+            assert_states_close(chan, ref)
+        # the transformed protocol, run on its physical channel
+        physical = t_channels[0]
+        t_table = corrections_from(t_basis, physical)
+        assert_outcomes_match(
+            run_protocol(unknown, t_basis, physical, t_table),
+            ref_run_protocol(unknown, t_basis.kets, physical, t_table.ops),
+        )
+
+
+def test_zero_probability_outcome_raises():
+    basis = measurement_basis(ChannelSpec(np.eye(4)))
+    unknown = UnknownState([1.0, 0.0, 0.0, 0.0])
+    ghz = generalized_ghz()
+    with pytest.raises(ContractError):
+        ref_run_protocol(unknown, basis.kets, ghz, standard_corrections().ops)
+    with pytest.raises(ContractError):
+        run_protocol(unknown, basis, ghz, standard_corrections())
+
+
+# --- the witness -------------------------------------------------------------
+
+def test_witness_matches_serial_euler_kron():
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 78])
+        params = rng.uniform(0.0, 2.0 * np.pi, 9)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        rho = 0.5 * (rho + rho.conj().T)
+        phi = witness_state(params)
+        assert np.abs(phi - ref_witness_state(params)).max() <= TOL
+        assert abs(witness_value(rho, params) - ref_witness_value(rho, params)) <= TOL

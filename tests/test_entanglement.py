@@ -5,6 +5,7 @@ from entqc.channel import builtin_channel, generalized_ghz
 from entqc.entanglement import (
     CHANNEL_PAIRS,
     CHANNEL_TRIADS,
+    WitnessSearchResult,
     minimize_witness,
     pair_analysis,
     symmetric_w_state,
@@ -352,3 +353,12 @@ def test_ppt_sweep_entangled_pure_states():
         rho = DensityMatrix(reg, np.outer(v, v.conj()))
         min_eig = hermitian_eigenvalues(partial_transpose(rho, ("b",))).min()
         assert min_eig < -1e-6
+
+
+def test_witness_search_result_admits_only_the_witness_range():
+    # 3/4 - <phi|rho|phi> lies in [-1/4, 3/4]
+    for ok in (-0.25, 0.0, 0.75):
+        assert WitnessSearchResult(ok, (0.0,) * 9, 1, 1.0).min_value == ok
+    for bad in (-0.26, -1.0, 0.76):
+        with pytest.raises(ContractError):
+            WitnessSearchResult(bad, (0.0,) * 9, 1, 1.0)

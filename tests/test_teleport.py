@@ -125,6 +125,25 @@ def test_transfer_requires_shared_registers():
         partial_inner_transfer(basis.ket((1, 1)), wrong)
 
 
+def test_transfer_rejects_ket_off_the_measured_register():
+    resolved = builtin_channel("epr")
+    ket = measurement_basis(resolved.spec).ket((2, 3)).permuted(("U1", "A1", "A2", "U2"))
+    with pytest.raises(ContractError):
+        partial_inner_transfer(ket, resolved.state)
+
+
+def test_run_protocol_rejects_channel_on_unknown_labels():
+    resolved = builtin_channel("epr")
+    channel = resolved.state.relabeled({"B1": "U1"})
+    with pytest.raises(ContractError):
+        run_protocol(
+            UnknownState([1.0, 0.0, 0.0, 0.0]),
+            measurement_basis(resolved.spec),
+            channel,
+            standard_corrections(),
+        )
+
+
 def test_epr_corrections_are_the_sigma_pairs():
     resolved = builtin_channel("epr")
     basis = measurement_basis(resolved.spec)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from entqc.tensor import (
     partial_trace,
     partial_transpose,
     reduced_density,
+    require_hermitian,
+    require_unitary,
     schmidt_coefficients,
     schmidt_rank,
     tensor,
@@ -262,3 +266,17 @@ def test_tensor_requires_disjoint_labels():
     a = state("ab", BELL)
     with pytest.raises(LabelError):
         tensor(a, state("bc", BELL))
+
+
+def test_unitary_and_hermitian_checks_fail_on_overflow_silently():
+    # the deviation of this finite matrix overflows to NaN, which must fail
+    nan_dev = np.eye(4, dtype=complex)
+    nan_dev[:2, :2] = [[1e200, 1e200], [1e200j, -1e200j]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="not unitary"):
+            require_unitary(nan_dev)
+        with pytest.raises(ContractError, match="not unitary"):
+            require_unitary(np.diag([1e308, 1.0]))
+        with pytest.raises(ContractError, match="not Hermitian"):
+            require_hermitian([[0.0, 1e308], [-1e308, 0.0]])

@@ -19,7 +19,6 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
-    apply_unitary,
     kron,
     reduced_density,
     require_unitary,
@@ -54,17 +53,17 @@ class ChannelSpec:
 
 
 def epr_pair_channel() -> StateVector:
-    """Two EPR pairs, (A1,B1) and (A2,B2), as a single four-qubit channel."""
-    amps = np.zeros(16, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            amps[(i << 3) | (j << 2) | (i << 1) | j] = 0.5
-    return StateVector(QubitRegister(CHANNEL_LABELS), amps)
+    """Two EPR pairs, (A1,B1) and (A2,B2): amplitude matrix I/2 (see `dressed_channel`)."""
+    return StateVector(QubitRegister(CHANNEL_LABELS), np.eye(4) / 2.0)
 
 
 def dressed_channel(spec: ChannelSpec) -> StateVector:
-    """The EPR-pair channel with `spec.dressing` applied to the receiver pair."""
-    return apply_unitary(epr_pair_channel(), spec.dressing, RECEIVER_LABELS)
+    """The EPR-pair channel with `spec.dressing` D applied to the receiver pair.
+
+    The EPR-pair identity: M on one half of the EPR pairs maps their
+    (A1A2, B1B2) amplitude matrix K to K M^T, so I/2 becomes D^T / 2.
+    """
+    return StateVector(QubitRegister(CHANNEL_LABELS), spec.dressing.T / 2.0)
 
 
 def bell_transform_matrix() -> np.ndarray:

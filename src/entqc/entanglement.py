@@ -46,6 +46,8 @@ CHANNEL_PAIRS = (
 CHANNEL_TRIADS = tuple(TRIAD_COMPONENT_SIGNS)
 
 MAX_ITERATIONS = 10_000
+#: most witness-search restarts per call; the batch allocation grows with it
+MAX_RESTARTS = 4096
 GRAD_NORM_TOL = 1e-8
 ARMIJO_C = 1e-4
 
@@ -180,7 +182,7 @@ def three_tangle(state) -> float:
         + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
     )
     tau = 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
-    return float(min(max(tau, 0.0), 1.0))
+    return float(tau)
 
 
 def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
@@ -336,8 +338,8 @@ def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchRes
     Each restart draws its starting point from its own stream derived from
     (seed, restart index), so results do not depend on execution order.
     """
-    if restarts < 1:
-        raise ContractError("restarts must be >= 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ContractError(f"restarts must lie in 1..{MAX_RESTARTS}, got {restarts}")
     m = _density8(rho)
     starts = np.stack(
         [

@@ -34,7 +34,6 @@ from .entanglement import (
 )
 from .tensor import (
     ContractError,
-    DensityMatrix,
     fidelity_pure,
     haar_random_unitary,
     hermitian_eigenvalues,
@@ -63,6 +62,9 @@ from .teleport import (
 DEFAULT_SEED = 7
 DEFAULT_RESTARTS = 64
 DEFAULT_WITNESS_TOL = 1e-3
+TELEPORT_TRIALS = 1000
+INVARIANCE_TRIALS = 100
+GRADIENT_POINTS = 100
 
 # Expected pair marginals of the Bell-transformed reference channel. The
 # (A1,B1) block differs from the (A2,B2) one by the sign of its cross terms;
@@ -86,9 +88,6 @@ class SuiteConfig:
     seed: int = DEFAULT_SEED
     restarts: int = DEFAULT_RESTARTS
     tol: float = DEFAULT_WITNESS_TOL
-    teleport_trials: int = 1000
-    invariance_trials: int = 100
-    gradient_points: int = 100
 
 
 def check(name, value, target=None, tolerance=None):
@@ -215,7 +214,7 @@ def _sweep_teleport(cfg: SuiteConfig):
     max_sum_dev = 0.0
     max_nosignal_dev = 0.0
     quarter = np.eye(4) / 4.0
-    for _ in range(cfg.teleport_trials):
+    for _ in range(TELEPORT_TRIALS):
         spec = ChannelSpec(haar_random_unitary(2, rng))
         unknown = UnknownState.random(rng)
         target = unknown.as_state()
@@ -240,7 +239,7 @@ def _sweep_teleport(cfg: SuiteConfig):
 def section_teleport(cfg: SuiteConfig):
     checks = []
     prob_dev, infid, sum_dev, nosignal = _sweep_teleport(cfg)
-    n = cfg.teleport_trials
+    n = TELEPORT_TRIALS
     checks.append(check(f"max |probability - 1/16| over {n} random runs", prob_dev, 0.0, 1e-10))
     checks.append(check(f"max corrected infidelity over {n} random runs", infid, 0.0, 1e-10))
     checks.append(check("max |sum of probabilities - 1|", sum_dev, 0.0, 1e-10))
@@ -376,7 +375,7 @@ def section_invariance(cfg: SuiteConfig):
     rng = np.random.default_rng([cfg.seed, 2])
     max_block_dev = 0.0
     max_infidelity = 0.0
-    for _ in range(cfg.invariance_trials):
+    for _ in range(INVARIANCE_TRIALS):
         w_l = haar_random_unitary(2, rng)
         w_r = haar_random_unitary(2, rng)
         t_basis, t_channels = invariance_transform(basis, corrections, w_l, w_r)
@@ -391,7 +390,7 @@ def section_invariance(cfg: SuiteConfig):
             max_infidelity = max(
                 max_infidelity, abs(1.0 - fidelity_pure(out.corrected_state, target))
             )
-    n = cfg.invariance_trials
+    n = INVARIANCE_TRIALS
     checks.append(
         check(f"max transfer-block change over {n} random transforms", max_block_dev, 0.0, 1e-12)
     )
@@ -437,7 +436,7 @@ def section_gradient(cfg: SuiteConfig):
     rng = np.random.default_rng([cfg.seed, 3])
     step = 1e-5
     max_dev = 0.0
-    for _ in range(cfg.gradient_points):
+    for _ in range(GRADIENT_POINTS):
         params = rng.uniform(0.0, 2.0 * np.pi, 9)
         analytic = witness_gradient(rho, params)
         numeric = np.empty(9)
@@ -450,7 +449,7 @@ def section_gradient(cfg: SuiteConfig):
         max_dev = max(max_dev, float(np.abs(analytic - numeric).max()))
     checks = [
         check(
-            f"max |analytic - central-difference| over {cfg.gradient_points} points",
+            f"max |analytic - central-difference| over {GRADIENT_POINTS} points",
             max_dev, 0.0, 1e-6,
         )
     ]

@@ -20,16 +20,14 @@ from .tensor import (
     PAULIS,
     QubitRegister,
     StateVector,
-    _as_complex,
-    apply_unitary,
     haar_random_state,
     kron,
-    reduced_density,
     require_unitary,
     schmidt_rank,
 )
 
 UNKNOWN_LABELS = ("U1", "U2")
+_UNKNOWN_REGISTER = QubitRegister(UNKNOWN_LABELS)
 MEASURED_LABELS = ("A1", "A2", "U1", "U2")
 
 #: outcome alphabet: (alpha, beta) with 1..4 meaning (identity, x, y, z)
@@ -62,14 +60,8 @@ class UnknownState:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = _as_complex(self.coefficients, "coefficients").reshape(-1).copy()
-        if c.size != 4:
-            raise ContractError("an unknown state has four amplitudes")
-        norm = np.linalg.norm(c)
-        if abs(norm - 1.0) > ATOL:
-            raise ContractError(f"unknown state is not normalized: |c| = {norm!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        state = StateVector(_UNKNOWN_REGISTER, self.coefficients)
+        object.__setattr__(self, "coefficients", state.amplitudes)
 
     @staticmethod
     def from_reals(reals) -> "UnknownState":
@@ -185,17 +177,19 @@ def _transfer_blocks(kets: np.ndarray, channel_state: StateVector):
     rest = tuple(lab for lab in labels if lab not in SENDER_LABELS)
     if len(labels) != 4 or len(rest) != 2 or set(rest) & set(UNKNOWN_LABELS):
         raise ContractError(f"register mismatch: channel on {labels}")
-    channel = channel_state.permuted(SENDER_LABELS + rest).amplitudes.reshape(4, 4)
+    axes = channel_state.register.axes(SENDER_LABELS + rest)
+    channel = channel_state.tensor_view().transpose(axes).reshape(4, 4)
     return rest, channel.T @ kets.conj()
 
 
-def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
-    """The sixteen kets (1 (x) sigma-pair . dressing) |EPR pairs> on (A,U).
+def _epr_basis(ops: np.ndarray) -> MeasurementBasis:
+    """Kets (1 (x) M)|EPR pairs> on (A,U): M^T / 2 (see `dressed_channel`)."""
+    return MeasurementBasis(_states(MEASURED_LABELS, ops.transpose(0, 2, 1) / 2.0))
 
-    The EPR-pair ket acted on by M on (U1,U2) has amplitude matrix M^T / 2.
-    """
-    kets = (_SIGMA_PAIRS @ channel.dressing).transpose(0, 2, 1) / 2.0
-    return MeasurementBasis(_states(MEASURED_LABELS, kets))
+
+def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
+    """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U), by the EPR-pair identity."""
+    return _epr_basis(_SIGMA_PAIRS @ channel.dressing)
 
 
 def standard_corrections() -> CorrectionTable:
@@ -291,16 +285,11 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
     The returned basis is built on bare EPR pairs (every ket is a product
     across (A1,U1)|(A2,U2)); each correction picks up the inverse dressing and
     is generally nonlocal across (B1,B2). Run against the *unchanged* dressed
-    channel, the protocol still achieves unit fidelity.
+    channel, the protocol still achieves unit fidelity. By the EPR-pair
+    identity the kets are sigma-pair^T / 2, the corrections sigma-pair . D†.
     """
-    inverse = channel.dressing.conj().T
-    basis, _ = invariance_transform(
-        measurement_basis(channel),
-        standard_corrections(),
-        np.eye(4, dtype=complex),
-        inverse,
-    )
-    return basis, CorrectionTable(tuple(_SIGMA_PAIRS @ inverse))
+    table = CorrectionTable(tuple(_SIGMA_PAIRS @ channel.dressing.conj().T))
+    return _epr_basis(_SIGMA_PAIRS), table
 
 
 def is_separable_basis(basis: MeasurementBasis) -> dict:
@@ -323,12 +312,13 @@ def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:
 
     `channel_state` must be maximally entangled across its first-two/last-two
     split; the unitaries act on the last two qubits. Returns (ok, deviation).
+    For the state's amplitude matrix K the first-two marginal is K K† and, by
+    the EPR-pair identity, the twirled kets are K U^T.
     """
     if channel_state.register.size != 4:
         raise ContractError("povm_check expects a four-qubit state")
-    first = channel_state.register.labels[:2]
-    marginal = reduced_density(channel_state, first).matrix
-    if np.abs(marginal - np.eye(4) / 4.0).max() > EIG_ATOL:
+    k = channel_state.amplitudes.reshape(4, 4)
+    if np.abs(k @ k.conj().T - np.eye(4) / 4.0).max() > EIG_ATOL:
         raise ContractError(
             "povm_check expects a maximally entangled state across its "
             "first-two/last-two split"
@@ -336,11 +326,9 @@ def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:
     ops = [require_unitary(u, what="set member") for u in unitary_set]
     if not ops:
         raise ContractError("the unitary set must be non-empty")
-    last = channel_state.register.labels[2:]
-    acc = np.zeros((16, 16), dtype=complex)
-    for u in ops:
-        twirled = apply_unitary(channel_state, u, last).amplitudes
-        acc += np.outer(twirled, twirled.conj())
-    acc /= len(ops)
+    if any(u.shape != (4, 4) for u in ops):
+        raise ContractError("set members must be two-qubit (4x4) unitaries")
+    twirled = (k @ np.stack(ops).transpose(0, 2, 1)).reshape(len(ops), 16)
+    acc = twirled.T @ twirled.conj() / len(ops)
     deviation = float(np.abs(acc - np.eye(16) / 16.0).max())
     return deviation <= POVM_ATOL, deviation

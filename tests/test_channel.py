@@ -222,6 +222,13 @@ def test_load_channel_factored_form(tmp_path):
     assert np.abs(spec.dressing - v @ u.T).max() < 1e-14
     ok, _ = is_valid_channel(dressed_channel(spec))
     assert ok
+    # a dressing at ChannelSpec's 1e-12 unitarity edge still gives a valid
+    # channel, so a dressed channel never needs the marginal check
+    edge = v * (1.0 + 4.5e-13)
+    unit_dev = np.abs(edge.conj().T @ edge - np.eye(4)).max()
+    assert 8e-13 < unit_dev <= 1e-12
+    ok, dev = is_valid_channel(dressed_channel(ChannelSpec(edge)))
+    assert ok and dev <= 1e-12
 
 
 @pytest.mark.parametrize(

@@ -274,6 +274,14 @@ def test_repro_rejects_tol_not_finite_and_positive(capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("restarts", ["0", "-1", "4097"])
+def test_repro_rejects_restarts_out_of_range(capsys, restarts):
+    with pytest.raises(SystemExit) as err:
+        main(["repro", "--section", "ghz", f"--restarts={restarts}"])
+    assert err.value.code == 2
+    assert "--restarts" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

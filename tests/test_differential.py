@@ -3,25 +3,37 @@ replaced.
 
 The reference functions below are the per-outcome protocol loop (a six-qubit
 `tensor` + `partial_inner` per outcome), the per-outcome `apply_unitary`
-invariance transform and the serial Euler/`np.kron` witness. They are kept
-here, test-only, as the oracle. The batched code sums in a different order,
+invariance transform, the serial Euler/`np.kron` witness, the bit-loop EPR
+channel with its `apply_unitary` dressing, the series form as an invariance
+transform of the dressed protocol, and the per-member `apply_unitary` POVM
+twirl. They are kept here, test-only, as the oracle. The batched code sums in a different order,
 so results are compared at a tolerance fixed beforehand from complex128
 roundoff on 16-amplitude contractions.
 """
 import numpy as np
 import pytest
 
-from entqc.channel import ChannelSpec, dressed_channel, epr_pair_channel, generalized_ghz
+from entqc.channel import (
+    CHANNEL_LABELS,
+    RECEIVER_LABELS,
+    ChannelSpec,
+    dressed_channel,
+    epr_pair_channel,
+    generalized_ghz,
+)
 from entqc.entanglement import witness_state, witness_value
 from entqc.tensor import (
     PAULIS,
     ContractError,
+    QubitRegister,
     StateVector,
     apply_unitary,
     haar_random_state,
     haar_random_unitary,
     kron,
     partial_inner,
+    reduced_density,
+    require_unitary,
     tensor,
 )
 from entqc.teleport import (
@@ -31,7 +43,10 @@ from entqc.teleport import (
     invariance_transform,
     measurement_basis,
     partial_inner_transfer,
+    pauli_pair,
+    povm_check,
     run_protocol,
+    series_form,
     standard_corrections,
 )
 
@@ -42,6 +57,43 @@ PERMUTED_ORDER = ("B1", "A2", "A1", "B2")
 
 
 # --- test-only references: the serial implementations ------------------------
+
+def ref_epr_pair_channel():
+    amps = np.zeros(16, dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            amps[(i << 3) | (j << 2) | (i << 1) | j] = 0.5
+    return StateVector(QubitRegister(CHANNEL_LABELS), amps)
+
+
+def ref_dressed_channel(spec):
+    return apply_unitary(ref_epr_pair_channel(), spec.dressing, RECEIVER_LABELS)
+
+
+def ref_series_form(spec):
+    inverse = spec.dressing.conj().T
+    basis, _ = invariance_transform(
+        measurement_basis(spec), standard_corrections(), np.eye(4), inverse
+    )
+    return basis, [pauli_pair(a, b) @ inverse for a, b in OUTCOMES]
+
+
+def ref_povm_check(unitary_set, channel_state):
+    first = channel_state.register.labels[:2]
+    marginal = reduced_density(channel_state, first).matrix
+    if np.abs(marginal - np.eye(4) / 4.0).max() > 1e-10:
+        raise ContractError("not maximally entangled")
+    ops = [require_unitary(u) for u in unitary_set]
+    if not ops:
+        raise ContractError("empty set")
+    last = channel_state.register.labels[2:]
+    acc = np.zeros((16, 16), dtype=complex)
+    for u in ops:
+        twirled = apply_unitary(channel_state, u, last).amplitudes
+        acc += np.outer(twirled, twirled.conj())
+    acc /= len(ops)
+    deviation = float(np.abs(acc - np.eye(16) / 16.0).max())
+    return deviation <= 1e-10, deviation
 
 def ref_measurement_basis(dressing):
     base = epr_pair_channel().relabeled({"B1": "U1", "B2": "U2"})
@@ -196,6 +248,52 @@ def test_zero_probability_outcome_raises():
         ref_run_protocol(unknown, basis.kets, ghz, standard_corrections().ops)
     with pytest.raises(ContractError):
         run_protocol(unknown, basis, ghz, standard_corrections())
+
+
+# --- the EPR-pair identity ---------------------------------------------------
+
+def test_channels_match_bit_loop_and_apply_unitary():
+    assert_states_close(epr_pair_channel(), ref_epr_pair_channel())
+    assert_states_close(dressed_channel(ChannelSpec(np.eye(4))), ref_epr_pair_channel())
+    for seed in SEEDS:
+        _, spec, _ = random_case(seed)
+        assert_states_close(dressed_channel(spec), ref_dressed_channel(spec))
+
+
+def test_series_form_matches_invariance_transform():
+    for seed in SEEDS:
+        _, spec, unknown = random_case(seed)
+        basis, table = series_form(spec)
+        ref_basis, ref_ops = ref_series_form(spec)
+        for ket, ref in zip(basis.kets, ref_basis.kets):
+            assert_states_close(ket, ref)
+        for op, ref in zip(table.ops, ref_ops):
+            assert np.abs(op - ref).max() <= TOL
+        channel = dressed_channel(spec)
+        assert_outcomes_match(
+            run_protocol(unknown, basis, channel, table),
+            ref_run_protocol(unknown, ref_basis.kets, channel, ref_ops),
+        )
+
+
+def test_povm_check_matches_per_member_twirl():
+    epr = epr_pair_channel().relabeled({"B1": "U1", "B2": "U2"})
+    for seed in SEEDS:
+        rng, spec, _ = random_case(seed)
+        channel = dressed_channel(spec)
+        sigma_pairs = [pauli_pair(a, b) for a, b in OUTCOMES]
+        haar = haar_random_unitary(2, rng)
+        cases = [
+            (sigma_pairs, True),
+            ([p @ haar for p in sigma_pairs], True),
+            ([haar_random_unitary(2, rng) for _ in range(1 + seed % 16)], False),
+        ]
+        for state in (epr, channel):
+            for unitaries, complete in cases:
+                ok, dev = povm_check(unitaries, state)
+                ref_ok, ref_dev = ref_povm_check(unitaries, state)
+                assert ok == ref_ok == complete
+                assert abs(dev - ref_dev) <= TOL
 
 
 # --- the witness -------------------------------------------------------------

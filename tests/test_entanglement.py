@@ -5,6 +5,7 @@ from entqc.channel import builtin_channel, generalized_ghz
 from entqc.entanglement import (
     CHANNEL_PAIRS,
     CHANNEL_TRIADS,
+    MAX_RESTARTS,
     WitnessSearchResult,
     minimize_witness,
     pair_analysis,
@@ -319,8 +320,9 @@ def test_minimize_witness_respects_global_bound():
 
 
 def test_minimize_witness_validates_restarts():
-    with pytest.raises(ContractError):
-        minimize_witness(np.eye(8) / 8.0, restarts=0, seed=0)
+    for restarts in (0, MAX_RESTARTS + 1):
+        with pytest.raises(ContractError, match="restarts"):
+            minimize_witness(np.eye(8) / 8.0, restarts=restarts, seed=0)
 
 
 # --- PT criterion sweeps ---------------------------------------------------------

@@ -1,9 +1,17 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
+from entqc.cli import render_json
 from entqc.report import SECTION_BUILDERS, SuiteConfig, build_report, check
 from entqc.tensor import ContractError
+
+# render_json(build_report(SuiteConfig())) from a reference version of the
+# code. Later versions keep its section and row names, targets, tolerances
+# and verdicts, and each number within its row's tolerance.
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "repro_seed7.json"
 
 CANONICAL_ORDER = [
     "channel", "measurement", "teleport", "ghz", "pairs", "wstate",
@@ -55,3 +63,26 @@ def test_full_report_passes_within_time_budget():
     ]
     assert failing == []
     assert elapsed < 60.0, f"verification suite took {elapsed:.1f}s"
+    assert_matches_golden(json.loads(render_json(doc)))
+
+
+def assert_matches_golden(doc):
+    golden = json.loads(GOLDEN_REPORT.read_text())
+    assert {k: v for k, v in doc.items() if k != "sections"} == {
+        k: v for k, v in golden.items() if k != "sections"
+    }
+    assert [s["name"] for s in doc["sections"]] == [s["name"] for s in golden["sections"]]
+    for sec, ref_sec in zip(doc["sections"], golden["sections"]):
+        assert sec["pass"] == ref_sec["pass"], sec["name"]
+        names = [row["name"] for row in sec["checks"]]
+        assert names == [row["name"] for row in ref_sec["checks"]], sec["name"]
+        for row, ref in zip(sec["checks"], ref_sec["checks"]):
+            where = (sec["name"], row["name"])
+            for key in ("target", "tolerance", "pass"):
+                assert row[key] == ref[key], where
+            value, expected = row["value"], ref["value"]
+            numeric = isinstance(expected, (int, float)) and not isinstance(expected, bool)
+            if numeric and ref["tolerance"] is not None:
+                assert abs(value - expected) <= ref["tolerance"], where
+            else:
+                assert value == expected, where

@@ -28,7 +28,6 @@ from entqc.tensor import (
     StateVector,
     apply_unitary,
     fidelity_pure,
-    haar_random_state,
     haar_random_unitary,
     operator_schmidt_rank,
     schmidt_rank,

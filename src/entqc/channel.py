@@ -53,17 +53,19 @@ class ChannelSpec:
 
 
 def epr_pair_channel() -> StateVector:
-    """Two EPR pairs, (A1,B1) and (A2,B2): amplitude matrix I/2 (see `dressed_channel`)."""
+    """Two EPR pairs, (A1,B1) and (A2,B2): amplitude matrix I/2 (see `epr_amplitudes`)."""
     return StateVector(QubitRegister(CHANNEL_LABELS), np.eye(4) / 2.0)
 
 
-def dressed_channel(spec: ChannelSpec) -> StateVector:
-    """The EPR-pair channel with `spec.dressing` D applied to the receiver pair.
+def epr_amplitudes(ops) -> np.ndarray:
+    """Amplitude matrices of (1 (x) M)|EPR pairs> for operators M (..., 4, 4):
+    M on one half maps the pairs' amplitude matrix K to K M^T, so I/2 to M^T/2."""
+    return np.swapaxes(ops, -1, -2) / 2.0
 
-    The EPR-pair identity: M on one half of the EPR pairs maps their
-    (A1A2, B1B2) amplitude matrix K to K M^T, so I/2 becomes D^T / 2.
-    """
-    return StateVector(QubitRegister(CHANNEL_LABELS), spec.dressing.T / 2.0)
+
+def dressed_channel(spec: ChannelSpec) -> StateVector:
+    """The EPR-pair channel with `spec.dressing` D applied to the receiver pair."""
+    return StateVector(QubitRegister(CHANNEL_LABELS), epr_amplitudes(spec.dressing))
 
 
 def bell_transform_matrix() -> np.ndarray:
@@ -172,7 +174,10 @@ def _complex_from_pair(node, what: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
     ):
         raise ContractError(f"{what}: complex entries must be [re, im] pairs")
-    return complex(node[0], node[1])
+    try:
+        return complex(node[0], node[1])
+    except OverflowError as exc:  # an integer beyond float range
+        raise ContractError(f"{what}: an entry is out of float range") from exc
 
 
 def _matrix_from_json(node, what: str) -> np.ndarray:
@@ -199,6 +204,8 @@ def load_channel_json(path: str) -> ChannelSpec:
         raise ContractError(f"cannot read channel file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ContractError(f"channel file {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer past the int-string digit limit
+        raise ContractError(f"channel file {path!r} cannot be parsed: {exc}") from exc
     if not isinstance(doc, dict):
         raise ContractError(f"channel file {path!r} must hold a JSON object")
     name = doc.get("name", os.path.splitext(os.path.basename(path))[0])

@@ -16,6 +16,7 @@ from .channel import (
     bell_transform_matrix,
     builtin_channel,
     dressed_channel,
+    epr_amplitudes,
     epr_pair_channel,
     generalized_ghz,
     is_valid_channel,
@@ -34,7 +35,7 @@ from .entanglement import (
 )
 from .tensor import (
     ContractError,
-    fidelity_pure,
+    haar_random_state,
     haar_random_unitary,
     hermitian_eigenvalues,
     operator_schmidt_rank,
@@ -44,19 +45,16 @@ from .tensor import (
     schmidt_rank,
 )
 from .teleport import (
-    OUTCOMES,
-    UnknownState,
-    corrections_from,
-    invariance_transform,
+    invariance_pairs,
     is_separable_basis,
     measurement_basis,
-    partial_inner_transfer,
-    pauli_pair,
+    measurement_kets,
     povm_check,
-    run_protocol,
+    recovery_ops,
+    run_protocol_batch,
     series_form,
     standard_corrections,
-    teleport_all_outcomes,
+    transfer_blocks,
 )
 
 DEFAULT_SEED = 7
@@ -177,18 +175,17 @@ def section_channel(cfg: SuiteConfig):
 
 def section_measurement(cfg: SuiteConfig):
     checks = []
-    for name in ("epr", "bell-transformed"):
-        basis = measurement_basis(builtin_channel(name).spec)
-        stack = np.stack([k.amplitudes for k in basis.kets])
-        gram_dev = float(np.abs(stack @ stack.conj().T - np.eye(16)).max())
-        complete_dev = float(np.abs(stack.T @ stack.conj() - np.eye(16)).max())
+    resolved = {name: builtin_channel(name) for name in ("epr", "bell-transformed")}
+    bases = {name: measurement_basis(r.spec) for name, r in resolved.items()}
+    for name, basis in bases.items():
+        kets = basis.amplitudes
+        gram_dev = float(np.abs(kets @ kets.conj().T - np.eye(16)).max())
+        complete_dev = float(np.abs(kets.T @ kets.conj() - np.eye(16)).max())
         checks.append(check(f"{name} basis Gram deviation from identity", gram_dev, 0.0, 1e-12))
         checks.append(check(f"{name} projector-sum deviation from identity", complete_dev, 0.0, 1e-12))
 
-    epr_splits = is_separable_basis(measurement_basis(builtin_channel("epr").spec))
-    bell_splits = is_separable_basis(
-        measurement_basis(builtin_channel("bell-transformed").spec)
-    )
+    epr_splits = is_separable_basis(bases["epr"])
+    bell_splits = is_separable_basis(bases["bell-transformed"])
     checks.append(
         check("epr basis factors across (A1,U1)(A2,U2)",
               epr_splits[(("A1", "U1"), ("A2", "U2"))], True)
@@ -197,9 +194,9 @@ def section_measurement(cfg: SuiteConfig):
         label = "".join(str(s) for s in split)
         checks.append(check(f"bell-transformed basis factors across {label}", ok, False))
 
-    paulis = [pauli_pair(a, b) for a, b in OUTCOMES]
-    epr_au = builtin_channel("epr").state.relabeled({"B1": "U1", "B2": "U2"})
-    ok, dev = povm_check(paulis, epr_au)
+    sigma_pairs = standard_corrections().ops
+    epr_au = resolved["epr"].state.relabeled({"B1": "U1", "B2": "U2"})
+    ok, dev = povm_check(sigma_pairs, epr_au)
     checks.append(check("sigma-pair twirl deviation from I/16", dev, 0.0, 1e-10))
     checks.append(check("sigma-pair set is a complete POVM", ok, True))
     single_ok, _ = povm_check([np.eye(4)], epr_au)
@@ -207,60 +204,42 @@ def section_measurement(cfg: SuiteConfig):
     return section("measurement", checks)
 
 
-def _sweep_teleport(cfg: SuiteConfig):
-    rng = np.random.default_rng([cfg.seed, 1])
-    max_prob_dev = 0.0
-    max_infidelity = 0.0
-    max_sum_dev = 0.0
-    max_nosignal_dev = 0.0
-    quarter = np.eye(4) / 4.0
-    for _ in range(TELEPORT_TRIALS):
-        spec = ChannelSpec(haar_random_unitary(2, rng))
-        unknown = UnknownState.random(rng)
-        target = unknown.as_state()
-        outcomes = teleport_all_outcomes(unknown, spec)
-        total = 0.0
-        marginal = np.zeros((4, 4), dtype=complex)
-        for out in outcomes:
-            total += out.probability
-            max_prob_dev = max(max_prob_dev, abs(out.probability - 1.0 / 16.0))
-            max_infidelity = max(
-                max_infidelity, abs(1.0 - fidelity_pure(out.corrected_state, target))
-            )
-            amps = out.bob_state.amplitudes
-            marginal += out.probability * np.outer(amps, amps.conj())
-        max_sum_dev = max(max_sum_dev, abs(total - 1.0))
-        max_nosignal_dev = max(
-            max_nosignal_dev, float(np.abs(marginal - quarter).max())
-        )
-    return max_prob_dev, max_infidelity, max_sum_dev, max_nosignal_dev
+def _infidelities(corrected, unknowns) -> np.ndarray:
+    """Per trial, the max |1 - |<corrected|input>|^2| over the outcomes."""
+    overlaps = np.einsum("tgi,ti->tg", corrected.conj(), unknowns)
+    return np.abs(1.0 - np.abs(overlaps) ** 2).max(axis=1)
 
 
 def section_teleport(cfg: SuiteConfig):
-    checks = []
-    prob_dev, infid, sum_dev, nosignal = _sweep_teleport(cfg)
+    # TELEPORT_TRIALS seeded Haar dressings and inputs, then |00> through epr
+    # and a maximally entangled input through bell-transformed, in one run
+    rng = np.random.default_rng([cfg.seed, 1])
+    draws = [
+        (haar_random_unitary(2, rng), haar_random_state(2, rng))
+        for _ in range(TELEPORT_TRIALS)
+    ]
+    draws.append((np.eye(4), np.array([1.0, 0.0, 0.0, 0.0])))
+    draws.append((bell_transform_matrix(), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)))
+    dressings, unknowns = (np.stack(column) for column in zip(*draws))
+    probs, bob, corrected = run_protocol_batch(
+        unknowns, measurement_kets(dressings), epr_amplitudes(dressings),
+        standard_corrections().ops,
+    )
+    infid = _infidelities(corrected, unknowns)
     n = TELEPORT_TRIALS
-    checks.append(check(f"max |probability - 1/16| over {n} random runs", prob_dev, 0.0, 1e-10))
-    checks.append(check(f"max corrected infidelity over {n} random runs", infid, 0.0, 1e-10))
-    checks.append(check("max |sum of probabilities - 1|", sum_dev, 0.0, 1e-10))
-    checks.append(check("max no-signaling marginal deviation from I/4", nosignal, 0.0, 1e-10))
-
-    basis_state = UnknownState([1.0, 0.0, 0.0, 0.0])
-    outs = teleport_all_outcomes(basis_state, builtin_channel("epr").spec)
-    dev = max(
-        abs(1.0 - fidelity_pure(o.corrected_state, basis_state.as_state())) for o in outs
-    )
-    checks.append(check("teleporting |00> through epr: max infidelity", dev, 0.0, 1e-10))
-
-    entangled = UnknownState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-    outs = teleport_all_outcomes(entangled, builtin_channel("bell-transformed").spec)
-    dev = max(
-        abs(1.0 - fidelity_pure(o.corrected_state, entangled.as_state())) for o in outs
-    )
-    checks.append(
+    probs, bob = probs[:n], bob[:n]
+    marginal = np.einsum("tg,tgi,tgj->tij", probs, bob, bob.conj())
+    checks = [
+        check(f"max |probability - 1/16| over {n} random runs",
+              np.abs(probs - 1.0 / 16.0).max(), 0.0, 1e-10),
+        check(f"max corrected infidelity over {n} random runs", infid[:n].max(), 0.0, 1e-10),
+        check("max |sum of probabilities - 1|", np.abs(probs.sum(axis=1) - 1.0).max(), 0.0, 1e-10),
+        check("max no-signaling marginal deviation from I/4",
+              np.abs(marginal - np.eye(4) / 4.0).max(), 0.0, 1e-10),
+        check("teleporting |00> through epr: max infidelity", infid[n], 0.0, 1e-10),
         check("teleporting a maximally entangled input through bell-transformed: "
-              "max infidelity", dev, 0.0, 1e-10)
-    )
+              "max infidelity", infid[n + 1], 0.0, 1e-10),
+    ]
     return section("teleport", checks)
 
 
@@ -361,50 +340,38 @@ def section_witness(cfg: SuiteConfig):
 
 
 def section_invariance(cfg: SuiteConfig):
-    checks = []
-    spec = builtin_channel("bell-transformed").spec
-    basis = measurement_basis(spec)
-    corrections = standard_corrections()
-    _, base_channels = invariance_transform(
-        basis, corrections, np.eye(4), np.eye(4)
-    )
-    base_blocks = [
-        partial_inner_transfer(ket, chan)
-        for ket, chan in zip(basis.kets, base_channels)
-    ]
+    # each transformed protocol runs on its physical channel, the (1,1) one,
+    # with the corrections that channel implies
+    kets = measurement_kets(bell_transform_matrix())
+    sigma = standard_corrections().ops
     rng = np.random.default_rng([cfg.seed, 2])
-    max_block_dev = 0.0
-    max_infidelity = 0.0
-    for _ in range(INVARIANCE_TRIALS):
-        w_l = haar_random_unitary(2, rng)
-        w_r = haar_random_unitary(2, rng)
-        t_basis, t_channels = invariance_transform(basis, corrections, w_l, w_r)
-        for ket, chan, ref in zip(t_basis.kets, t_channels, base_blocks):
-            block = partial_inner_transfer(ket, chan)
-            max_block_dev = max(max_block_dev, float(np.abs(block - ref).max()))
-        unknown = UnknownState.random(rng)
-        target = unknown.as_state()
-        physical = t_channels[0]
-        t_corrections = corrections_from(t_basis, physical)
-        for out in run_protocol(unknown, t_basis, physical, t_corrections):
-            max_infidelity = max(
-                max_infidelity, abs(1.0 - fidelity_pure(out.corrected_state, target))
-            )
+    draws = [
+        (haar_random_unitary(2, rng), haar_random_unitary(2, rng), haar_random_state(2, rng))
+        for _ in range(INVARIANCE_TRIALS)
+    ]
+    w_l, w_r, unknowns = (np.stack(column) for column in zip(*draws))
+    base_blocks = transfer_blocks(*invariance_pairs(kets, sigma, np.eye(4), np.eye(4)))
+    t_kets, t_channels = invariance_pairs(kets, sigma, w_l, w_r)
+    physical = t_channels[:, 0]
+    _, _, corrected = run_protocol_batch(
+        unknowns, t_kets, physical, recovery_ops(t_kets, physical[:, None])
+    )
     n = INVARIANCE_TRIALS
-    checks.append(
-        check(f"max transfer-block change over {n} random transforms", max_block_dev, 0.0, 1e-12)
-    )
-    checks.append(
-        check(f"max corrected infidelity over {n} transformed runs", max_infidelity, 0.0, 1e-10)
-    )
+    checks = [
+        check(f"max transfer-block change over {n} random transforms",
+              np.abs(transfer_blocks(t_kets, t_channels) - base_blocks).max(), 0.0, 1e-12),
+        check(f"max corrected infidelity over {n} transformed runs",
+              _infidelities(corrected, unknowns).max(), 0.0, 1e-10),
+    ]
     return section("invariance", checks)
 
 
 def section_series(cfg: SuiteConfig):
     checks = []
+    unknown = haar_random_state(2, np.random.default_rng([cfg.seed, 5]))[None]
     for name in ("bell-transformed", "epr"):
-        resolved = builtin_channel(name)
-        basis, table = series_form(resolved.spec)
+        spec = builtin_channel(name).spec
+        basis, table = series_form(spec)
         excess = max(
             float(schmidt_coefficients(ket, ("A1", "U1"))[1:].max())
             for ket in basis.kets
@@ -415,17 +382,13 @@ def section_series(cfg: SuiteConfig):
             checks.append(check("bell-transformed series has a nonlocal correction", max(ranks) > 1, True))
         else:
             checks.append(check("epr series corrections all local", max(ranks) == 1, True))
-            pauli_dev = max(
-                float(np.abs(op - pauli_pair(a, b)).max())
-                for (a, b), op in table.items()
-            )
+            pauli_dev = float(np.abs(table.ops - standard_corrections().ops).max())
             checks.append(check("epr series corrections equal sigma-pairs", pauli_dev, 0.0, 1e-12))
-        unknown = UnknownState.random(np.random.default_rng([cfg.seed, 5]))
-        target = unknown.as_state()
-        outs = run_protocol(unknown, basis, resolved.state, table)
-        infid = max(
-            abs(1.0 - fidelity_pure(o.corrected_state, target)) for o in outs
+        _, _, corrected = run_protocol_batch(
+            unknown, basis.amplitudes.reshape(1, 16, 4, 4),
+            epr_amplitudes(spec.dressing)[None], table.ops,
         )
+        infid = _infidelities(corrected, unknown)[0]
         checks.append(check(f"{name} series protocol max infidelity", infid, 0.0, 1e-10))
     return section("series", checks)
 

@@ -3,8 +3,9 @@
 Roles by register: the unknown input lives on (U1,U2), the sender keeps
 (A1,A2), the receiver holds (B1,B2). Measurement bases are four-qubit states
 on (A1,A2,U1,U2). The protocol contracts each basis ket against
-unknown (x) channel, all sixteen in one batched contraction, and never uses
-the known answer.
+unknown (x) channel and never uses the known answer. Its core works on
+(A1A2, U1U2) ket and (A1A2, receiver) channel amplitude matrices batched over
+trials and outcomes; the functions on objects are its single-trial cases.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CHANNEL_LABELS, SENDER_LABELS, ChannelSpec, dressed_channel
+from .channel import CHANNEL_LABELS, SENDER_LABELS, ChannelSpec, dressed_channel, epr_amplitudes
 from .tensor import (
     ATOL,
     EIG_ATOL,
@@ -20,6 +21,7 @@ from .tensor import (
     PAULIS,
     QubitRegister,
     StateVector,
+    _as_complex,
     haar_random_state,
     kron,
     require_unitary,
@@ -48,11 +50,6 @@ def pauli_pair(alpha: int, beta: int) -> np.ndarray:
     return kron(PAULIS[alpha - 1], PAULIS[beta - 1])
 
 
-#: the sixteen sigma-pairs stacked in OUTCOMES order, shape (16, 4, 4)
-_SIGMA_PAIRS = np.stack([pauli_pair(a, b) for a, b in OUTCOMES])
-_SIGMA_PAIRS.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class UnknownState:
     """The two-qubit input to be teleported: amplitudes (c00, c01, c10, c11)."""
@@ -79,38 +76,59 @@ class UnknownState:
         return StateVector(QubitRegister(tuple(labels)), self.coefficients)
 
 
+def _outcome_index(outcome) -> int:
+    key = tuple(outcome)
+    if key not in _OUTCOME_INDEX:
+        raise ContractError(f"unknown outcome {key}; both indices run 1..4")
+    return _OUTCOME_INDEX[key]
+
+
+def _unitary_stack(ops, what: str, wrong_shape: str) -> np.ndarray:
+    """A checked (n, 4, 4) stack; shapes are read first, so a ragged set fails as `wrong_shape`."""
+    if any(np.shape(op) != (4, 4) for op in ops):
+        raise ContractError(wrong_shape)
+    return require_unitary(ops, what=what)
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Sixteen joint-measurement kets on (A1,A2,U1,U2), in OUTCOMES order."""
+    """Sixteen joint-measurement kets on (A1,A2,U1,U2), in OUTCOMES order.
 
-    kets: tuple[StateVector, ...]
+    `amplitudes` is one read-only (16, 16) array, row g the ket of outcome g;
+    sixteen StateVectors on (A1,A2,U1,U2) are accepted in its place.
+    """
+
+    amplitudes: np.ndarray
 
     def __post_init__(self):
-        kets = tuple(self.kets)
-        if len(kets) != 16:
-            raise ContractError(f"a measurement basis has 16 kets, got {len(kets)}")
-        for ket in kets:
-            if ket.register.labels != MEASURED_LABELS:
-                raise ContractError(
-                    f"basis kets must live on {MEASURED_LABELS}, got "
-                    f"{ket.register.labels}"
-                )
-        stack = np.stack([k.amplitudes for k in kets])
-        gram_dev = np.abs(stack @ stack.conj().T - np.eye(16)).max()
+        kets = self.amplitudes
+        if not isinstance(kets, np.ndarray):
+            kets = tuple(kets)
+            if not all(isinstance(k, StateVector) and k.register.labels == MEASURED_LABELS
+                       for k in kets):
+                raise ContractError(f"basis kets must be StateVectors on {MEASURED_LABELS}")
+            kets = [k.amplitudes for k in kets]
+        amps = _as_complex(kets, "basis").copy()
+        if amps.shape != (16, 16):
+            raise ContractError(f"a measurement basis is 16 kets of 16 amplitudes, got {amps.shape}")
+        # the Gram diagonal also checks each ket's norm
+        gram_dev = np.abs(amps @ amps.conj().T - np.eye(16)).max()
         if gram_dev > ATOL:
             raise ContractError(f"basis is not orthonormal: deviation {gram_dev:.3e}")
-        complete_dev = np.abs(stack.T @ stack.conj() - np.eye(16)).max()
+        complete_dev = np.abs(amps.T @ amps.conj() - np.eye(16)).max()
         if complete_dev > ATOL:
             raise ContractError(
                 f"basis projectors do not resolve the identity: {complete_dev:.3e}"
             )
-        object.__setattr__(self, "kets", kets)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def kets(self) -> tuple[StateVector, ...]:
+        return _states(MEASURED_LABELS, self.amplitudes)
 
     def ket(self, outcome) -> StateVector:
-        key = tuple(outcome)
-        if key not in _OUTCOME_INDEX:
-            raise ContractError(f"unknown outcome {key}; both indices run 1..4")
-        return self.kets[_OUTCOME_INDEX[key]]
+        return StateVector(QubitRegister(MEASURED_LABELS), self.amplitudes[_outcome_index(outcome)])
 
     def items(self):
         return zip(OUTCOMES, self.kets)
@@ -118,33 +136,31 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class CorrectionTable:
-    """The receiver's per-outcome recovery unitaries, in OUTCOMES order."""
+    """The receiver's per-outcome recovery unitaries, in OUTCOMES order.
 
-    ops: tuple[np.ndarray, ...]
+    `ops` is one read-only (16, 4, 4) array; any sequence of sixteen 4x4
+    unitaries is accepted in its place.
+    """
+
+    ops: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(self.ops)
+        ops = self.ops if isinstance(self.ops, np.ndarray) else tuple(self.ops)
         if len(ops) != 16:
             raise ContractError(f"a correction table has 16 entries, got {len(ops)}")
-        checked = []
-        for op in ops:
-            u = require_unitary(op, what="correction")
-            if u.shape != (4, 4):
-                raise ContractError("corrections act on two qubits (4x4)")
-            checked.append(u)
-        object.__setattr__(self, "ops", tuple(checked))
+        ops = _unitary_stack(ops, "correction", "corrections act on two qubits (4x4)")
+        object.__setattr__(self, "ops", ops)
 
     def op(self, outcome) -> np.ndarray:
-        key = tuple(outcome)
-        if key not in _OUTCOME_INDEX:
-            raise ContractError(f"unknown outcome {key}; both indices run 1..4")
-        return self.ops[_OUTCOME_INDEX[key]]
+        return self.ops[_outcome_index(outcome)]
 
     def items(self):
         return zip(OUTCOMES, self.ops)
 
 
-_STANDARD_CORRECTIONS = CorrectionTable(tuple(_SIGMA_PAIRS))
+#: the sixteen sigma-pairs in OUTCOMES order: the standard correction table
+_STANDARD_CORRECTIONS = CorrectionTable([pauli_pair(a, b) for a, b in OUTCOMES])
+_SIGMA_PAIRS = _STANDARD_CORRECTIONS.ops
 
 
 @dataclass(frozen=True)
@@ -157,39 +173,65 @@ class TeleportOutcome:
     corrected_state: StateVector
 
 
-def _ket_stack(basis: MeasurementBasis) -> np.ndarray:
-    """The basis kets as amplitude matrices (16, A1A2, U1U2)."""
-    return np.stack([ket.amplitudes for ket in basis.kets]).reshape(16, 4, 4)
-
-
 def _states(labels, rows) -> tuple[StateVector, ...]:
     register = QubitRegister(tuple(labels))
     return tuple(StateVector(register, row) for row in rows)
 
 
-def _transfer_blocks(kets: np.ndarray, channel_state: StateVector):
-    """Contract kets (n, A1A2, U1U2) against a channel on A1, A2 and `rest`.
-
-    Returns (rest, blocks): each (rest, U1U2) block maps input amplitudes on
-    U to receiver amplitudes on the two `rest` qubits, in register order.
-    """
+def _channel_matrix(channel_state: StateVector):
+    """(rest, K): K is the amplitude matrix on (A1A2, rest), rest the other two qubits."""
     labels = channel_state.register.labels
     rest = tuple(lab for lab in labels if lab not in SENDER_LABELS)
     if len(labels) != 4 or len(rest) != 2 or set(rest) & set(UNKNOWN_LABELS):
         raise ContractError(f"register mismatch: channel on {labels}")
     axes = channel_state.register.axes(SENDER_LABELS + rest)
-    channel = channel_state.tensor_view().transpose(axes).reshape(4, 4)
-    return rest, channel.T @ kets.conj()
+    return rest, channel_state.tensor_view().transpose(axes).reshape(4, 4)
 
 
-def _epr_basis(ops: np.ndarray) -> MeasurementBasis:
-    """Kets (1 (x) M)|EPR pairs> on (A,U): M^T / 2 (see `dressed_channel`)."""
-    return MeasurementBasis(_states(MEASURED_LABELS, ops.transpose(0, 2, 1) / 2.0))
+def measurement_kets(dressings) -> np.ndarray:
+    """Kets (1 (x) sigma-pair . D)|EPR pairs> for dressings D (..., 4, 4): (..., 16, 4, 4)."""
+    return epr_amplitudes(_SIGMA_PAIRS @ dressings[..., None, :, :])
+
+
+def transfer_blocks(kets, channels) -> np.ndarray:
+    """Contract kets and channels over (A1,A2): blocks mapping U to the receiver."""
+    return np.swapaxes(channels, -1, -2) @ kets.conj()
+
+
+def recovery_ops(kets, channels) -> np.ndarray:
+    """Recovery unitaries (4 . transfer)† of kets against channels."""
+    return np.swapaxes(4.0 * transfer_blocks(kets, channels), -1, -2).conj()
+
+
+def invariance_pairs(kets, corrections, w_l, w_r):
+    """Conjugate every basis/channel pair by (w_r^T on the sender pair, w_l on
+    the other pair), for (w_l, w_r) stacks (..., 4, 4).
+
+    Channel g is (1 (x) C_g) on the bare channel, the (1,1) ket; X on the first
+    pair and Y on the second map an amplitude matrix K to X K Y^T.
+    """
+    wr_t = np.swapaxes(w_r, -1, -2)[..., None, :, :]
+    wl_t = np.swapaxes(w_l, -1, -2)[..., None, :, :]
+    channels = wr_t @ kets[0] @ np.swapaxes(corrections, -1, -2) @ wl_t
+    return wr_t @ kets @ wl_t, channels
+
+
+def run_protocol_batch(unknowns, kets, channels, corrections):
+    """All sixteen outcomes of T runs: inputs (T, 4), kets (T, 16, 4, 4),
+    channels (T, 4, 4), corrections ([T,] 16, 4, 4). Returns probabilities
+    (T, 16), receiver states and corrected states (T, 16, 4)."""
+    raw = (transfer_blocks(kets, channels[:, None]) @ unknowns[:, None, :, None])[..., 0]
+    probabilities = np.real(np.einsum("tgr,tgr->tg", raw.conj(), raw))
+    if probabilities.min() < 1e-28:  # |raw| < 1e-14, as in StateVector.from_raw
+        raise ContractError("cannot normalize a zero amplitude vector")
+    bob = raw / np.sqrt(probabilities)[..., None]
+    corrected = np.einsum("...gij,...gj->...gi", corrections, bob)
+    return probabilities, bob, corrected
 
 
 def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
-    """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U), by the EPR-pair identity."""
-    return _epr_basis(_SIGMA_PAIRS @ channel.dressing)
+    """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U)."""
+    return MeasurementBasis(measurement_kets(channel.dressing).reshape(16, 16))
 
 
 def standard_corrections() -> CorrectionTable:
@@ -209,8 +251,8 @@ def partial_inner_transfer(
     """
     if basis_ket.register.labels != MEASURED_LABELS:
         raise ContractError(f"register mismatch: ket on {basis_ket.register.labels}")
-    _, blocks = _transfer_blocks(basis_ket.amplitudes.reshape(1, 4, 4), channel_state)
-    return blocks[0]
+    _, channel = _channel_matrix(channel_state)
+    return transfer_blocks(basis_ket.amplitudes.reshape(4, 4), channel)
 
 
 def corrections_from(
@@ -220,8 +262,8 @@ def corrections_from(
 
     Fails (non-unitary transfer) when the channel is not maximally entangled.
     """
-    _, blocks = _transfer_blocks(_ket_stack(basis), channel_state)
-    return CorrectionTable(tuple((4.0 * blocks).conj().transpose(0, 2, 1)))
+    _, channel = _channel_matrix(channel_state)
+    return CorrectionTable(recovery_ops(basis.amplitudes.reshape(16, 4, 4), channel))
 
 
 def run_protocol(
@@ -231,15 +273,13 @@ def run_protocol(
     corrections: CorrectionTable,
 ) -> list[TeleportOutcome]:
     """Simulate all sixteen outcomes of one protocol variant end to end."""
-    rest, blocks = _transfer_blocks(_ket_stack(basis), channel_state)
-    raw = blocks @ unknown.coefficients
-    probabilities = np.real(np.einsum("gr,gr->g", raw.conj(), raw))
-    if probabilities.min() < 1e-28:  # |raw| < 1e-14, as in StateVector.from_raw
-        raise ContractError("cannot normalize a zero amplitude vector")
-    bob = raw / np.sqrt(probabilities)[:, None]
-    corrected = np.einsum("gij,gj->gi", np.stack(corrections.ops), bob)
-    bobs, fixed = _states(rest, bob), _states(rest, corrected)
-    return list(map(TeleportOutcome, OUTCOMES, probabilities.tolist(), bobs, fixed))
+    rest, channel = _channel_matrix(channel_state)
+    probabilities, bob, corrected = run_protocol_batch(
+        unknown.coefficients[None], basis.amplitudes.reshape(1, 16, 4, 4),
+        channel[None], corrections.ops,
+    )
+    bobs, fixed = _states(rest, bob[0]), _states(rest, corrected[0])
+    return list(map(TeleportOutcome, OUTCOMES, probabilities[0].tolist(), bobs, fixed))
 
 
 def teleport_all_outcomes(
@@ -260,23 +300,13 @@ def invariance_transform(
     w_l,
     w_r,
 ) -> tuple[MeasurementBasis, tuple[StateVector, ...]]:
-    """Conjugate every basis/channel pair by (w_r^T on the sender pair, w_l on
-    the other pair).
-
-    The sixteen channel states are generated from the corrections table as
-    (1 (x) C_g)|channel>, with the bare channel read off the (1,1) basis ket;
-    per-pair transfer blocks and protocol statistics are unchanged.
+    """`invariance_pairs` for one (w_l, w_r): the transformed basis and its
+    sixteen channel states; per-pair transfer blocks and protocol statistics
+    are unchanged.
     """
-    wl = require_unitary(w_l, what="w_l")
-    wr = require_unitary(w_r, what="w_r")
-    if wl.shape != (4, 4) or wr.shape != (4, 4):
-        raise ContractError("w_l and w_r must be two-qubit (4x4) unitaries")
-    # X on the first pair and Y on the second map an amplitude matrix K to
-    # X K Y^T; the bare channel is the (1,1) ket, kets[0]
-    kets = _ket_stack(basis)
-    channels = wr.T @ kets[0] @ np.stack(corrections.ops).transpose(0, 2, 1) @ wl.T
-    t_basis = MeasurementBasis(_states(MEASURED_LABELS, wr.T @ kets @ wl.T))
-    return t_basis, _states(CHANNEL_LABELS, channels)
+    wl, wr = _unitary_stack((w_l, w_r), "w_l or w_r", "w_l and w_r must be two-qubit (4x4) unitaries")
+    kets, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, wl, wr)
+    return MeasurementBasis(kets.reshape(16, 16)), _states(CHANNEL_LABELS, channels)
 
 
 def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable]:
@@ -288,8 +318,8 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
     channel, the protocol still achieves unit fidelity. By the EPR-pair
     identity the kets are sigma-pair^T / 2, the corrections sigma-pair . D†.
     """
-    table = CorrectionTable(tuple(_SIGMA_PAIRS @ channel.dressing.conj().T))
-    return _epr_basis(_SIGMA_PAIRS), table
+    table = CorrectionTable(_SIGMA_PAIRS @ channel.dressing.conj().T)
+    return MeasurementBasis(epr_amplitudes(_SIGMA_PAIRS).reshape(16, 16)), table
 
 
 def is_separable_basis(basis: MeasurementBasis) -> dict:
@@ -299,11 +329,10 @@ def is_separable_basis(basis: MeasurementBasis) -> dict:
     Schmidt coefficients beyond the first vanish (below 1e-10).
     """
     verdicts = {}
+    kets = basis.kets
     for split in BASIS_SPLITS:
         part = split[0]
-        verdicts[split] = all(
-            schmidt_rank(ket, part, tol=SCHMIDT_TOL) == 1 for ket in basis.kets
-        )
+        verdicts[split] = all(schmidt_rank(k, part, tol=SCHMIDT_TOL) == 1 for k in kets)
     return verdicts
 
 
@@ -323,12 +352,11 @@ def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:
             "povm_check expects a maximally entangled state across its "
             "first-two/last-two split"
         )
-    ops = [require_unitary(u, what="set member") for u in unitary_set]
-    if not ops:
+    members = tuple(unitary_set)
+    if not members:
         raise ContractError("the unitary set must be non-empty")
-    if any(u.shape != (4, 4) for u in ops):
-        raise ContractError("set members must be two-qubit (4x4) unitaries")
-    twirled = (k @ np.stack(ops).transpose(0, 2, 1)).reshape(len(ops), 16)
+    ops = _unitary_stack(members, "set member", "set members must be two-qubit (4x4) unitaries")
+    twirled = (k @ ops.transpose(0, 2, 1)).reshape(len(ops), 16)
     acc = twirled.T @ twirled.conj() / len(ops)
     deviation = float(np.abs(acc - np.eye(16) / 16.0).max())
     return deviation <= POVM_ATOL, deviation

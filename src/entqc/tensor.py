@@ -47,12 +47,13 @@ def kron(*factors) -> np.ndarray:
 
 
 def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray:
-    """Validate U†U = 1 within `tol` and return a read-only complex copy."""
+    """Validate U†U = 1 within `tol`, for a matrix or a stack (..., n, n); return a read-only copy."""
     u = _as_complex(m, what).copy()
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ContractError(f"{what} is not square: shape {u.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+        gram = np.swapaxes(u.conj(), -1, -2) @ u
+        dev = np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0)
     if not dev <= tol:  # a NaN deviation fails too
         raise ContractError(f"{what} is not unitary: deviation {dev:.3e} > {tol:g}")
     u.setflags(write=False)

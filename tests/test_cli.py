@@ -137,6 +137,29 @@ def test_teleport_malformed_channel_file(capsys, tmp_path):
     assert "JSON" in err
 
 
+def _huge_entry(digits: int) -> bytes:
+    return b'{"dressing": [[1%s, 0]%s]}' % (b"0" * digits, b", [0, 0]" * 15)
+
+
+@pytest.mark.parametrize("command", ["teleport", "analyze"])
+@pytest.mark.parametrize(
+    "content, messages",
+    [
+        (_huge_entry(400), ("out of float range",)),
+        # past the int-string digit limit (4300 by default) json.load fails
+        (_huge_entry(5000), ("cannot be parsed", "out of float range")),
+        (b"\xff\xfe{}", ("cannot be parsed",)),
+    ],
+    ids=["beyond-float", "beyond-digit-limit", "not-utf8"],
+)
+def test_unreadable_channel_file_is_a_usage_error(capsys, tmp_path, command, content, messages):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, [command, "--channel", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and any(m in err for m in messages)
+
+
 def test_teleport_overflowing_channel_file_is_a_usage_error(tmp_path):
     # the unitarity deviation of this finite dressing overflows to NaN
     dressing = np.eye(4, dtype=complex)

@@ -5,18 +5,21 @@ The reference functions below are the per-outcome protocol loop (a six-qubit
 `tensor` + `partial_inner` per outcome), the per-outcome `apply_unitary`
 invariance transform, the serial Euler/`np.kron` witness, the bit-loop EPR
 channel with its `apply_unitary` dressing, the series form as an invariance
-transform of the dressed protocol, and the per-member `apply_unitary` POVM
-twirl. They are kept here, test-only, as the oracle. The batched code sums in a different order,
-so results are compared at a tolerance fixed beforehand from complex128
-roundoff on 16-amplitude contractions.
+transform of the dressed protocol, the per-member `apply_unitary` POVM
+twirl, and the report's per-trial teleport and invariance loops. They are
+kept here, test-only, as the oracle. The batched code sums in a different
+order, so results are compared at a tolerance fixed beforehand from
+complex128 roundoff on 16-amplitude contractions.
 """
 import numpy as np
 import pytest
 
+from entqc import report
 from entqc.channel import (
     CHANNEL_LABELS,
     RECEIVER_LABELS,
     ChannelSpec,
+    bell_transform_matrix,
     dressed_channel,
     epr_pair_channel,
     generalized_ghz,
@@ -28,6 +31,7 @@ from entqc.tensor import (
     QubitRegister,
     StateVector,
     apply_unitary,
+    fidelity_pure,
     haar_random_state,
     haar_random_unitary,
     kron,
@@ -38,6 +42,7 @@ from entqc.tensor import (
 )
 from entqc.teleport import (
     OUTCOMES,
+    MeasurementBasis,
     UnknownState,
     corrections_from,
     invariance_transform,
@@ -46,8 +51,10 @@ from entqc.teleport import (
     pauli_pair,
     povm_check,
     run_protocol,
+    run_protocol_batch,
     series_form,
     standard_corrections,
+    teleport_all_outcomes,
 )
 
 TOL = 1e-13
@@ -133,6 +140,69 @@ def ref_invariance_transform(kets, ops, wl, wr):
         chan = apply_unitary(chan, wrt, ("A1", "A2"))
         new_channels.append(apply_unitary(chan, wl, ("B1", "B2")))
     return new_kets, new_channels
+
+
+def ref_section_teleport(cfg):
+    """The report's teleport rows, one `teleport_all_outcomes` call per trial."""
+    rng = np.random.default_rng([cfg.seed, 1])
+    max_prob_dev = max_infidelity = max_sum_dev = max_nosignal_dev = 0.0
+    for _ in range(report.TELEPORT_TRIALS):
+        spec = ChannelSpec(haar_random_unitary(2, rng))
+        unknown = UnknownState.random(rng)
+        target = unknown.as_state()
+        total = 0.0
+        marginal = np.zeros((4, 4), dtype=complex)
+        for out in teleport_all_outcomes(unknown, spec):
+            total += out.probability
+            max_prob_dev = max(max_prob_dev, abs(out.probability - 1.0 / 16.0))
+            max_infidelity = max(
+                max_infidelity, abs(1.0 - fidelity_pure(out.corrected_state, target))
+            )
+            amps = out.bob_state.amplitudes
+            marginal += out.probability * np.outer(amps, amps.conj())
+        max_sum_dev = max(max_sum_dev, abs(total - 1.0))
+        max_nosignal_dev = max(
+            max_nosignal_dev, float(np.abs(marginal - np.eye(4) / 4.0).max())
+        )
+    fixed = []
+    for dressing, amps in [
+        (np.eye(4), [1.0, 0.0, 0.0, 0.0]),
+        (bell_transform_matrix(), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)),
+    ]:
+        unknown = UnknownState(amps)
+        outs = teleport_all_outcomes(unknown, ChannelSpec(dressing))
+        fixed.append(max(
+            abs(1.0 - fidelity_pure(o.corrected_state, unknown.as_state())) for o in outs
+        ))
+    return [max_prob_dev, max_infidelity, max_sum_dev, max_nosignal_dev, *fixed]
+
+
+def ref_section_invariance(cfg):
+    """The report's invariance rows, one `invariance_transform`, sixteen
+    `partial_inner_transfer` and one `run_protocol` call per trial."""
+    basis = measurement_basis(ChannelSpec(bell_transform_matrix()))
+    corrections = standard_corrections()
+    _, base_channels = invariance_transform(basis, corrections, np.eye(4), np.eye(4))
+    base_blocks = [
+        partial_inner_transfer(ket, chan) for ket, chan in zip(basis.kets, base_channels)
+    ]
+    rng = np.random.default_rng([cfg.seed, 2])
+    max_block_dev = max_infidelity = 0.0
+    for _ in range(report.INVARIANCE_TRIALS):
+        w_l = haar_random_unitary(2, rng)
+        w_r = haar_random_unitary(2, rng)
+        t_basis, t_channels = invariance_transform(basis, corrections, w_l, w_r)
+        for ket, chan, ref in zip(t_basis.kets, t_channels, base_blocks):
+            block = partial_inner_transfer(ket, chan)
+            max_block_dev = max(max_block_dev, float(np.abs(block - ref).max()))
+        unknown = UnknownState.random(rng)
+        physical = t_channels[0]
+        t_corrections = corrections_from(t_basis, physical)
+        for out in run_protocol(unknown, t_basis, physical, t_corrections):
+            max_infidelity = max(
+                max_infidelity, abs(1.0 - fidelity_pure(out.corrected_state, unknown.as_state()))
+            )
+    return [max_block_dev, max_infidelity]
 
 
 def ref_rotation(a, b, c):
@@ -238,6 +308,53 @@ def test_invariance_transform_matches_loop():
             run_protocol(unknown, t_basis, physical, t_table),
             ref_run_protocol(unknown, t_basis.kets, physical, t_table.ops),
         )
+
+
+def test_batched_kernel_matches_serial_runs():
+    cases = [random_case(seed)[1:] for seed in SEEDS]
+    unknowns = np.stack([unknown.coefficients for _, unknown in cases])
+    channels = np.stack([
+        dressed_channel(spec).amplitudes.reshape(4, 4) for spec, _ in cases
+    ])
+    standard = [(measurement_basis(spec), standard_corrections()) for spec, _ in cases]
+    for variant in (standard, [series_form(spec) for spec, _ in cases]):
+        kets = np.stack([basis.amplitudes.reshape(16, 4, 4) for basis, _ in variant])
+        ops = np.stack([table.ops for _, table in variant])
+        probabilities, bob, corrected = run_protocol_batch(unknowns, kets, channels, ops)
+        for t, ((spec, unknown), (basis, table)) in enumerate(zip(cases, variant)):
+            ref = ref_run_protocol(unknown, basis.kets, dressed_channel(spec), table.ops)
+            for g, (_, probability, ref_bob, ref_corrected) in enumerate(ref):
+                assert abs(probabilities[t, g] - probability) <= TOL
+                assert np.abs(bob[t, g] - ref_bob.amplitudes).max() <= TOL
+                assert np.abs(corrected[t, g] - ref_corrected.amplitudes).max() <= TOL
+
+
+def row_values(section):
+    return [row["value"] for row in section["checks"]]
+
+
+def test_report_sweeps_match_per_trial_loops(monkeypatch):
+    sweeps = [
+        (report.section_teleport, ref_section_teleport),
+        (report.section_invariance, ref_section_invariance),
+    ]
+    for section, ref in sweeps:
+        cfg = report.SuiteConfig()
+        assert np.allclose(row_values(section(cfg)), ref(cfg), rtol=0.0, atol=TOL)
+    monkeypatch.setattr(report, "TELEPORT_TRIALS", 20)
+    monkeypatch.setattr(report, "INVARIANCE_TRIALS", 10)
+    for seed in SEEDS:
+        cfg = report.SuiteConfig(seed=seed)
+        for section, ref in sweeps:
+            assert np.allclose(row_values(section(cfg)), ref(cfg), rtol=0.0, atol=TOL)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_basis_array_with_a_non_finite_entry_is_rejected(bad):
+    amps = measurement_basis(ChannelSpec(np.eye(4))).amplitudes.copy()
+    amps[3, 5] = bad
+    with pytest.raises(ContractError):
+        MeasurementBasis(amps)
 
 
 def test_zero_probability_outcome_raises():

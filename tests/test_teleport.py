@@ -82,6 +82,21 @@ def test_epr_basis_kets_are_bell_products():
         assert abs(fidelity_pure(product, ket) - 1.0) < 1e-13
 
 
+def test_basis_and_table_each_hold_one_read_only_array():
+    basis = measurement_basis(builtin_channel("bell-transformed").spec)
+    assert basis.amplitudes.shape == (16, 16) and not basis.amplitudes.flags.writeable
+    assert np.array_equal(MeasurementBasis(basis.kets).amplitudes, basis.amplitudes)
+    for i, (outcome, ket) in enumerate(basis.items()):
+        assert ket.register.labels == MEASURED_LABELS
+        assert np.array_equal(ket.amplitudes, basis.amplitudes[i])
+        assert np.array_equal(basis.ket(outcome).amplitudes, ket.amplitudes)
+    table = standard_corrections()
+    assert table.ops.shape == (16, 4, 4) and not table.ops.flags.writeable
+    assert np.array_equal(CorrectionTable(list(table.ops)).ops, table.ops)
+    with pytest.raises(ContractError, match="two qubits"):
+        CorrectionTable([np.eye(4)] * 15 + [np.eye(2)])
+
+
 def test_measurement_basis_rejects_wrong_register():
     bad = [
         StateVector(QubitRegister(("A1", "A2", "U1", "X")), k.amplitudes)
@@ -361,3 +376,5 @@ def test_povm_check_validates_inputs():
         povm_check([pauli_pair(a, b) for a, b in OUTCOMES], ghz_like)
     with pytest.raises(ContractError):
         povm_check([np.ones((4, 4))], _epr_on_measured())
+    with pytest.raises(ContractError, match="set members must be two-qubit"):
+        povm_check([np.eye(2), np.eye(4)], _epr_on_measured())

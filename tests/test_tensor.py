@@ -268,6 +268,24 @@ def test_tensor_requires_disjoint_labels():
         tensor(a, state("bc", BELL))
 
 
+def test_require_unitary_checks_a_stack():
+    stack = np.stack([haar_random_unitary(2, seed) for seed in range(5)])
+    checked = require_unitary(stack)
+    assert checked.shape == (5, 4, 4) and not checked.flags.writeable
+    assert np.array_equal(checked, stack)
+    bad = stack.copy()
+    bad[3] *= 1.001
+    with pytest.raises(ContractError, match="not unitary"):
+        require_unitary(bad)
+    with np.errstate(all="raise"):  # a NaN deviation in one member fails silently
+        bad[3] = np.diag([1e308, 1.0, 1.0, 1.0])
+        with pytest.raises(ContractError, match="not unitary"):
+            require_unitary(bad)
+    for shape in [(4,), (5, 4, 2)]:
+        with pytest.raises(ContractError, match="not square"):
+            require_unitary(np.ones(shape))
+
+
 def test_unitary_and_hermitian_checks_fail_on_overflow_silently():
     # the deviation of this finite matrix overflows to NaN, which must fail
     nan_dev = np.eye(4, dtype=complex)

@@ -34,7 +34,7 @@ VALID_CHANNEL_ATOL = 1e-10
 BUILTIN_CHANNELS = ("epr", "bell-transformed", "ghz")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSpec:
     """A two-qubit dressing applied to the receiver half of the EPR-pair channel.
 
@@ -89,7 +89,7 @@ def bell_transform_matrix() -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GhzSpec:
     """Two-branch generalized GHZ state of four qubits.
 
@@ -144,7 +144,7 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
     return dev <= VALID_CHANNEL_ATOL, dev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvedChannel:
     """A named channel ready for use: spec (when dressed) plus its state."""
 

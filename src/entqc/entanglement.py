@@ -52,7 +52,7 @@ GRAD_NORM_TOL = 1e-8
 ARMIJO_C = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairReport:
     """Two-qubit marginal with its partial-transpose verdict."""
 
@@ -62,7 +62,7 @@ class PairReport:
     entangled: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriadReport:
     """Three-qubit marginal matched against its two reference GHZ components."""
 
@@ -197,16 +197,25 @@ def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
 _HALF_Z = -0.5j * SIGMA_Z
 
 
-def _split_params(rotation_params) -> np.ndarray:
-    params = np.asarray(rotation_params, dtype=float).reshape(-1)
-    if params.size != 9:
-        raise ContractError("expected 9 rotation parameters (3 per qubit)")
-    return params
+def _angle_stack(rotation_params) -> tuple[np.ndarray, bool]:
+    """Angles as an (n, 9) stack, and whether one point of shape (9,) was given."""
+    params = np.asarray(rotation_params, dtype=float)
+    if params.shape == (9,):
+        return params[None, :], True
+    if params.ndim != 2 or params.shape[1] != 9:
+        raise ContractError(
+            "expected 9 rotation parameters (3 per qubit) or a stack of shape "
+            f"(n, 9), got shape {params.shape}"
+        )
+    return params, False
 
 
 def witness_state(rotation_params) -> np.ndarray:
-    """(R1 (x) R2 (x) R3)(|000> + |111>)/sqrt2 for 9 stacked Euler angles."""
-    return _batch_states(_euler_columns(_split_params(rotation_params)))[0]
+    """(R1 (x) R2 (x) R3)(|000> + |111>)/sqrt2 for 9 stacked Euler angles;
+    angles (9,) give one state (8,), a stack (n, 9) gives (n, 8)."""
+    params, single = _angle_stack(rotation_params)
+    states = _batch_states(_euler_columns(params))
+    return states[0] if single else states
 
 
 def _density8(rho) -> np.ndarray:
@@ -220,10 +229,13 @@ def _density8(rho) -> np.ndarray:
     return m
 
 
-def witness_value(rho, rotation_params) -> float:
-    """Witness expectation 3/4 - <phi|rho|phi> at the given rotation angles."""
+def witness_value(rho, rotation_params):
+    """Witness expectation 3/4 - <phi|rho|phi> at the given rotation angles;
+    angles (9,) give a float, a stack (n, 9) an (n,) array in one pass."""
     m = _density8(rho)
-    return float(_batch_value(m, _split_params(rotation_params)[None, :])[0])
+    params, single = _angle_stack(rotation_params)
+    values = _batch_value(m, params)
+    return float(values[0]) if single else values
 
 
 def _euler_columns(params2d: np.ndarray) -> np.ndarray:
@@ -284,11 +296,12 @@ def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
 
 
 def witness_gradient(rho, rotation_params) -> np.ndarray:
-    """Analytic gradient of witness_value in the 9 rotation angles."""
+    """Analytic gradient of witness_value in the 9 rotation angles;
+    angles (9,) give (9,), a stack (n, 9) gives (n, 9) in one pass."""
     m = _density8(rho)
-    params = _split_params(rotation_params)
-    _, grad = _batch_value_grad(m, params[None, :])
-    return grad[0]
+    params, single = _angle_stack(rotation_params)
+    _, grad = _batch_value_grad(m, params)
+    return grad[0] if single else grad
 
 
 def _descend_batch(m: np.ndarray, starts: np.ndarray):

@@ -25,7 +25,6 @@ from .tensor import (
     haar_random_state,
     kron,
     require_unitary,
-    schmidt_rank,
 )
 
 UNKNOWN_LABELS = ("U1", "U2")
@@ -50,7 +49,7 @@ def pauli_pair(alpha: int, beta: int) -> np.ndarray:
     return kron(PAULIS[alpha - 1], PAULIS[beta - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnknownState:
     """The two-qubit input to be teleported: amplitudes (c00, c01, c10, c11)."""
 
@@ -90,7 +89,7 @@ def _unitary_stack(ops, what: str, wrong_shape: str) -> np.ndarray:
     return require_unitary(ops, what=what)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Sixteen joint-measurement kets on (A1,A2,U1,U2), in OUTCOMES order.
 
@@ -134,7 +133,7 @@ class MeasurementBasis:
         return zip(OUTCOMES, self.kets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionTable:
     """The receiver's per-outcome recovery unitaries, in OUTCOMES order.
 
@@ -163,7 +162,7 @@ _STANDARD_CORRECTIONS = CorrectionTable([pauli_pair(a, b) for a, b in OUTCOMES])
 _SIGMA_PAIRS = _STANDARD_CORRECTIONS.ops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportOutcome:
     """One of the sixteen measurement results and the receiver's states."""
 
@@ -322,18 +321,28 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
     return MeasurementBasis(epr_amplitudes(_SIGMA_PAIRS).reshape(16, 16)), table
 
 
+def split_schmidt_coefficients(basis: MeasurementBasis) -> dict:
+    """Per split in BASIS_SPLITS, the (16, 4) Schmidt coefficients (descending)
+    of every basis ket across that pairing, one stacked SVD per split."""
+    tensors = basis.amplitudes.reshape(16, 2, 2, 2, 2)
+    coefficients = {}
+    for part, rest in BASIS_SPLITS:
+        axes = [1 + MEASURED_LABELS.index(label) for label in part + rest]
+        matrices = tensors.transpose(0, *axes).reshape(16, 4, 4)
+        coefficients[(part, rest)] = np.linalg.svd(matrices, compute_uv=False)
+    return coefficients
+
+
 def is_separable_basis(basis: MeasurementBasis) -> dict:
     """Per-split verdicts: does every ket factor across that pairing?
 
     Keys are the two admissible splits in BASIS_SPLITS; a ket factors when its
     Schmidt coefficients beyond the first vanish (below 1e-10).
     """
-    verdicts = {}
-    kets = basis.kets
-    for split in BASIS_SPLITS:
-        part = split[0]
-        verdicts[split] = all(schmidt_rank(k, part, tol=SCHMIDT_TOL) == 1 for k in kets)
-    return verdicts
+    return {
+        split: bool((coefficients[:, 1:] <= SCHMIDT_TOL).all())
+        for split, coefficients in split_schmidt_coefficients(basis).items()
+    }
 
 
 def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:

@@ -109,7 +109,7 @@ class QubitRegister:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A normalized pure state over a labeled register."""
 
@@ -207,7 +207,7 @@ def partial_inner(bra: StateVector, ket: StateVector):
     return ket_only, bra_only, block.reshape(2 ** len(ket_only), 2 ** len(bra_only))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A unit-trace positive-semidefinite operator over a labeled register."""
 

@@ -56,3 +56,22 @@ def test_cli_mix_tracing_rebinds_and_restores(perfbench, tmp_path):
     assert wl.check(k, out)
     assert entqc.cli.main is main and entqc.cli.resolve_channel is resolve
     assert "channel.resolve_channel" in {span[0] for span in tracer.spans}
+
+
+def test_cli_mix_gradient_section_routes_through_the_rebound_witness(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    wl = workloads.CliMix(0, str(tmp_path))
+    wl.setup(entqc)
+    report = entqc.report
+    originals = (report.witness_value, report.witness_gradient)
+    k = next(i for i, inv in enumerate(wl.invocations)
+             if inv[0][:3] == ("repro", "--section", "gradient"))
+    tracer = tracing.Tracer()
+    with wl.tracing(tracer):
+        out = wl.traced_op(k, tracer)
+    assert wl.check(k, out)
+    assert {"entanglement.witness_value", "entanglement.witness_gradient"} <= {
+        span[0] for span in tracer.spans
+    }
+    assert (report.witness_value, report.witness_gradient) == originals
+    assert originals == (entqc.entanglement.witness_value, entqc.entanglement.witness_gradient)

@@ -6,7 +6,8 @@ The reference functions below are the per-outcome protocol loop (a six-qubit
 invariance transform, the serial Euler/`np.kron` witness, the bit-loop EPR
 channel with its `apply_unitary` dressing, the series form as an invariance
 transform of the dressed protocol, the per-member `apply_unitary` POVM
-twirl, and the report's per-trial teleport and invariance loops. They are
+twirl, the report's per-trial teleport and invariance loops, its per-point
+gradient check and the per-ket Schmidt decompositions of a basis. They are
 kept here, test-only, as the oracle. The batched code sums in a different
 order, so results are compared at a tolerance fixed beforehand from
 complex128 roundoff on 16-amplitude contractions.
@@ -20,11 +21,17 @@ from entqc.channel import (
     RECEIVER_LABELS,
     ChannelSpec,
     bell_transform_matrix,
+    builtin_channel,
     dressed_channel,
     epr_pair_channel,
     generalized_ghz,
 )
-from entqc.entanglement import witness_state, witness_value
+from entqc.entanglement import (
+    CHANNEL_TRIADS,
+    witness_gradient,
+    witness_state,
+    witness_value,
+)
 from entqc.tensor import (
     PAULIS,
     ContractError,
@@ -38,14 +45,19 @@ from entqc.tensor import (
     partial_inner,
     reduced_density,
     require_unitary,
+    schmidt_coefficients,
+    schmidt_rank,
     tensor,
 )
 from entqc.teleport import (
+    BASIS_SPLITS,
     OUTCOMES,
+    SCHMIDT_TOL,
     MeasurementBasis,
     UnknownState,
     corrections_from,
     invariance_transform,
+    is_separable_basis,
     measurement_basis,
     partial_inner_transfer,
     pauli_pair,
@@ -53,6 +65,7 @@ from entqc.teleport import (
     run_protocol,
     run_protocol_batch,
     series_form,
+    split_schmidt_coefficients,
     standard_corrections,
     teleport_all_outcomes,
 )
@@ -205,6 +218,42 @@ def ref_section_invariance(cfg):
     return [max_block_dev, max_infidelity]
 
 
+def ref_section_gradient(cfg):
+    """The report's gradient section, one gradient and eighteen value calls
+    per point."""
+    state = builtin_channel("bell-transformed").state
+    rho = reduced_density(state, ("A1", "A2", "B1"))
+    rng = np.random.default_rng([cfg.seed, 3])
+    step = 1e-5
+    max_dev = 0.0
+    for _ in range(report.GRADIENT_POINTS):
+        params = rng.uniform(0.0, 2.0 * np.pi, 9)
+        analytic = witness_gradient(rho, params)
+        numeric = np.empty(9)
+        for j in range(9):
+            up = params.copy()
+            down = params.copy()
+            up[j] += step
+            down[j] -= step
+            numeric[j] = (witness_value(rho, up) - witness_value(rho, down)) / (2 * step)
+        max_dev = max(max_dev, float(np.abs(analytic - numeric).max()))
+    checks = [
+        report.check(
+            f"max |analytic - central-difference| over {report.GRADIENT_POINTS} points",
+            max_dev, 0.0, 1e-6,
+        )
+    ]
+    return report.section("gradient", checks)
+
+
+def ref_split_schmidt(basis):
+    """Per split, every ket's Schmidt coefficients from its own StateVector."""
+    return {
+        split: np.stack([schmidt_coefficients(ket, split[0]) for ket in basis.kets])
+        for split in BASIS_SPLITS
+    }
+
+
 def ref_rotation(a, b, c):
     cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
     ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
@@ -242,6 +291,14 @@ def assert_outcomes_match(outcomes, reference):
         assert abs(out.probability - probability) <= TOL
         assert_states_close(out.bob_state, bob)
         assert_states_close(out.corrected_state, corrected)
+
+
+def haar_mixed_density(rng):
+    """A random 8x8 density matrix, G G† over its trace for Ginibre G."""
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return 0.5 * (rho + rho.conj().T)
 
 
 def random_case(seed):
@@ -367,6 +424,26 @@ def test_zero_probability_outcome_raises():
         run_protocol(unknown, basis, ghz, standard_corrections())
 
 
+def test_split_schmidt_coefficients_match_per_ket():
+    bases = [measurement_basis(random_case(seed)[1]) for seed in SEEDS]
+    bases += [measurement_basis(builtin_channel("epr").spec),
+              series_form(builtin_channel("bell-transformed").spec)[0],
+              series_form(random_case(0)[1])[0]]
+    for basis in bases:
+        coefficients = split_schmidt_coefficients(basis)
+        verdicts = is_separable_basis(basis)
+        assert tuple(coefficients) == tuple(verdicts) == BASIS_SPLITS
+        for split, ref in ref_split_schmidt(basis).items():
+            assert coefficients[split].shape == (16, 4)
+            assert np.abs(coefficients[split] - ref).max() <= TOL
+            ref_verdict = all(
+                schmidt_rank(ket, split[0], tol=SCHMIDT_TOL) == 1 for ket in basis.kets
+            )
+            assert verdicts[split] is ref_verdict
+    # both verdicts occur among the bases above
+    assert {v for basis in bases for v in is_separable_basis(basis).values()} == {True, False}
+
+
 # --- the EPR-pair identity ---------------------------------------------------
 
 def test_channels_match_bit_loop_and_apply_unitary():
@@ -419,10 +496,30 @@ def test_witness_matches_serial_euler_kron():
     for seed in SEEDS:
         rng = np.random.default_rng([seed, 78])
         params = rng.uniform(0.0, 2.0 * np.pi, 9)
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = haar_mixed_density(rng)
         phi = witness_state(params)
         assert np.abs(phi - ref_witness_state(params)).max() <= TOL
         assert abs(witness_value(rho, params) - ref_witness_value(rho, params)) <= TOL
+
+
+def test_stacked_witness_matches_serial_calls():
+    bell = builtin_channel("bell-transformed").state
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 79])
+        triad = CHANNEL_TRIADS[seed % len(CHANNEL_TRIADS)]
+        for rho in (haar_mixed_density(rng), reduced_density(bell, triad)):
+            params = rng.uniform(0.0, 2.0 * np.pi, ((1, 2, 9, 64, 300)[seed % 5], 9))
+            values = witness_value(rho, params)
+            grads = witness_gradient(rho, params)
+            assert values.shape == (len(params),) and grads.shape == params.shape
+            for p, value, grad in zip(params, values, grads):
+                assert abs(value - witness_value(rho, p)) <= TOL
+                assert np.abs(grad - witness_gradient(rho, p)).max() <= TOL
+
+
+def test_gradient_section_matches_per_point_loop():
+    for cfg in [report.SuiteConfig()] + [report.SuiteConfig(seed=s) for s in range(20)]:
+        (row,) = report.section_gradient(cfg)["checks"]
+        (ref,) = ref_section_gradient(cfg)["checks"]
+        assert row["name"] == ref["name"] and row["pass"] is ref["pass"] is True
+        assert abs(row["value"] - ref["value"]) <= 1e-10

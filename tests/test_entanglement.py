@@ -250,8 +250,10 @@ def test_witness_value_bounded_by_largest_eigenvalue():
 def test_witness_rejects_bad_inputs():
     with pytest.raises(ContractError):
         witness_value(np.eye(4) / 4.0, np.zeros(9))
-    with pytest.raises(ContractError):
-        witness_value(np.eye(8) / 8.0, np.zeros(8))
+    for shape in [(8,), (3, 3), (2, 2, 9), (5, 8)]:
+        for witness in (witness_value, witness_gradient):
+            with pytest.raises(ContractError):
+                witness(np.eye(8) / 8.0, np.zeros(shape))
 
 
 def test_witness_gradient_matches_finite_differences():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from entqc.channel import ChannelSpec, builtin_channel, epr_pair_channel
+from entqc.channel import ChannelSpec, GhzSpec, builtin_channel, epr_pair_channel
+from entqc.entanglement import pair_analysis, triad_analysis
 from entqc.teleport import (
     BASIS_SPLITS,
     MEASURED_LABELS,
@@ -24,6 +25,7 @@ from entqc.teleport import (
 from entqc.tensor import (
     PAULIS,
     ContractError,
+    DensityMatrix,
     QubitRegister,
     StateVector,
     apply_unitary,
@@ -378,3 +380,31 @@ def test_povm_check_validates_inputs():
         povm_check([np.ones((4, 4))], _epr_on_measured())
     with pytest.raises(ContractError, match="set members must be two-qubit"):
         povm_check([np.eye(2), np.eye(4)], _epr_on_measured())
+
+
+# --- equality and hashing ----------------------------------------------------
+
+ARRAY_HOLDERS = {
+    "StateVector": lambda: bell_pair("a", "b"),
+    "DensityMatrix": lambda: DensityMatrix(QubitRegister(("a",)), np.eye(2) / 2.0),
+    "ChannelSpec": lambda: ChannelSpec(np.eye(4)),
+    "GhzSpec": lambda: GhzSpec(),
+    "ResolvedChannel": lambda: builtin_channel("epr"),
+    "UnknownState": lambda: UnknownState([1.0, 0.0, 0.0, 0.0]),
+    "MeasurementBasis": lambda: measurement_basis(ChannelSpec(np.eye(4))),
+    "CorrectionTable": lambda: CorrectionTable([pauli_pair(a, b) for a, b in OUTCOMES]),
+    "TeleportOutcome": lambda: teleport_all_outcomes(
+        UnknownState([1.0, 0.0, 0.0, 0.0]), ChannelSpec(np.eye(4)))[0],
+    "PairReport": lambda: pair_analysis(epr_pair_channel(), ("A1", "B1")),
+    "TriadReport": lambda: triad_analysis(
+        builtin_channel("bell-transformed").state, ("A1", "A2", "B1")),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert (a == b) is False  # equal content, distinct objects
+    assert (a == a) is True
+    assert len({a, b, a}) == 2

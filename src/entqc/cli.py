@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a numeric check failed, 2 malformed input or usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,8 +54,36 @@ STATE_NORM_LIMIT = 1e-6
 # Serialization
 # ---------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
 def _emit(value, out):
-    if value is None:
+    kind = type(value)
+    if kind is float:
+        out.append(format(value, ".17g"))
+    elif kind is str:
+        out.append(_encode_str(value))
+    # no None, bool, number or numpy scalar is a dict, list or tuple, so
+    # containers are told apart before them
+    elif isinstance(value, dict):
+        out.append("{")
+        sep = ""
+        for key, item in value.items():
+            out.append(sep)
+            out.append(_encode_str(str(key)))
+            out.append(": ")
+            _emit(item, out)
+            sep = ", "
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        sep = ""
+        for item in value:
+            out.append(sep)
+            _emit(item, out)
+            sep = ", "
+        out.append("]")
+    elif value is None:
         out.append("null")
     elif isinstance(value, (bool, np.bool_)):
         out.append("true" if value else "false")
@@ -65,23 +94,7 @@ def _emit(value, out):
     elif isinstance(value, (complex, np.complexfloating)):
         _emit([float(value.real), float(value.imag)], out)
     elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
+        out.append(_encode_str(value))
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), out)
     else:
@@ -142,8 +155,13 @@ def render_text(doc) -> str:
 def _write_document(doc, args) -> None:
     text = render_text(doc) if args.format == "text" else render_json(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ContractError(
+                f"cannot write report to {args.output!r}: {exc.strerror or exc}"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -360,7 +378,10 @@ def _add_common(sub, with_channel=None, with_search=False):
                      help="output format (json is canonical)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `entqc` parser, built on the first call and shared afterwards
+    (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="entqc",
         description="Two-qubit teleportation through four-qubit entangled "
@@ -402,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ContractError, LabelError) as exc:

@@ -299,18 +299,27 @@ def _resolve_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def haar_unitaries(normals) -> np.ndarray:
+    """Haar-distributed unitaries (Ginibre QR with phase fix), one per
+    standard-normal block of shape (2, dim, dim): real parts, then imaginary.
+
+    `normals` has shape (..., 2, dim, dim); the result is (..., dim, dim).
+    """
+    normals = np.asarray(normals)
+    z = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_random_unitary(n_qubits: int, seed) -> np.ndarray:
-    """Haar-distributed unitary on `n_qubits` (Ginibre QR with phase fix).
+    """Haar-distributed unitary on `n_qubits`: one `haar_unitaries` draw.
 
     `seed` is an integer (PCG64 stream) or an existing Generator.
     """
-    rng = _resolve_rng(seed)
     dim = 2**n_qubits
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    u = q * (d / np.abs(d))
+    u = haar_unitaries(_resolve_rng(seed).standard_normal((2, dim, dim)))
     u.setflags(write=False)
     return u
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import entqc
-from entqc.cli import main, render_json, render_text
+from entqc.cli import build_parser, main, render_json, render_text
 
 BELL_DRESSING_PAIRS = [
     [0.7071067811865476, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0],
@@ -287,6 +287,67 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert captured.out == ""
     doc = json.loads(path.read_text())
     assert doc["sections"][0]["name"] == "ghz"
+
+
+@pytest.mark.parametrize("command", [["teleport"], ["repro", "--section", "ghz"]])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, command, target):
+    path = str(tmp_path / "no" / "such" / "x.json") if target == "missing-dir" else str(tmp_path)
+    code, out, err = run(capsys, [*command, "--output", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {path!r}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _sections(doc):
+    return [sec["name"] for sec in doc["sections"]]
+
+
+# Two calls made in one process, each (argv, environment); the first call's
+# exit code; what the second call's document must show.
+PARSER_REUSE_CASES = {
+    "ghz-then-pairs": (
+        [(["repro", "--section", "ghz"], {}), (["repro", "--section", "pairs"], {})],
+        0, lambda doc: _sections(doc) == ["pairs"],
+    ),
+    "state-then-seed": (
+        [(["teleport", "--state=0.6,0,0,0.8,0,0,0,0"], {}), (["teleport", "--seed", "3"], {})],
+        0, lambda doc: doc["seed"] == 3,
+    ),
+    "usage-error-then-valid": (
+        [(["teleport", "--seed", "three"], {}), (["teleport", "--seed", "3"], {})],
+        2, lambda doc: doc["seed"] == 3,
+    ),
+    "env-seed-changes": (
+        [(["teleport"], {"ENTQC_SEED": "3"}), (["teleport"], {"ENTQC_SEED": "4"})],
+        0, lambda doc: doc["seed"] == 4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "calls, first_code, second_shows", PARSER_REUSE_CASES.values(), ids=PARSER_REUSE_CASES
+)
+def test_reused_parser_matches_a_fresh_one(capsys, monkeypatch, calls, first_code, second_shows):
+    def call(argv, env, fresh):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    build_parser.cache_clear()
+    reused = [call(argv, env, fresh=False) for argv, env in calls]
+    assert build_parser.cache_info().misses == 1
+    assert reused == [call(argv, env, fresh=True) for argv, env in calls]
+    assert [code for code, _, _ in reused] == [first_code, 0]
+    assert second_shows(json.loads(reused[1][1]))
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])

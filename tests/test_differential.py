@@ -7,15 +7,21 @@ invariance transform, the serial Euler/`np.kron` witness, the bit-loop EPR
 channel with its `apply_unitary` dressing, the series form as an invariance
 transform of the dressed protocol, the per-member `apply_unitary` POVM
 twirl, the report's per-trial teleport and invariance loops, its per-point
-gradient check and the per-ket Schmidt decompositions of a basis. They are
-kept here, test-only, as the oracle. The batched code sums in a different
-order, so results are compared at a tolerance fixed beforehand from
-complex128 roundoff on 16-amplitude contractions.
+gradient check, the per-ket Schmidt decompositions of a basis, the
+per-draw Haar samplers and the `isinstance`-chain JSON/text renderer. They
+are kept here, test-only, as the oracle. The batched code sums in a
+different order, so results are compared at a tolerance fixed beforehand
+from complex128 roundoff on 16-amplitude contractions; the renderer and the
+Haar unitaries must match exactly.
 """
+import collections
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from entqc import report
+from entqc import cli, report
 from entqc.channel import (
     CHANNEL_LABELS,
     RECEIVER_LABELS,
@@ -74,6 +80,7 @@ TOL = 1e-13
 SEEDS = range(50)
 UNKNOWN = ("U1", "U2")
 PERMUTED_ORDER = ("B1", "A2", "A1", "B2")
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "repro_seed7.json"
 
 
 # --- test-only references: the serial implementations ------------------------
@@ -252,6 +259,108 @@ def ref_split_schmidt(basis):
         split: np.stack([schmidt_coefficients(ket, split[0]) for ket in basis.kets])
         for split in BASIS_SPLITS
     }
+
+
+def ref_haar_random_unitary(n_qubits, rng):
+    """One Ginibre QR with phase fix, drawn as two (dim, dim) normal blocks."""
+    dim = 2**n_qubits
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    z /= np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def ref_haar_random_state(n_qubits, rng):
+    dim = 2**n_qubits
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def ref_emit(value, out):
+    """The renderer's value encoder as one `isinstance` chain."""
+    if value is None:
+        out.append("null")
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append(format(float(value), ".17g"))
+    elif isinstance(value, (complex, np.complexfloating)):
+        ref_emit([float(value.real), float(value.imag)], out)
+    elif isinstance(value, str):
+        out.append(json.dumps(value))
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(key)))
+            out.append(": ")
+            ref_emit(item, out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(", ")
+            ref_emit(item, out)
+        out.append("]")
+    elif isinstance(value, np.ndarray):
+        ref_emit(value.tolist(), out)
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def ref_render_json(doc):
+    out = []
+    ref_emit(doc, out)
+    return "".join(out) + "\n"
+
+
+def ref_fmt_scalar(value):
+    if isinstance(value, float):
+        return format(value, ".10g")
+    if isinstance(value, (list, tuple, dict)):
+        out = []
+        ref_emit(value, out)
+        return "".join(out)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def ref_verdict(passed):
+    if passed is None:
+        return "info"
+    return "PASS" if passed else "FAIL"
+
+
+def ref_render_text(doc):
+    kind = doc.get("report", "report")
+    lines = [f"entqc {kind} report"]
+    meta = [
+        f"{key}={ref_fmt_scalar(value)}"
+        for key, value in doc.items()
+        if key not in ("report", "sections", "pass")
+    ]
+    if meta:
+        lines.append("  ".join(meta))
+    for sec in doc.get("sections", ()):
+        lines.append("")
+        lines.append(f"[{ref_verdict(sec['pass'])}] section {sec['name']}")
+        for row in sec["checks"]:
+            piece = f"  [{ref_verdict(row['pass'])}] {row['name']}: value={ref_fmt_scalar(row['value'])}"
+            if row.get("target") is not None:
+                piece += f" target={ref_fmt_scalar(row['target'])}"
+            if row.get("tolerance") is not None:
+                piece += f" tolerance={ref_fmt_scalar(row['tolerance'])}"
+            lines.append(piece)
+    if "pass" in doc:
+        lines.append("")
+        lines.append(f"overall: {ref_verdict(doc['pass'])}")
+    return "\n".join(lines) + "\n"
 
 
 def ref_rotation(a, b, c):
@@ -523,3 +632,113 @@ def test_gradient_section_matches_per_point_loop():
         (ref,) = ref_section_gradient(cfg)["checks"]
         assert row["name"] == ref["name"] and row["pass"] is ref["pass"] is True
         assert abs(row["value"] - ref["value"]) <= 1e-10
+
+
+# --- Haar draws -----------------------------------------------------------------
+
+def test_section_draws_match_per_trial_samplers():
+    # (stream, trials, unitaries per trial) of section_teleport, section_invariance
+    for stream, trials, n_unitaries in [(1, report.TELEPORT_TRIALS, 1),
+                                        (2, report.INVARIANCE_TRIALS, 2)]:
+        for seed in range(20):
+            unitaries, states = report._haar_draws(
+                np.random.default_rng([seed, stream]), trials, n_unitaries
+            )
+            rng = np.random.default_rng([seed, stream])
+            for t in range(trials):
+                for k in range(n_unitaries):
+                    assert np.array_equal(unitaries[t, k], ref_haar_random_unitary(2, rng))
+                assert np.abs(states[t] - ref_haar_random_state(2, rng)).max() <= 1e-15
+
+
+def test_public_haar_samplers_match_per_draw_code():
+    for seed in range(1000):
+        u = haar_random_unitary(2, seed)
+        assert np.array_equal(u, ref_haar_random_unitary(2, np.random.default_rng(seed)))
+        assert not u.flags.writeable
+        assert np.array_equal(
+            haar_random_state(2, seed), ref_haar_random_state(2, np.random.default_rng(seed))
+        )
+
+
+# --- rendering ------------------------------------------------------------------
+
+class Label(str):
+    pass
+
+
+ODD_VALUES = {
+    "np.float64": np.float64(0.1),
+    "np.float32": np.float32(0.1),
+    "np.int64": np.int64(-3),
+    "np.bool_": [np.bool_(True), np.bool_(False)],
+    "np.complex128": np.complex128(1.5 - 0.25j),
+    "complex": complex(-0.0, 2.0),
+    "tuple": (1.0, "a", None),
+    "1-D ndarray": np.array([0.5, -1.0, 3.0]),
+    "2-D ndarray": np.arange(6).reshape(2, 3),
+    "complex ndarray": np.array([1 + 2j, -0.5j]),
+    "none": None,
+    "true against 1": [True, 1, False, 0],
+    "empty": [[], {}, ()],
+    7: "int key",
+    "é": "é",
+    "quote": '"',
+    "backslash": "\\",
+    "newline": "\n",
+    "specials": [float("nan"), float("inf"), float("-inf"), -0.0],
+    "str subclass": Label("label"),
+    "np.str_": np.str_("numpy"),
+    "ordered": collections.OrderedDict([(Label("k"), 1.0), (2.5, [1])]),
+    "pair": collections.namedtuple("Pair", "re im")(1.0, -2.0),
+}
+
+
+def odd_document():
+    rows = [
+        {"name": str(key), "value": value, "target": value, "tolerance": value,
+         "pass": (None, True, False)[i % 3]}
+        for i, (key, value) in enumerate(ODD_VALUES.items())
+    ]
+    return {"report": "odd", **ODD_VALUES,
+            "sections": [{"name": "odd", "checks": rows, "pass": False}], "pass": False}
+
+
+def teleport_documents(monkeypatch, tmp_path):
+    path = tmp_path / "file-channel.json"
+    dressing = haar_random_unitary(2, 3)
+    path.write_text(json.dumps(
+        {"dressing": [[z.real, z.imag] for z in dressing.reshape(-1)]}
+    ))
+    docs = []
+    monkeypatch.setattr(cli, "_write_document", lambda doc, args: docs.append(doc))
+    for channel in ("epr", "bell-transformed", str(path)):
+        assert cli.main(["teleport", "--channel", channel, "--seed", "7"]) == 0
+    return docs
+
+
+def test_renderers_match_isinstance_chain(monkeypatch, tmp_path):
+    # the seed-7 repro document: live without the seconds-long witness
+    # search, and in full as the golden file holds it
+    cheap = [name for name in report.SECTION_BUILDERS if name != "witness"]
+    golden_text = GOLDEN_REPORT.read_text(encoding="utf-8")
+    golden = json.loads(golden_text)
+    docs = [
+        report.build_report(report.SuiteConfig(), only=cheap),
+        golden,
+        *teleport_documents(monkeypatch, tmp_path),
+        odd_document(),
+    ]
+    for doc in docs:
+        assert cli.render_json(doc) == ref_render_json(doc)
+        assert cli.render_text(doc) == ref_render_text(doc)
+    assert ref_render_json(golden) == golden_text
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, [1.0, {"deep": b"bytes"}]])
+def test_renderer_rejects_what_the_isinstance_chain_rejects(bad):
+    with pytest.raises(TypeError) as ref:
+        ref_render_json({"x": bad})
+    with pytest.raises(TypeError) as err:
+        cli.render_json({"x": bad})
+    assert str(err.value) == str(ref.value)

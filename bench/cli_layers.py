@@ -1,5 +1,6 @@
 """Time the command line's layers in process: parser, renderers, `cli.main`
-and the `repro` section builders.
+and the `repro` section builders; and, as one-shot use pays them, a first
+`cli.main` call (parser built anew) and a whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -9,7 +10,7 @@ stdlib and numpy only. BLAS is held to one thread before numpy is imported.
 Each figure is wall time per call, the minimum over REPEATS batches, each
 batch long enough (>= 0.2 s, as `timeit` picks it) to swamp the clock. A
 section builder whose single call takes over a second is timed
-once. The result is written as `{machine, numpy, end_to_end, layers}`;
+once; a process is run REPEATS times and its minimum kept. The result is written as `{machine, numpy, end_to_end, layers}`;
 metric names end in their unit.
 """
 from __future__ import annotations
@@ -20,14 +21,17 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -59,6 +63,28 @@ def _quiet_main(argv):
     return out.getvalue()
 
 
+def _first_main(argv):
+    """`cli.main` as the first call of a process makes it: parser built anew."""
+    clear = getattr(cli.build_parser, "cache_clear", None)
+    if clear is not None:
+        clear()
+    return _quiet_main(argv)
+
+
+def _process(argv) -> float:
+    """Seconds of one `python -m entqc.cli` process (interpreter start,
+    imports, one `main` call): minimum over REPEATS runs."""
+    cmd = [sys.executable, "-m", "entqc.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def measure() -> dict:
     # on a parser that is built once per process, the un-cached builder
     build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
@@ -78,6 +104,9 @@ def measure() -> dict:
         "cli.main.teleport.json.ms": _per_call(lambda: _quiet_main(TELEPORT_ARGV)) * 1e3,
         "cli.main.teleport.text.ms":
             _per_call(lambda: _quiet_main(TELEPORT_ARGV + ["--format", "text"])) * 1e3,
+        # one-shot use: what each `entqc` command pays
+        "cli.main.teleport.json.first_call.ms": _per_call(lambda: _first_main(TELEPORT_ARGV)) * 1e3,
+        "entqc.process.teleport.json.ms": _process(TELEPORT_ARGV) * 1e3,
     }
     for name in CHEAP_SECTIONS:
         argv = ["repro", "--section", name, "--seed", SEED]

@@ -55,16 +55,16 @@ STATE_NORM_LIMIT = 1e-6
 # ---------------------------------------------------------------------------
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_FLOATS = (float, np.floating)  # built once, not per _emit call
 
 
 def _emit(value, out):
-    kind = type(value)
-    if kind is float:
-        out.append(format(value, ".17g"))
-    elif kind is str:
+    # the common kinds first: no float is also a str, dict, list or tuple, and
+    # no None, bool, int or complex is a container, so the order is free
+    if isinstance(value, _FLOATS):
+        out.append(format(float(value), ".17g"))
+    elif isinstance(value, str):
         out.append(_encode_str(value))
-    # no None, bool, number or numpy scalar is a dict, list or tuple, so
-    # containers are told apart before them
     elif isinstance(value, dict):
         out.append("{")
         sep = ""
@@ -89,12 +89,8 @@ def _emit(value, out):
         out.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
     elif isinstance(value, (complex, np.complexfloating)):
         _emit([float(value.real), float(value.imag)], out)
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
     elif isinstance(value, np.ndarray):
         _emit(value.tolist(), out)
     else:

@@ -35,8 +35,8 @@ from .entanglement import (
 )
 from .tensor import (
     ContractError,
+    haar_draws,
     haar_random_state,
-    haar_unitaries,
     hermitian_eigenvalues,
     operator_schmidt_rank,
     partial_transpose,
@@ -211,22 +211,10 @@ def _infidelities(corrected, unknowns) -> np.ndarray:
     return np.abs(1.0 - np.abs(overlaps) ** 2).max(axis=1)
 
 
-def _haar_draws(rng, trials: int, n_unitaries: int):
-    """Per trial, `n_unitaries` Haar two-qubit unitaries and a Haar input,
-    from one normal block in the order of the per-trial `haar_random_unitary`
-    and `haar_random_state` calls (the inputs may differ from those by 1 ulp:
-    the stacked norm sums in another order)."""
-    normals = rng.standard_normal((trials, 32 * n_unitaries + 8))
-    unitaries = haar_unitaries(normals[:, :-8].reshape(trials, n_unitaries, 2, 4, 4))
-    re, im = normals[:, -8:].reshape(trials, 2, 4).transpose(1, 0, 2)
-    states = re + 1j * im
-    return unitaries, states / np.linalg.norm(states, axis=-1, keepdims=True)
-
-
 def section_teleport(cfg: SuiteConfig):
     # TELEPORT_TRIALS seeded Haar dressings and inputs, then |00> through epr
     # and a maximally entangled input through bell-transformed, in one run
-    dressings, unknowns = _haar_draws(np.random.default_rng([cfg.seed, 1]), TELEPORT_TRIALS, 1)
+    dressings, unknowns = haar_draws(2, [cfg.seed, 1], TELEPORT_TRIALS, 1)
     dressings = np.concatenate([dressings[:, 0], [np.eye(4), bell_transform_matrix()]])
     unknowns = np.concatenate(
         [unknowns, [[1.0, 0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)]]
@@ -354,7 +342,7 @@ def section_invariance(cfg: SuiteConfig):
     # with the corrections that channel implies
     kets = measurement_kets(bell_transform_matrix())
     sigma = standard_corrections().ops
-    pairs, unknowns = _haar_draws(np.random.default_rng([cfg.seed, 2]), INVARIANCE_TRIALS, 2)
+    pairs, unknowns = haar_draws(2, [cfg.seed, 2], INVARIANCE_TRIALS, 2)
     w_l, w_r = pairs[:, 0], pairs[:, 1]
     base_blocks = transfer_blocks(*invariance_pairs(kets, sigma, np.eye(4), np.eye(4)))
     t_kets, t_channels = invariance_pairs(kets, sigma, w_l, w_r)

@@ -332,6 +332,25 @@ def haar_random_state(n_qubits: int, seed) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def haar_draws(n_qubits: int, seed, trials: int, n_unitaries: int):
+    """Per trial, `n_unitaries` Haar unitaries and a random input state on
+    `n_qubits`, from one normal block drawn in the order of per-trial
+    `haar_random_unitary` calls followed by a `haar_random_state` call.
+
+    Returns unitaries (trials, n_unitaries, dim, dim) and states (trials, dim).
+    The unitaries equal the per-call ones bit for bit; a state may differ
+    from `haar_random_state`'s by 1 ulp, since its norm is summed over the
+    stack in another order than `np.linalg.norm` sums one vector.
+    """
+    dim = 2**n_qubits
+    normals = _resolve_rng(seed).standard_normal((trials, 2 * dim * (n_unitaries * dim + 1)))
+    split = 2 * dim * dim * n_unitaries
+    unitaries = haar_unitaries(normals[:, :split].reshape(trials, n_unitaries, 2, dim, dim))
+    re, im = normals[:, split:].reshape(trials, 2, dim).transpose(1, 0, 2)
+    states = re + 1j * im
+    return unitaries, states / np.linalg.norm(states, axis=-1, keepdims=True)
+
+
 def schmidt_coefficients(state: StateVector, part) -> np.ndarray:
     """Singular values (descending) across the (part | rest) bipartition."""
     paxes = state.register.axes(part)

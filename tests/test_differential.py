@@ -45,6 +45,7 @@ from entqc.tensor import (
     StateVector,
     apply_unitary,
     fidelity_pure,
+    haar_draws,
     haar_random_state,
     haar_random_unitary,
     kron,
@@ -641,9 +642,7 @@ def test_section_draws_match_per_trial_samplers():
     for stream, trials, n_unitaries in [(1, report.TELEPORT_TRIALS, 1),
                                         (2, report.INVARIANCE_TRIALS, 2)]:
         for seed in range(20):
-            unitaries, states = report._haar_draws(
-                np.random.default_rng([seed, stream]), trials, n_unitaries
-            )
+            unitaries, states = haar_draws(2, [seed, stream], trials, n_unitaries)
             rng = np.random.default_rng([seed, stream])
             for t in range(trials):
                 for k in range(n_unitaries):

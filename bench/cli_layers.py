@@ -1,17 +1,19 @@
-"""Time the command line's layers in process: parser, renderers, `cli.main`
-and the `repro` section builders; and, as one-shot use pays them, a first
-`cli.main` call (parser built anew) and a whole `python -m entqc.cli` process.
+"""Time the command line's layers in process: parser, renderers, `cli.main`,
+the batched protocol kernels and the `repro` section builders; and, as
+one-shot use pays them, a first `cli.main` call (parser built anew) and a
+whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
-    python3 bench/cli_layers.py --out BENCH.json
+    python3 bench/cli_layers.py --out BENCH.json [--blas-threads N]
 
-stdlib and numpy only. BLAS is held to one thread before numpy is imported.
-Each figure is wall time per call, the minimum over REPEATS batches, each
-batch long enough (>= 0.2 s, as `timeit` picks it) to swamp the clock. A
-section builder whose single call takes over a second is timed
-once; a process is run REPEATS times and its minimum kept. The result is written as `{machine, numpy, end_to_end, layers}`;
-metric names end in their unit.
+stdlib and numpy only. BLAS is held to N threads (default 1), set before
+numpy is imported. Each figure is wall time per call, the minimum over
+REPEATS batches, each batch long enough (>= 0.2 s, as `timeit` picks it) to
+swamp the clock. A section builder whose single call takes over a second is
+timed once; a process is run REPEATS times and its minimum kept. The result
+is written as `{machine, numpy, end_to_end, layers}`; metric names end in
+their unit.
 """
 from __future__ import annotations
 
@@ -27,15 +29,33 @@ import time
 import timeit
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+
+def _blas_threads(text: str) -> int:
+    n = int(text)
+    if not 1 <= n <= (os.cpu_count() or 1):
+        raise argparse.ArgumentTypeError(f"must lie in 1..{os.cpu_count() or 1}, got {n}")
+    return n
+
+
+PARSER = argparse.ArgumentParser(description="Time the entqc command line's layers in process.")
+PARSER.add_argument("--out", required=True, help="path of the JSON result")
+PARSER.add_argument("--blas-threads", type=_blas_threads, default=1,
+                    help="BLAS threads, 1..cpu count (default 1)")
+
+if __name__ == "__main__":
+    # parsed before numpy is imported: BLAS reads its thread count at load time
+    ARGS = PARSER.parse_args()
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(ARGS.blas_threads)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from entqc import cli, report  # noqa: E402
+from entqc import cli, report, teleport  # noqa: E402
+from entqc.channel import bell_transform_matrix  # noqa: E402
+from entqc.tensor import haar_draws  # noqa: E402
 
 REPEATS = 7
 SEED = "7"
@@ -85,6 +105,31 @@ def _process(argv) -> float:
     return best
 
 
+def protocol_kernels() -> dict:
+    """The batched protocol kernels on the `repro` sections' input sizes:
+    the teleport sweep (T = 1 002), one `teleport` call (T = 1) and the
+    invariance section (n = 100 transforms, per-trial corrections)."""
+    dressings, unknowns = haar_draws(2, [int(SEED), 1], 1002, 1)
+    dressings = dressings[:, 0]
+    pairs, inputs = haar_draws(2, [int(SEED), 2], 100, 2)
+    kets = teleport.measurement_kets(bell_transform_matrix())
+    sigma = teleport.standard_corrections().ops
+    t_kets, t_channels = teleport.invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])
+    physical = t_channels[:, 0]
+    recovery = teleport.recovery_ops(t_kets, physical[:, None])
+    batch = teleport.standard_protocol_batch
+    return {
+        "teleport.standard_protocol_batch.T1.us":
+            _per_call(lambda: batch(unknowns[:1], dressings[:1])) * 1e6,
+        "teleport.standard_protocol_batch.T1002.us":
+            _per_call(lambda: batch(unknowns, dressings)) * 1e6,
+        "teleport.invariance_pairs.n100.us":
+            _per_call(lambda: teleport.invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])) * 1e6,
+        "teleport.run_protocol_batch.per_trial.T100.us":
+            _per_call(lambda: teleport.run_protocol_batch(inputs, t_kets, physical, recovery)) * 1e6,
+    }
+
+
 def measure() -> dict:
     # on a parser that is built once per process, the un-cached builder
     build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
@@ -97,6 +142,7 @@ def measure() -> dict:
         "cli.render_json.teleport.us": _per_call(lambda: cli.render_json(doc)) * 1e6,
         "cli.render_text.teleport.us": _per_call(lambda: cli.render_text(doc)) * 1e6,
     }
+    layers.update(protocol_kernels())
     for name, builder in report.SECTION_BUILDERS.items():
         layers[f"report.section.{name}.ms"] = _per_call(lambda: builder(cfg)) * 1e3
 
@@ -115,22 +161,19 @@ def measure() -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description="Time the entqc command line's layers in process.")
-    ap.add_argument("--out", required=True, help="path of the JSON result")
-    args = ap.parse_args()
     result = {
         "machine": {
             "platform": platform.platform(),
             "processor": platform.processor() or platform.machine(),
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
-            "blas_threads": 1,
+            "blas_threads": ARGS.blas_threads,
         },
         "numpy": np.__version__,
         **measure(),
     }
     text = json.dumps(result, indent=2) + "\n"
-    Path(args.out).write_text(text, encoding="utf-8")
+    Path(ARGS.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 

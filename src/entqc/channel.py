@@ -59,8 +59,8 @@ def epr_pair_channel() -> StateVector:
 
 def epr_amplitudes(ops) -> np.ndarray:
     """Amplitude matrices of (1 (x) M)|EPR pairs> for operators M (..., 4, 4):
-    M on one half maps the pairs' amplitude matrix K to K M^T, so I/2 to M^T/2."""
-    return np.swapaxes(ops, -1, -2) / 2.0
+    M on one half maps the pairs' amplitude matrix K to K M^T, so I/2 to M^T/2 (C-ordered)."""
+    return np.multiply(np.swapaxes(ops, -1, -2), 0.5, order="C")
 
 
 def dressed_channel(spec: ChannelSpec) -> StateVector:

@@ -40,11 +40,11 @@ from .report import (
 from .tensor import (
     ContractError,
     LabelError,
-    fidelity_pure,
     hermitian_eigenvalues,
     reduced_density,
 )
-from .teleport import UnknownState, teleport_all_outcomes
+# teleport_all_outcomes (the object API) stays importable from here
+from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
 
 FIDELITY_ATOL = 1e-10
 STATE_NORM_LIMIT = 1e-6
@@ -58,11 +58,18 @@ _encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
 _FLOATS = (float, np.floating)  # built once, not per _emit call
 
 
+def _finite(text: str) -> str:
+    if text[-1] > "9":  # nan, inf, -inf: the only formatted floats ending in a letter
+        raise ContractError(f"cannot write the non-finite number {text}: report values must be finite")
+    return text
+
+
 def _emit(value, out):
     # the common kinds first: no float is also a str, dict, list or tuple, and
     # no None, bool, int or complex is a container, so the order is free
     if isinstance(value, _FLOATS):
-        out.append(format(float(value), ".17g"))
+        text = format(float(value), ".17g")
+        out.append(text if text[-1] <= "9" else _finite(text))  # no call per finite float
     elif isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, dict):
@@ -98,7 +105,7 @@ def _emit(value, out):
 
 
 def render_json(doc) -> str:
-    """Deterministic JSON: insertion order, floats as %.17g."""
+    """Deterministic JSON: insertion order, floats as %.17g (finite only)."""
     out: list[str] = []
     _emit(doc, out)
     return "".join(out) + "\n"
@@ -111,8 +118,8 @@ def _verdict(passed) -> str:
 
 
 def _fmt_scalar(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
+    if isinstance(value, _FLOATS):
+        return _finite(format(float(value), ".10g"))
     if isinstance(value, (list, tuple, dict)):
         out: list[str] = []
         _emit(value, out)
@@ -225,8 +232,8 @@ _positive_tol = _argument(float, lambda x: np.isfinite(x) and x > 0.0, "a finite
 _restarts = _argument(int, lambda n: 1 <= n <= MAX_RESTARTS, f"an integer in 1..{MAX_RESTARTS}")
 
 
-def _pairs(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec).reshape(-1)]
+def _pairs(amplitudes) -> list:
+    return np.stack([amplitudes.real, amplitudes.imag], -1).tolist()
 
 
 def _tag(labels) -> str:
@@ -257,16 +264,16 @@ def cmd_teleport(args) -> int:
         seed = _resolve_seed(args)
         doc["seed"] = seed
         unknown = UnknownState.random(seed)
-    doc["unknown_state"] = _pairs(unknown.coefficients)
-
-    target = unknown.as_state()
+    c = unknown.coefficients
+    doc["unknown_state"] = _pairs(c)
+    probs, bob, corrected = standard_protocol_batch(c[None], resolved.spec.dressing[None])
+    fids = (np.abs(corrected[0].conj() @ c) ** 2).tolist()
     checks = []
-    for out in teleport_all_outcomes(unknown, resolved.spec):
-        tag = f"outcome ({out.outcome[0]},{out.outcome[1]})"
-        checks.append(check(f"{tag} probability", out.probability, 1.0 / 16.0, FIDELITY_ATOL))
-        fid = fidelity_pure(out.corrected_state, target)
+    for (a, b), prob, fid, receiver in zip(OUTCOMES, probs[0].tolist(), fids, _pairs(bob[0])):
+        tag = f"outcome ({a},{b})"
+        checks.append(check(f"{tag} probability", prob, 1.0 / 16.0, FIDELITY_ATOL))
         checks.append(check(f"{tag} corrected fidelity", fid, 1.0, FIDELITY_ATOL))
-        checks.append(check(f"{tag} receiver state", _pairs(out.bob_state.amplitudes)))
+        checks.append(check(f"{tag} receiver state", receiver))
     outcomes = section("outcomes", checks)
     doc["sections"] = [outcomes]
     doc["pass"] = outcomes["pass"]
@@ -285,44 +292,36 @@ def cmd_analyze(args) -> int:
         check("max two-qubit marginal deviation from I/4", dev),
     ]
 
-    marginal_checks = []
-    for label in state.register.labels:
-        eigs = hermitian_eigenvalues(reduced_density(state, (label,)).matrix)
-        marginal_checks.append(
-            check(f"single-qubit marginal {label} eigenvalues", [float(x) for x in eigs])
-        )
+    marginal_checks = [
+        check(f"single-qubit marginal {label} eigenvalues",
+              hermitian_eigenvalues(reduced_density(state, (label,)).matrix).tolist())
+        for label in state.register.labels
+    ]
 
     pair_checks = []
     for pair in CHANNEL_PAIRS:
-        rep = pair_analysis(state, pair)
-        tag = _tag(pair)
-        pair_checks.append(check(f"pair {tag} min PT eigenvalue", rep.min_pt_eigenvalue))
-        pair_checks.append(check(f"pair {tag} entangled", rep.entangled))
+        rep, tag = pair_analysis(state, pair), _tag(pair)
+        pair_checks += [check(f"pair {tag} min PT eigenvalue", rep.min_pt_eigenvalue),
+                        check(f"pair {tag} entangled", rep.entangled)]
 
     triad_checks = []
     for triad in CHANNEL_TRIADS:
-        rep = triad_analysis(state, triad)
-        tag = _tag(triad)
-        eigs = hermitian_eigenvalues(rep.reduced.matrix)
-        triad_checks.append(check(f"triad {tag} eigenvalues", [float(x) for x in eigs]))
-        triad_checks.append(
-            check(f"triad {tag} component fidelities", list(rep.ghz_component_fidelities))
-        )
-        triad_checks.append(check(f"triad {tag} three-tangles", list(rep.three_tangles)))
+        rep, tag = triad_analysis(state, triad), _tag(triad)
+        triad_checks += [
+            check(f"triad {tag} eigenvalues", hermitian_eigenvalues(rep.reduced.matrix).tolist()),
+            check(f"triad {tag} component fidelities", list(rep.ghz_component_fidelities)),
+            check(f"triad {tag} three-tangles", list(rep.three_tangles)),
+        ]
 
     witness_checks = []
     for triad in CHANNEL_TRIADS:
-        result = minimize_witness(
-            reduced_density(state, triad), restarts=args.restarts, seed=seed
-        )
+        result = minimize_witness(reduced_density(state, triad), restarts=args.restarts, seed=seed)
         tag = _tag(triad)
-        witness_checks.append(check(f"triad {tag} witness minimum", result.min_value))
-        witness_checks.append(
-            check(f"triad {tag} witness parameters", [float(x) for x in result.parameters])
-        )
-        witness_checks.append(
-            check(f"triad {tag} witness converged fraction", result.converged_fraction)
-        )
+        witness_checks += [
+            check(f"triad {tag} witness minimum", result.min_value),
+            check(f"triad {tag} witness parameters", [float(x) for x in result.parameters]),
+            check(f"triad {tag} witness converged fraction", result.converged_fraction),
+        ]
 
     doc = {
         "report": "analyze",

@@ -259,9 +259,12 @@ def _batch_states(rots: np.ndarray) -> np.ndarray:
 
 
 def _states_values(m: np.ndarray, rots: np.ndarray):
-    """(phi, rho.phi, witness values) for a rotation stack."""
+    """(phi, rho.phi, witness values) for a rotation stack; rho.phi in products of 256
+    rows, below OpenBLAS's threading threshold (a busy second thread costs more than it saves)."""
     phi = _batch_states(rots)
-    y = phi @ m.T
+    y, cut = np.empty_like(phi), len(phi) - len(phi) % 256
+    np.matmul(phi[:cut].reshape(-1, 256, 8), m.T, out=y[:cut].reshape(-1, 256, 8))
+    np.matmul(phi[cut:], m.T, out=y[cut:])
     return phi, y, 0.75 - np.real(np.einsum("ni,ni->n", phi.conj(), y))
 
 

@@ -55,6 +55,7 @@ from .teleport import (
     series_form,
     split_schmidt_coefficients,
     standard_corrections,
+    standard_protocol_batch,
     transfer_blocks,
 )
 
@@ -216,13 +217,8 @@ def section_teleport(cfg: SuiteConfig):
     # and a maximally entangled input through bell-transformed, in one run
     dressings, unknowns = haar_draws(2, [cfg.seed, 1], TELEPORT_TRIALS, 1)
     dressings = np.concatenate([dressings[:, 0], [np.eye(4), bell_transform_matrix()]])
-    unknowns = np.concatenate(
-        [unknowns, [[1.0, 0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)]]
-    )
-    probs, bob, corrected = run_protocol_batch(
-        unknowns, measurement_kets(dressings), epr_amplitudes(dressings),
-        standard_corrections().ops,
-    )
+    unknowns = np.concatenate([unknowns, [[1, 0, 0, 0], np.array([1, 0, 0, 1]) / np.sqrt(2)]])
+    probs, bob, corrected = standard_protocol_batch(unknowns, dressings)
     infid = _infidelities(corrected, unknowns)
     n = TELEPORT_TRIALS
     probs, bob = probs[:n], bob[:n]
@@ -343,9 +339,8 @@ def section_invariance(cfg: SuiteConfig):
     kets = measurement_kets(bell_transform_matrix())
     sigma = standard_corrections().ops
     pairs, unknowns = haar_draws(2, [cfg.seed, 2], INVARIANCE_TRIALS, 2)
-    w_l, w_r = pairs[:, 0], pairs[:, 1]
     base_blocks = transfer_blocks(*invariance_pairs(kets, sigma, np.eye(4), np.eye(4)))
-    t_kets, t_channels = invariance_pairs(kets, sigma, w_l, w_r)
+    t_kets, t_channels = invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])
     physical = t_channels[:, 0]
     _, _, corrected = run_protocol_batch(
         unknowns, t_kets, physical, recovery_ops(t_kets, physical[:, None])

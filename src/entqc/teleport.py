@@ -6,6 +6,8 @@ on (A1,A2,U1,U2). The protocol contracts each basis ket against
 unknown (x) channel and never uses the known answer. Its core works on
 (A1A2, U1U2) ket and (A1A2, receiver) channel amplitude matrices batched over
 trials and outcomes; the functions on objects are its single-trial cases.
+`standard_protocol_batch` is the array entry point that `entqc teleport` and
+`entqc repro` use; `teleport_all_outcomes` is the object API.
 """
 from __future__ import annotations
 
@@ -188,8 +190,10 @@ def _channel_matrix(channel_state: StateVector):
 
 
 def measurement_kets(dressings) -> np.ndarray:
-    """Kets (1 (x) sigma-pair . D)|EPR pairs> for dressings D (..., 4, 4): (..., 16, 4, 4)."""
-    return epr_amplitudes(_SIGMA_PAIRS @ dressings[..., None, :, :])
+    """Kets (1 (x) sigma-pair . D)|EPR pairs> for dressings D (..., 4, 4): (..., 16, 4, 4),
+    from one (64, 4) . (4, 4) product of the stacked sigma-pairs per D."""
+    products = _SIGMA_PAIRS.reshape(64, 4) @ dressings
+    return epr_amplitudes(products.reshape(*products.shape[:-2], 16, 4, 4))
 
 
 def transfer_blocks(kets, channels) -> np.ndarray:
@@ -204,28 +208,39 @@ def recovery_ops(kets, channels) -> np.ndarray:
 
 def invariance_pairs(kets, corrections, w_l, w_r):
     """Conjugate every basis/channel pair by (w_r^T on the sender pair, w_l on
-    the other pair), for (w_l, w_r) stacks (..., 4, 4).
+    the other pair), for kets and corrections (16, 4, 4), (w_l, w_r) (..., 4, 4).
 
     Channel g is (1 (x) C_g) on the bare channel, the (1,1) ket; X on the first
-    pair and Y on the second map an amplitude matrix K to X K Y^T.
+    pair and Y on the second map an amplitude matrix K to X K Y^T, that is
+    vec K to (X (x) Y) vec K: one (32, 16) . (16, 16) product per transform.
     """
-    wr_t = np.swapaxes(w_r, -1, -2)[..., None, :, :]
-    wl_t = np.swapaxes(w_l, -1, -2)[..., None, :, :]
-    channels = wr_t @ kets[0] @ np.swapaxes(corrections, -1, -2) @ wl_t
-    return wr_t @ kets @ wl_t, channels
+    stacked = np.concatenate([kets, kets[0] @ np.swapaxes(corrections, -1, -2)]).reshape(32, 16)
+    # (X (x) Y)^T [ab, ij] = X[i, a] Y[j, b] = w_r[a, i] w_l[j, b]
+    kron_t = np.einsum("...ai,...jb->...abij", w_r, w_l).reshape(*np.shape(w_r)[:-2], 16, 16)
+    out = (stacked @ kron_t).reshape(*kron_t.shape[:-2], 2, 16, 4, 4)
+    return out[..., 0, :, :, :], out[..., 1, :, :, :]
 
 
 def run_protocol_batch(unknowns, kets, channels, corrections):
     """All sixteen outcomes of T runs: inputs (T, 4), kets (T, 16, 4, 4),
     channels (T, 4, 4), corrections ([T,] 16, 4, 4). Returns probabilities
-    (T, 16), receiver states and corrected states (T, 16, 4)."""
-    raw = (transfer_blocks(kets, channels[:, None]) @ unknowns[:, None, :, None])[..., 0]
+    (T, 16), receiver and corrected states (T, 16, 4). The kets meet the input,
+    then the channel: two products per trial, none per (trial, outcome)."""
+    # conj(K) c = conj(K conj(c)): only the (T, 64, 1) product is conjugated
+    sender = (kets.reshape(-1, 64, 4) @ unknowns.conj()[:, :, None]).conj()
+    raw = sender.reshape(-1, 16, 4) @ channels
     probabilities = np.real(np.einsum("tgr,tgr->tg", raw.conj(), raw))
     if probabilities.min() < 1e-28:  # |raw| < 1e-14, as in StateVector.from_raw
         raise ContractError("cannot normalize a zero amplitude vector")
     bob = raw / np.sqrt(probabilities)[..., None]
     corrected = np.einsum("...gij,...gj->...gi", corrections, bob)
     return probabilities, bob, corrected
+
+
+def standard_protocol_batch(unknowns, dressings):
+    """`run_protocol_batch` of the standard protocol on inputs (T, 4) and
+    dressings (T, 4, 4): dressed kets and channels, sigma-pair corrections."""
+    return run_protocol_batch(unknowns, measurement_kets(dressings), epr_amplitudes(dressings), _SIGMA_PAIRS)
 
 
 def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import entqc
+from entqc import report
 from entqc.cli import build_parser, main, render_json, render_text
+from entqc.tensor import ContractError
 
 BELL_DRESSING_PAIRS = [
     [0.7071067811865476, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0],
@@ -407,3 +409,28 @@ def test_render_text_marks_failures():
     assert "[FAIL] bad" in text
     assert "[info] note" in text
     assert "overall: FAIL" in text
+
+
+def test_renderers_reject_a_nan_document():
+    doc = {"report": "demo", "tol": float("nan"), "sections": [], "pass": True}
+    for render in (render_json, render_text):
+        with pytest.raises(ContractError, match="non-finite number nan"):
+            render(doc)
+    # the same value, finite, renders as JSON
+    assert json.loads(render_json({**doc, "tol": 0.5}))["tol"] == 0.5
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_repro_with_a_non_finite_row_is_a_usage_error(capsys, monkeypatch, tmp_path, fmt, bad):
+    monkeypatch.setitem(
+        report.SECTION_BUILDERS, "ghz",
+        lambda cfg: report.section("ghz", [report.check("deviation", bad, 0.0, 1e-10)]),
+    )
+    code, out, err = run(capsys, ["repro", "--section", "ghz", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the non-finite number")
+    target = tmp_path / "report.out"
+    code, out, err = run(capsys, ["repro", "--section", "ghz", "--format", fmt, "--output", str(target)])
+    assert (code, out) == (2, "")
+    assert not target.exists()

@@ -8,11 +8,12 @@ channel with its `apply_unitary` dressing, the series form as an invariance
 transform of the dressed protocol, the per-member `apply_unitary` POVM
 twirl, the report's per-trial teleport and invariance loops, its per-point
 gradient check, the per-ket Schmidt decompositions of a basis, the
-per-draw Haar samplers and the `isinstance`-chain JSON/text renderer. They
-are kept here, test-only, as the oracle. The batched code sums in a
-different order, so results are compared at a tolerance fixed beforehand
-from complex128 roundoff on 16-amplitude contractions; the renderer and the
-Haar unitaries must match exactly.
+per-draw Haar samplers, the `isinstance`-chain JSON/text renderer, the
+protocol kernel that formed every (trial, outcome) transfer block and the
+four-product invariance transform. They are kept here, test-only, as the
+oracle. The batched code sums in a different order, so results are compared
+at a tolerance fixed beforehand from complex128 roundoff on 16-amplitude
+contractions; the renderer and the Haar unitaries must match exactly.
 """
 import collections
 import json
@@ -29,8 +30,10 @@ from entqc.channel import (
     bell_transform_matrix,
     builtin_channel,
     dressed_channel,
+    epr_amplitudes,
     epr_pair_channel,
     generalized_ghz,
+    resolve_channel,
 )
 from entqc.entanglement import (
     CHANNEL_TRIADS,
@@ -63,18 +66,23 @@ from entqc.teleport import (
     MeasurementBasis,
     UnknownState,
     corrections_from,
+    invariance_pairs,
     invariance_transform,
     is_separable_basis,
     measurement_basis,
+    measurement_kets,
     partial_inner_transfer,
     pauli_pair,
     povm_check,
+    recovery_ops,
     run_protocol,
     run_protocol_batch,
     series_form,
     split_schmidt_coefficients,
     standard_corrections,
+    standard_protocol_batch,
     teleport_all_outcomes,
+    transfer_blocks,
 )
 
 TOL = 1e-13
@@ -161,6 +169,23 @@ def ref_invariance_transform(kets, ops, wl, wr):
         chan = apply_unitary(chan, wrt, ("A1", "A2"))
         new_channels.append(apply_unitary(chan, wl, ("B1", "B2")))
     return new_kets, new_channels
+
+
+def ref_run_protocol_batch(unknowns, kets, channels, corrections):
+    """The protocol kernel with a (T, 16) stack of 4x4 transfer blocks."""
+    raw = (transfer_blocks(kets, channels[:, None]) @ unknowns[:, None, :, None])[..., 0]
+    probabilities = np.real(np.einsum("tgr,tgr->tg", raw.conj(), raw))
+    bob = raw / np.sqrt(probabilities)[..., None]
+    corrected = np.einsum("...gij,...gj->...gi", corrections, bob)
+    return probabilities, bob, corrected
+
+
+def ref_invariance_pairs(kets, corrections, w_l, w_r):
+    """X K Y^T as four stacked products per transform."""
+    wr_t = np.swapaxes(w_r, -1, -2)[..., None, :, :]
+    wl_t = np.swapaxes(w_l, -1, -2)[..., None, :, :]
+    channels = wr_t @ kets[0] @ np.swapaxes(corrections, -1, -2) @ wl_t
+    return wr_t @ kets @ wl_t, channels
 
 
 def ref_section_teleport(cfg):
@@ -287,6 +312,8 @@ def ref_emit(value, out):
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
+        if not np.isfinite(value):
+            raise ContractError(f"non-finite {value!r}")
         out.append(format(float(value), ".17g"))
     elif isinstance(value, (complex, np.complexfloating)):
         ref_emit([float(value.real), float(value.imag)], out)
@@ -321,8 +348,10 @@ def ref_render_json(doc):
 
 
 def ref_fmt_scalar(value):
-    if isinstance(value, float):
-        return format(value, ".10g")
+    if isinstance(value, (float, np.floating)):
+        if not np.isfinite(value):
+            raise ContractError(f"non-finite {value!r}")
+        return format(float(value), ".10g")
     if isinstance(value, (list, tuple, dict)):
         out = []
         ref_emit(value, out)
@@ -685,7 +714,7 @@ ODD_VALUES = {
     "quote": '"',
     "backslash": "\\",
     "newline": "\n",
-    "specials": [float("nan"), float("inf"), float("-inf"), -0.0],
+    "extremes": [-0.0, 5e-324, -1.7976931348623157e308, 1e-300],
     "str subclass": Label("label"),
     "np.str_": np.str_("numpy"),
     "ordered": collections.OrderedDict([(Label("k"), 1.0), (2.5, [1])]),
@@ -741,3 +770,96 @@ def test_renderer_rejects_what_the_isinstance_chain_rejects(bad):
     with pytest.raises(TypeError) as err:
         cli.render_json({"x": bad})
     assert str(err.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 np.float64("nan"), np.float32("-inf")])
+def test_renderers_reject_non_finite_floats_as_the_oracle_does(bad):
+    row = {"name": "x", "value": bad, "target": None, "tolerance": None, "pass": None}
+    docs = [{"x": bad}, {"x": [1.0, [2.0, bad]]},
+            {"report": "r", "sections": [{"name": "s", "checks": [row], "pass": True}]}]
+    for doc in docs:
+        for render, ref in ((cli.render_json, ref_render_json), (cli.render_text, ref_render_text)):
+            with pytest.raises(ContractError):
+                ref(doc)
+            with pytest.raises(ContractError, match="non-finite"):
+                render(doc)
+
+
+# --- the protocol kernels against the per-(trial, outcome) products --------------
+
+def assert_arrays_close(arrays, refs):
+    for array, ref in zip(arrays, refs, strict=True):
+        assert array.shape == ref.shape
+        assert np.abs(array - ref).max() <= TOL
+
+
+@pytest.mark.parametrize("trials", [1, 3, 100])
+def test_protocol_kernels_match_transfer_block_oracle(trials):
+    for seed in range(5):
+        unitaries, unknowns = haar_draws(2, [seed, trials, 71], trials, 17)
+        dressings, per_trial = unitaries[:, 0], unitaries[:, 1:]
+        kets, channels = measurement_kets(dressings), epr_amplitudes(dressings)
+        sigma = standard_corrections().ops
+        for corrections in (sigma, per_trial, recovery_ops(kets, channels[:, None])):
+            assert_arrays_close(
+                run_protocol_batch(unknowns, kets, channels, corrections),
+                ref_run_protocol_batch(unknowns, kets, channels, corrections),
+            )
+        assert_arrays_close(
+            standard_protocol_batch(unknowns, dressings),
+            ref_run_protocol_batch(unknowns, kets, channels, sigma),
+        )
+
+
+@pytest.mark.parametrize("stack", [None, 1, 7, 100])
+def test_invariance_pairs_match_four_product_oracle(stack):
+    for seed in range(5):
+        unitaries, _ = haar_draws(2, [seed, 72], 1 if stack is None else stack, 3)
+        kets = measurement_kets(unitaries[0, 0])
+        corrections = recovery_ops(kets, epr_amplitudes(unitaries[0, 0]))
+        w_l, w_r = unitaries[:, 1], unitaries[:, 2]
+        if stack is None:
+            w_l, w_r = w_l[0], w_r[0]
+        assert_arrays_close(
+            invariance_pairs(kets, corrections, w_l, w_r),
+            ref_invariance_pairs(kets, corrections, w_l, w_r),
+        )
+
+
+def teleport_rows(doc):
+    rows = doc["sections"][0]["checks"]
+    return [(row["name"], row["value"]) for row in rows]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_teleport_document_matches_object_api(capsys, tmp_path, fmt):
+    path = tmp_path / "file-channel.json"
+    path.write_text(json.dumps(
+        {"dressing": [[z.real, z.imag] for z in haar_random_unitary(2, 5).reshape(-1)]}
+    ))
+    for channel in ("epr", "bell-transformed", str(path)):
+        spec = resolve_channel(channel).spec
+        for seed in range(10):
+            argv = ["teleport", "--channel", channel, "--seed", str(seed)]
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            if fmt == "text":
+                # the text report renders the same document
+                assert cli.main(argv + ["--format", "text"]) == 0
+                assert capsys.readouterr().out == cli.render_text(doc)
+            unknown = UnknownState.random(seed)
+            expected = []
+            for out in teleport_all_outcomes(unknown, spec):
+                tag = f"outcome ({out.outcome[0]},{out.outcome[1]})"
+                expected += [
+                    (f"{tag} probability", out.probability),
+                    (f"{tag} corrected fidelity",
+                     fidelity_pure(out.corrected_state, unknown.as_state())),
+                    (f"{tag} receiver state",
+                     [[z.real, z.imag] for z in out.bob_state.amplitudes]),
+                ]
+            rows = teleport_rows(doc)
+            assert [name for name, _ in rows] == [name for name, _ in expected]
+            for (_, value), (_, ref) in zip(rows, expected):
+                assert np.abs(np.subtract(value, ref)).max() <= 1e-15

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from entqc.channel import ChannelSpec, GhzSpec, builtin_channel, epr_pair_channel
+from entqc.channel import (
+    ChannelSpec,
+    GhzSpec,
+    builtin_channel,
+    dressed_channel,
+    epr_pair_channel,
+)
 from entqc.entanglement import pair_analysis, triad_analysis
 from entqc.teleport import (
     BASIS_SPLITS,
@@ -341,6 +347,25 @@ def test_is_separable_basis_verdicts():
     bell_basis = measurement_basis(builtin_channel("bell-transformed").spec)
     assert all(v is False for v in is_separable_basis(bell_basis).values())
     assert tuple(is_separable_basis(bell_basis)) == BASIS_SPLITS
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def test_swap_dressed_channel_separates_only_across_the_crossed_pairing():
+    # the SWAP-dressed channel is EPR pairs (A1,B2) and (A2,B1): inseparable
+    # across (A1B1)|(A2B2), separable once the receiver's qubits are swapped
+    spec = ChannelSpec(SWAP, name="swap")
+    channel = dressed_channel(spec)
+    assert schmidt_rank(channel, ("A1", "B1")) == 4
+    assert schmidt_rank(channel, ("A1", "B2")) == 1
+    basis = measurement_basis(spec)
+    assert is_separable_basis(basis) == {BASIS_SPLITS[0]: False, BASIS_SPLITS[1]: True}
+    for op in corrections_from(basis, channel).ops:
+        assert operator_schmidt_rank(op) == 1
+    _, series = series_form(spec)
+    assert all(operator_schmidt_rank(op) == 4 for op in series.ops)
+    assert operator_schmidt_rank(SWAP) == 4
 
 
 # --- POVM completeness -------------------------------------------------------

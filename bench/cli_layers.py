@@ -1,5 +1,6 @@
 """Time the command line's layers in process: parser, renderers, `cli.main`,
-the batched protocol kernels and the `repro` section builders; and, as
+the batched protocol kernels, the stacked analysis calls (with their n = 1
+wrappers looped over the same items) and the `repro` section builders; and, as
 one-shot use pays them, a first `cli.main` call (parser built anew) and a
 whole `python -m entqc.cli` process.
 
@@ -53,9 +54,9 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from entqc import cli, report, teleport  # noqa: E402
-from entqc.channel import bell_transform_matrix  # noqa: E402
-from entqc.tensor import haar_draws  # noqa: E402
+from entqc import cli, entanglement, report, teleport  # noqa: E402
+from entqc.channel import bell_transform_matrix, builtin_channel  # noqa: E402
+from entqc.tensor import haar_draws, operator_schmidt_rank, reduced_densities, reduced_density  # noqa: E402
 
 REPEATS = 7
 SEED = "7"
@@ -130,6 +131,32 @@ def protocol_kernels() -> dict:
     }
 
 
+def analysis_layers() -> dict:
+    """The stacked analysis calls on the `repro` sections' inputs: the six
+    pairs and four triads of the bell-transformed channel and the 32
+    corrections of both series tables; beside each, its n = 1 wrapper called
+    once per item."""
+    state = builtin_channel("bell-transformed").state
+    pairs, triads = entanglement.CHANNEL_PAIRS, entanglement.CHANNEL_TRIADS
+    ops = np.concatenate([teleport.series_form(builtin_channel(name).spec)[1].ops
+                          for name in ("bell-transformed", "epr")])
+    calls = {
+        "tensor.reduced_densities.pairs6": lambda: reduced_densities(state, pairs),
+        "tensor.reduced_density.pairs6_serial": lambda: [reduced_density(state, p) for p in pairs],
+        "entanglement.stacked_pair_analysis.pairs6":
+            lambda: entanglement.stacked_pair_analysis(state, pairs),
+        "entanglement.pair_analysis.pairs6_serial":
+            lambda: [entanglement.pair_analysis(state, p) for p in pairs],
+        "entanglement.stacked_triad_analysis.triads4":
+            lambda: entanglement.stacked_triad_analysis(state, triads),
+        "entanglement.triad_analysis.triads4_serial":
+            lambda: [entanglement.triad_analysis(state, t) for t in triads],
+        "tensor.operator_schmidt_rank.series32": lambda: operator_schmidt_rank(ops),
+        "tensor.operator_schmidt_rank.series32_serial": lambda: [operator_schmidt_rank(op) for op in ops],
+    }
+    return {f"{name}.us": _per_call(fn) * 1e6 for name, fn in calls.items()}
+
+
 def measure() -> dict:
     # on a parser that is built once per process, the un-cached builder
     build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
@@ -143,6 +170,7 @@ def measure() -> dict:
         "cli.render_text.teleport.us": _per_call(lambda: cli.render_text(doc)) * 1e6,
     }
     layers.update(protocol_kernels())
+    layers.update(analysis_layers())
     for name, builder in report.SECTION_BUILDERS.items():
         layers[f"report.section.{name}.ms"] = _per_call(lambda: builder(cfg)) * 1e3
 

@@ -25,8 +25,8 @@ from .entanglement import (
     CHANNEL_TRIADS,
     MAX_RESTARTS,
     minimize_witness,
-    pair_analysis,
-    triad_analysis,
+    stacked_pair_analysis,
+    stacked_triad_analysis,
 )
 from .report import (
     DEFAULT_RESTARTS,
@@ -37,12 +37,7 @@ from .report import (
     check,
     section,
 )
-from .tensor import (
-    ContractError,
-    LabelError,
-    hermitian_eigenvalues,
-    reduced_density,
-)
+from .tensor import ContractError, LabelError, reduced_densities
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
 
@@ -292,31 +287,30 @@ def cmd_analyze(args) -> int:
         check("max two-qubit marginal deviation from I/4", dev),
     ]
 
+    labels = state.register.labels
+    singles = np.linalg.eigvalsh(reduced_densities(state, [(label,) for label in labels]))
     marginal_checks = [
-        check(f"single-qubit marginal {label} eigenvalues",
-              hermitian_eigenvalues(reduced_density(state, (label,)).matrix).tolist())
-        for label in state.register.labels
+        check(f"single-qubit marginal {label} eigenvalues", eigs)
+        for label, eigs in zip(labels, singles.tolist())
     ]
 
     pair_checks = []
-    for pair in CHANNEL_PAIRS:
-        rep, tag = pair_analysis(state, pair), _tag(pair)
-        pair_checks += [check(f"pair {tag} min PT eigenvalue", rep.min_pt_eigenvalue),
-                        check(f"pair {tag} entangled", rep.entangled)]
+    _, spectra, verdicts = stacked_pair_analysis(state, CHANNEL_PAIRS)
+    for pair, min_eig, entangled in zip(CHANNEL_PAIRS, spectra[:, 0].tolist(), verdicts.tolist()):
+        tag = _tag(pair)
+        pair_checks += [check(f"pair {tag} min PT eigenvalue", min_eig),
+                        check(f"pair {tag} entangled", entangled)]
 
-    triad_checks = []
-    for triad in CHANNEL_TRIADS:
-        rep, tag = triad_analysis(state, triad), _tag(triad)
-        triad_checks += [
-            check(f"triad {tag} eigenvalues", hermitian_eigenvalues(rep.reduced.matrix).tolist()),
-            check(f"triad {tag} component fidelities", list(rep.ghz_component_fidelities)),
-            check(f"triad {tag} three-tangles", list(rep.three_tangles)),
-        ]
-
-    witness_checks = []
-    for triad in CHANNEL_TRIADS:
-        result = minimize_witness(reduced_density(state, triad), restarts=args.restarts, seed=seed)
+    triad_checks, witness_checks = [], []
+    reduced, *rows = stacked_triad_analysis(state, CHANNEL_TRIADS)
+    for triad, rho, eigs, fids, tangles in zip(CHANNEL_TRIADS, reduced, *(r.tolist() for r in rows)):
         tag = _tag(triad)
+        triad_checks += [
+            check(f"triad {tag} eigenvalues", eigs),
+            check(f"triad {tag} component fidelities", fids),
+            check(f"triad {tag} three-tangles", tangles),
+        ]
+        result = minimize_witness(rho, restarts=args.restarts, seed=seed)
         witness_checks += [
             check(f"triad {tag} witness minimum", result.min_value),
             check(f"triad {tag} witness parameters", [float(x) for x in result.parameters]),

@@ -2,7 +2,8 @@
 
 Pairwise positive-partial-transpose analysis, the triad decomposition into
 two orthogonal maximal-GHZ components, the three-tangle, and a GHZ-witness
-minimization over local rotations (steepest descent, multi-start).
+minimization over local rotations (steepest descent, multi-start). Pair and
+triad analyses run on stacks; `pair_analysis`, `triad_analysis` are n = 1 cases.
 """
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from .tensor import (
     SIGMA_Z,
     StateVector,
     _as_complex,
-    hermitian_eigenvalues,
-    partial_transpose,
-    reduced_density,
+    hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
+    reduced_densities,
+    reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
     require_hermitian,
 )
 
@@ -91,15 +92,28 @@ class WitnessSearchResult:
             raise ContractError("witness parameters are 9 rotation angles")
 
 
-def pair_analysis(state: StateVector, pair) -> PairReport:
-    """Reduce to the named pair and apply the PT separability test."""
+def stacked_pair_analysis(state: StateVector, pairs):
+    """Marginals (m, 4, 4) of the named pairs, the ascending spectra (m, 4) of
+    their partial transposes on the second qubit and the PT verdicts (m,):
+    one reduction, one stacked `eigvalsh`. A pair is two distinct labels."""
     if state.register.size != 4:
         raise ContractError("pair analysis expects a four-qubit state")
+    pairs = [tuple(pair) for pair in pairs]
+    for pair in pairs:
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise ContractError(f"a pair is two distinct qubit labels, got {pair}")
+    reduced = reduced_densities(state, pairs)
+    pt = reduced.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    spectra = np.linalg.eigvalsh(pt)
+    return reduced, spectra, spectra[:, 0] < PPT_VERDICT_TOL
+
+
+def pair_analysis(state: StateVector, pair) -> PairReport:
+    """Reduce to the named pair and apply the PT separability test."""
     pair = tuple(pair)
-    reduced = reduced_density(state, pair)
-    pt = partial_transpose(reduced, (reduced.register.labels[1],))
-    min_eig = float(hermitian_eigenvalues(pt).min())
-    return PairReport(pair, reduced, min_eig, min_eig < PPT_VERDICT_TOL)
+    reduced, spectra, entangled = stacked_pair_analysis(state, [pair])
+    return PairReport(pair, DensityMatrix._checked(QubitRegister(pair), reduced[0]),
+                      float(spectra[0, 0]), bool(entangled[0]))
 
 
 def triad_component_states(triad) -> tuple[np.ndarray, np.ndarray]:
@@ -119,70 +133,64 @@ def triad_component_states(triad) -> tuple[np.ndarray, np.ndarray]:
     return comp0 / 2.0, comp1 / 2.0
 
 
-def triad_analysis(state: StateVector, triad) -> TriadReport:
-    """Reduce to the named triad and match its rank-2 eigenspace against the
-    reference GHZ components.
+def stacked_triad_analysis(state: StateVector, triads):
+    """Reduce to the named triads and match each rank-2 leading eigenspace
+    against the triad's reference GHZ components: one reduction, one stacked
+    `eigh`, one stacked three-tangle.
 
-    Fidelities are the weights of each reference component inside the span of
-    the two leading eigenvectors; tangles are evaluated on the normalized
-    projections (deterministic even when the leading eigenvalue is degenerate).
+    Returns marginals (m, 8, 8), their ascending spectra (m, 8), and per
+    component (m, 2) fidelities, the weights of each reference component in
+    the span of the two leading eigenvectors, and tangles of the normalized
+    projections (deterministic even when the leading eigenvalue is
+    degenerate; 0 below fidelity 1e-12).
     """
     if state.register.size != 4:
         raise ContractError("triad analysis expects a four-qubit state")
+    triads = [tuple(triad) for triad in triads]
+    refs = np.array([triad_component_states(triad) for triad in triads])
+    reduced = reduced_densities(state, triads)
+    spectra, vectors = np.linalg.eigh(reduced)
+    top = vectors[..., -2:]
+    weights = np.swapaxes(top, -1, -2).conj() @ np.swapaxes(refs, -1, -2)  # (m, 2, comp)
+    fidelities = np.einsum("mkc,mkc->mc", weights.conj(), weights).real
+    projections = np.swapaxes(top @ weights, -1, -2)  # (m, comp, 8)
+    kept = fidelities >= 1e-12
+    tangles = np.zeros(fidelities.shape)
+    chosen = projections[kept]
+    tangles[kept] = three_tangle(chosen / np.linalg.norm(chosen, axis=-1, keepdims=True))
+    return reduced, spectra, fidelities, tangles
+
+
+def triad_analysis(state: StateVector, triad) -> TriadReport:
+    """Reduce to the named triad and match its rank-2 eigenspace against the
+    reference GHZ components (`stacked_triad_analysis` of one triad)."""
     triad = tuple(triad)
-    reduced = reduced_density(state, triad)
-    refs = triad_component_states(triad)
-    _, vectors = np.linalg.eigh(reduced.matrix)
-    top = vectors[:, -2:]
-    fidelities = []
-    tangles = []
-    for ref in refs:
-        weights = top.conj().T @ ref
-        fid = float(np.real(np.vdot(weights, weights)))
-        fidelities.append(fid)
-        if fid < 1e-12:
-            tangles.append(0.0)
-            continue
-        projection = top @ weights
-        tangles.append(three_tangle(projection / np.linalg.norm(projection)))
-    return TriadReport(triad, reduced, tuple(fidelities), tuple(tangles))
+    reduced, _, fidelities, tangles = stacked_triad_analysis(state, [triad])
+    return TriadReport(triad, DensityMatrix._checked(QubitRegister(triad), reduced[0]),
+                       tuple(fidelities[0].tolist()), tuple(tangles[0].tolist()))
 
 
-def three_tangle(state) -> float:
-    """Residual tangle of a three-qubit pure state via the 2x2x2 hyperdeterminant.
+def three_tangle(state):
+    """Residual tangle of three-qubit pure states via the 2x2x2 hyperdeterminant:
+    a float for one state (8,) or a StateVector, an (n,) array for a stack (n, 8).
 
     Equals 1 exactly for maximal GHZ states up to local unitaries and 0 for
     any state in the W class; invariant under local unitaries.
     """
-    amps = state.amplitudes if isinstance(state, StateVector) else (
-        _as_complex(state, "state").reshape(-1)
-    )
-    if amps.size != 8:
-        raise ContractError("three_tangle expects a three-qubit state")
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > ATOL:
-        raise ContractError(f"state is not normalized: |psi| = {norm!r}")
-    a = amps.reshape(2, 2, 2)
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
-    d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
-    )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    tau = 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
-    return float(tau)
+    amps = state.amplitudes if isinstance(state, StateVector) else _as_complex(state, "state")
+    if amps.shape[-1:] != (8,) or amps.ndim > 2:
+        raise ContractError(f"three_tangle expects a state (8,) or a stack (n, 8), got {amps.shape}")
+    norms = np.linalg.norm(amps, axis=-1)
+    if np.any(np.abs(norms - 1.0) > ATOL):
+        raise ContractError(f"state is not normalized: |psi| = {norms!r}")
+    # Cayley's hyperdeterminant is the discriminant c1^2 - 4 c0 c2 of
+    # det(A0 + t A1) = c0 + c1 t + c2 t^2, for A_i the slices a[i, :, :]
+    a = amps.reshape(-1, 8).T
+    c0 = a[0] * a[3] - a[1] * a[2]
+    c1 = a[0] * a[7] + a[4] * a[3] - a[1] * a[6] - a[5] * a[2]
+    c2 = a[4] * a[7] - a[5] * a[6]
+    tau = 4.0 * np.abs(c1 * c1 - 4.0 * c0 * c2)
+    return float(tau[0]) if amps.ndim == 1 else tau
 
 
 def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:

@@ -338,14 +338,13 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
 
 def split_schmidt_coefficients(basis: MeasurementBasis) -> dict:
     """Per split in BASIS_SPLITS, the (16, 4) Schmidt coefficients (descending)
-    of every basis ket across that pairing, one stacked SVD per split."""
+    of every basis ket across that pairing, from one stacked SVD."""
     tensors = basis.amplitudes.reshape(16, 2, 2, 2, 2)
-    coefficients = {}
-    for part, rest in BASIS_SPLITS:
-        axes = [1 + MEASURED_LABELS.index(label) for label in part + rest]
-        matrices = tensors.transpose(0, *axes).reshape(16, 4, 4)
-        coefficients[(part, rest)] = np.linalg.svd(matrices, compute_uv=False)
-    return coefficients
+    matrices = np.stack([
+        tensors.transpose(0, *(1 + MEASURED_LABELS.index(label) for label in part + rest))
+        for part, rest in BASIS_SPLITS
+    ]).reshape(len(BASIS_SPLITS), 16, 4, 4)
+    return dict(zip(BASIS_SPLITS, np.linalg.svd(matrices, compute_uv=False)))
 
 
 def is_separable_basis(basis: MeasurementBasis) -> dict:

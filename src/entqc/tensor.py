@@ -207,6 +207,18 @@ def partial_inner(bra: StateVector, ket: StateVector):
     return ket_only, bra_only, block.reshape(2 ** len(ket_only), 2 ** len(bra_only))
 
 
+def _require_densities(m: np.ndarray) -> None:
+    """Hermitian, unit-trace and positive-semidefinite checks of a matrix or a
+    stack (..., d, d), each over the whole stack (one stacked `eigvalsh`)."""
+    if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > ATOL:
+        raise ContractError("density matrix is not Hermitian")
+    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    if off.max() > ATOL:
+        raise ContractError(f"density matrix trace is not 1 (off by {off.max():.3e})")
+    if np.linalg.eigvalsh(m).min() < -EIG_ATOL:
+        raise ContractError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A unit-trace positive-semidefinite operator over a labeled register."""
@@ -221,15 +233,17 @@ class DensityMatrix:
                 f"density matrix shape {m.shape} does not match register "
                 f"{self.register.labels}"
             )
-        if np.abs(m - m.conj().T).max() > ATOL:
-            raise ContractError("density matrix is not Hermitian")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise ContractError(f"density matrix trace {tr} is not 1")
-        if np.linalg.eigvalsh(m).min() < -EIG_ATOL:
-            raise ContractError("density matrix has a negative eigenvalue")
+        _require_densities(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _checked(cls, register: QubitRegister, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a read-only matrix that `_require_densities` already passed."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "register", register)
+        object.__setattr__(rho, "matrix", matrix)
+        return rho
 
     @staticmethod
     def from_state(state: StateVector) -> "DensityMatrix":
@@ -251,20 +265,29 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(QubitRegister(keep), np.einsum("abcb->ac", t))
 
 
-def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state, without the full projector."""
-    keep = tuple(keep)
-    kaxes = state.register.axes(keep)
-    taxes = [i for i in range(state.register.size) if i not in kaxes]
+def reduced_densities(state: StateVector, keeps) -> np.ndarray:
+    """Reduced density matrices of a pure state, one per keep (all of one
+    size), as a read-only (m, d, d) stack checked once (Hermitian, trace, PSD):
+    M M† for M the state reshaped to (keep | rest), keep in the order given."""
     psi = state.tensor_view()
-    block = np.tensordot(psi, psi.conj(), axes=(taxes, taxes))
-    # tensordot leaves kept axes in register order; restore the caller's order
-    rank = {a: r for r, a in enumerate(sorted(kaxes))}
-    perm = [rank[a] for a in kaxes]
-    k = len(kaxes)
-    block = np.transpose(block, perm + [k + p for p in perm])
-    dk = 2**k
-    return DensityMatrix(QubitRegister(keep), block.reshape(dk, dk))
+    blocks = []
+    for keep in keeps:
+        kaxes = state.register.axes(keep)
+        rest = [i for i in range(state.register.size) if i not in kaxes]
+        blocks.append(psi.transpose(*kaxes, *rest).reshape(2 ** len(kaxes), -1))
+    if not blocks or any(b.shape != blocks[0].shape for b in blocks):
+        raise ContractError("reduced_densities needs one or more keeps of one size")
+    m = np.stack(blocks)
+    rho = m @ np.swapaxes(m, -1, -2).conj()
+    _require_densities(rho)
+    rho.setflags(write=False)
+    return rho
+
+
+def reduced_density(state: StateVector, keep) -> DensityMatrix:
+    """Reduced density matrix of a pure state: `reduced_densities` of one keep."""
+    register = QubitRegister(tuple(keep))
+    return DensityMatrix._checked(register, reduced_densities(state, [register.labels])[0])
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
@@ -366,16 +389,19 @@ def schmidt_rank(state: StateVector, part, tol: float = EIG_ATOL) -> int:
 
 
 def operator_schmidt_coefficients(m) -> np.ndarray:
-    """Singular values of a two-qubit operator reshuffled across its factors.
+    """Singular values of a two-qubit operator reshuffled across its factors:
+    (4) for a (4, 4) operator, (n, 4) for an (n, 4, 4) stack in one SVD.
 
     A product operator X (x) Y has exactly one nonzero coefficient.
     """
     m = _as_complex(m, "operator")
-    if m.shape != (4, 4):
-        raise ContractError("expected a two-qubit (4x4) operator")
-    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3):
+        raise ContractError(f"expected a two-qubit (4x4) operator or an (n, 4, 4) stack, got {m.shape}")
+    r = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(m.shape)
     return np.linalg.svd(r, compute_uv=False)
 
 
-def operator_schmidt_rank(m, tol: float = EIG_ATOL) -> int:
-    return int(np.count_nonzero(operator_schmidt_coefficients(m) > tol))
+def operator_schmidt_rank(m, tol: float = EIG_ATOL):
+    """Operator-Schmidt rank: an int for a (4, 4) operator, (n,) ints for a stack."""
+    ranks = (operator_schmidt_coefficients(m) > tol).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks

@@ -159,6 +159,13 @@ def test_ghz_spec_validation():
         GhzSpec(local_bases=(np.eye(2),))  # wrong count
 
 
+@pytest.mark.parametrize("amplitudes", [(np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan),
+                                        (np.inf, 0.0), (0.0, np.inf)])
+def test_ghz_spec_rejects_non_finite_amplitudes(amplitudes):
+    with pytest.raises(ContractError, match="l0"):
+        GhzSpec(amplitudes=amplitudes)
+
+
 def test_ghz_is_not_a_valid_channel():
     ok, dev = is_valid_channel(generalized_ghz())
     assert not ok

@@ -10,12 +10,16 @@ twirl, the report's per-trial teleport and invariance loops, its per-point
 gradient check, the per-ket Schmidt decompositions of a basis, the
 per-draw Haar samplers, the `isinstance`-chain JSON/text renderer, the
 protocol kernel that formed every (trial, outcome) transfer block and the
-four-product invariance transform. They are kept here, test-only, as the
-oracle. The batched code sums in a different order, so results are compared
+four-product invariance transform, the tensordot reduced density, the
+per-pair PT and per-triad eigenspace analyses with the expanded
+hyperdeterminant, the per-operator operator-Schmidt SVD and the report's
+per-pair, per-triad and per-channel section bodies. They are kept here,
+test-only, as the oracle. The batched code sums in a different order, so results are compared
 at a tolerance fixed beforehand from complex128 roundoff on 16-amplitude
 contractions; the renderer and the Haar unitaries must match exactly.
 """
 import collections
+import itertools
 import json
 from pathlib import Path
 
@@ -24,6 +28,7 @@ import pytest
 
 from entqc import cli, report
 from entqc.channel import (
+    BUILTIN_CHANNELS,
     CHANNEL_LABELS,
     RECEIVER_LABELS,
     ChannelSpec,
@@ -36,14 +41,25 @@ from entqc.channel import (
     resolve_channel,
 )
 from entqc.entanglement import (
+    CHANNEL_PAIRS,
     CHANNEL_TRIADS,
+    PPT_VERDICT_TOL,
+    pair_analysis,
+    stacked_pair_analysis,
+    stacked_triad_analysis,
+    symmetric_w_state,
+    three_tangle,
+    triad_analysis,
+    triad_component_states,
     witness_gradient,
     witness_state,
     witness_value,
 )
 from entqc.tensor import (
+    EIG_ATOL,
     PAULIS,
     ContractError,
+    DensityMatrix,
     QubitRegister,
     StateVector,
     apply_unitary,
@@ -51,8 +67,13 @@ from entqc.tensor import (
     haar_draws,
     haar_random_state,
     haar_random_unitary,
+    hermitian_eigenvalues,
     kron,
+    operator_schmidt_coefficients,
+    operator_schmidt_rank,
     partial_inner,
+    partial_transpose,
+    reduced_densities,
     reduced_density,
     require_unitary,
     schmidt_coefficients,
@@ -391,6 +412,162 @@ def ref_render_text(doc):
         lines.append("")
         lines.append(f"overall: {ref_verdict(doc['pass'])}")
     return "\n".join(lines) + "\n"
+
+
+def ref_reduced_density(state, keep):
+    """The tensordot reduction: psi against psi* over the traced-out axes."""
+    keep = tuple(keep)
+    kaxes = state.register.axes(keep)
+    taxes = [i for i in range(state.register.size) if i not in kaxes]
+    psi = state.tensor_view()
+    block = np.tensordot(psi, psi.conj(), axes=(taxes, taxes))
+    # tensordot leaves kept axes in register order; restore the caller's order
+    rank = {a: r for r, a in enumerate(sorted(kaxes))}
+    perm = [rank[a] for a in kaxes]
+    k = len(kaxes)
+    block = np.transpose(block, perm + [k + p for p in perm])
+    return DensityMatrix(QubitRegister(keep), block.reshape(2**k, 2**k))
+
+
+def ref_pair_analysis(state, pair):
+    """One pair: its marginal, the checked spectrum of its partial transpose
+    on the second qubit, and the PT verdict."""
+    reduced = ref_reduced_density(state, pair)
+    spectrum = hermitian_eigenvalues(partial_transpose(reduced, (reduced.register.labels[1],)))
+    return reduced.matrix, spectrum, bool(spectrum.min() < PPT_VERDICT_TOL)
+
+
+def ref_three_tangle(amps):
+    """4 |d1 - 2 d2 + 4 d3| of one state, the hyperdeterminant expanded."""
+    a = np.asarray(amps).reshape(2, 2, 2)
+    d1 = (
+        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
+        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
+        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+    )
+    d2 = (
+        a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
+    )
+    d3 = (
+        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
+    )
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
+def ref_triad_analysis(state, triad):
+    """One triad: its marginal, checked spectrum, and per reference component
+    the weight in the leading eigenspace and the tangle of the projection."""
+    reduced = ref_reduced_density(state, triad)
+    _, vectors = np.linalg.eigh(reduced.matrix)
+    top = vectors[:, -2:]
+    fidelities, tangles = [], []
+    for ref in triad_component_states(triad):
+        weights = top.conj().T @ ref
+        fid = float(np.real(np.vdot(weights, weights)))
+        fidelities.append(fid)
+        if fid < 1e-12:
+            tangles.append(0.0)
+            continue
+        projection = top @ weights
+        tangles.append(ref_three_tangle(projection / np.linalg.norm(projection)))
+    return reduced.matrix, hermitian_eigenvalues(reduced.matrix), fidelities, tangles
+
+
+def ref_operator_schmidt(ops):
+    """Per operator, one reshuffle and one SVD: coefficients and rank."""
+    coefficients = [
+        np.linalg.svd(op.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4), compute_uv=False)
+        for op in ops
+    ]
+    return np.array(coefficients), [int(np.count_nonzero(c > EIG_ATOL)) for c in coefficients]
+
+
+def ref_section_pairs(cfg):
+    """The report's pairs section, one reduction and one analysis per pair."""
+    checks = []
+    state = builtin_channel("bell-transformed").state
+    for label in state.register.labels:
+        dev = float(np.abs(ref_reduced_density(state, (label,)).matrix - np.eye(2) / 2.0).max())
+        checks.append(report.check(f"single-qubit marginal {label} deviation from I/2", dev, 0.0, 1e-12))
+    expected = {("A1", "B1"): report.PAIR_A1B1, ("A2", "B2"): report.PAIR_A2B2}
+    for pair in CHANNEL_PAIRS:
+        reduced, spectrum, entangled = ref_pair_analysis(state, pair)
+        tag = f"({pair[0]},{pair[1]})"
+        if pair in expected:
+            dev = float(np.abs(reduced - expected[pair]).max())
+            checks.append(report.check(f"pair {tag} matches its reference marginal", dev, 0.0, 1e-12))
+            pt_dev = float(np.abs(np.sort(spectrum) - [0.0, 0.0, 0.5, 0.5]).max())
+            checks.append(report.check(f"pair {tag} PT spectrum deviation from (0,0,1/2,1/2)",
+                                       pt_dev, 0.0, 1e-10))
+        else:
+            dev = float(np.abs(reduced - np.eye(4) / 4.0).max())
+            checks.append(report.check(f"pair {tag} deviation from I/4", dev, 0.0, 1e-12))
+        checks.append(report.check(f"pair {tag} entangled", entangled, False))
+    return report.section("pairs", checks)
+
+
+def ref_section_wstate(cfg):
+    checks = []
+    target = (1.0 - np.sqrt(2.0)) / 4.0
+    for pair in CHANNEL_PAIRS:
+        _, spectrum, entangled = ref_pair_analysis(symmetric_w_state(), pair)
+        tag = f"({pair[0]},{pair[1]})"
+        checks.append(report.check(f"W-state pair {tag} min PT eigenvalue", spectrum.min(), target, 1e-10))
+        checks.append(report.check(f"W-state pair {tag} entangled", entangled, True))
+    return report.section("wstate", checks)
+
+
+def ref_section_triads(cfg):
+    """The report's triads section, one reduction and one analysis per triad."""
+    checks = []
+    state = builtin_channel("bell-transformed").state
+    for triad in CHANNEL_TRIADS:
+        reduced, eigs, fidelities, tangles = ref_triad_analysis(state, triad)
+        tag = f"({triad[0]},{triad[1]},{triad[2]})"
+        for i, fid in enumerate(fidelities):
+            checks.append(report.check(f"triad {tag} component {i} fidelity", fid, 1.0, 1e-10))
+        for i, tau in enumerate(tangles):
+            checks.append(report.check(f"triad {tag} component {i} three-tangle", tau, 1.0, 1e-8))
+        comp0, comp1 = triad_component_states(triad)
+        recon = 0.5 * np.outer(comp0, comp0.conj()) + 0.5 * np.outer(comp1, comp1.conj())
+        checks.append(report.check(f"triad {tag} reconstruction deviation",
+                                   float(np.abs(reduced - recon).max()), 0.0, 1e-10))
+        eig_dev = float(np.abs(np.sort(eigs) - np.array([0.0] * 6 + [0.5, 0.5])).max())
+        checks.append(report.check(f"triad {tag} eigenvalue deviation from (1/2,1/2,0,...)",
+                                   eig_dev, 0.0, 1e-10))
+    return report.section("triads", checks)
+
+
+def ref_section_series(cfg):
+    """The report's series section, one channel at a time: per-ket split
+    Schmidt coefficients, one SVD per correction, one protocol run each."""
+    checks = []
+    unknown = haar_random_state(2, np.random.default_rng([cfg.seed, 5]))[None]
+    for name in ("bell-transformed", "epr"):
+        spec = builtin_channel(name).spec
+        basis, table = series_form(spec)
+        excess = float(ref_split_schmidt(basis)[BASIS_SPLITS[0]][:, 1:].max())
+        checks.append(report.check(f"{name} series basis max excess Schmidt coefficient", excess, 0.0, 1e-10))
+        _, ranks = ref_operator_schmidt(table.ops)
+        if name == "bell-transformed":
+            checks.append(report.check("bell-transformed series has a nonlocal correction", max(ranks) > 1, True))
+        else:
+            checks.append(report.check("epr series corrections all local", max(ranks) == 1, True))
+            pauli_dev = float(np.abs(table.ops - standard_corrections().ops).max())
+            checks.append(report.check("epr series corrections equal sigma-pairs", pauli_dev, 0.0, 1e-12))
+        _, _, corrected = run_protocol_batch(
+            unknown, basis.amplitudes.reshape(1, 16, 4, 4), epr_amplitudes(spec.dressing)[None], table.ops,
+        )
+        infid = report._infidelities(corrected, unknown)[0]
+        checks.append(report.check(f"{name} series protocol max infidelity", infid, 0.0, 1e-10))
+    return report.section("series", checks)
 
 
 def ref_rotation(a, b, c):
@@ -863,3 +1040,115 @@ def test_teleport_document_matches_object_api(capsys, tmp_path, fmt):
             assert [name for name, _ in rows] == [name for name, _ in expected]
             for (_, value), (_, ref) in zip(rows, expected):
                 assert np.abs(np.subtract(value, ref)).max() <= 1e-15
+
+
+# --- the stacked analysis layer -------------------------------------------------
+
+def analysis_states():
+    """(name, four-qubit state, triads whose leading eigenspace is two-dimensional)."""
+    cases = [(f"haar-{seed}", dressed_channel(random_case(seed)[1]), CHANNEL_TRIADS) for seed in SEEDS]
+    cases += [(name, builtin_channel(name).state, CHANNEL_TRIADS) for name in BUILTIN_CHANNELS]
+    cases += [("w", symmetric_w_state(), CHANNEL_TRIADS),
+              ("permuted", dressed_channel(random_case(0)[1]).permuted(PERMUTED_ORDER), CHANNEL_TRIADS)]
+    # (|0000> + |0111>)/sqrt2: a reference component of weight 0 in three
+    # triads (their tangle is 0 by rule); its (A2,B1,B2) marginal is pure
+    amps = np.zeros(16)
+    amps[[0b0000, 0b0111]] = 1.0 / np.sqrt(2.0)
+    cases.append(("zero-weight", StateVector(QubitRegister(CHANNEL_LABELS), amps), CHANNEL_TRIADS[:3]))
+    return cases
+
+
+def test_reduced_densities_match_tensordot():
+    for _, state, _ in analysis_states():
+        labels = state.register.labels
+        for k in range(1, 5):
+            keeps = list(itertools.permutations(labels, k))
+            stack = reduced_densities(state, keeps)
+            assert stack.shape == (len(keeps), 2**k, 2**k) and not stack.flags.writeable
+            for keep, rho in zip(keeps, stack):
+                assert np.abs(rho - ref_reduced_density(state, keep).matrix).max() <= TOL
+            single = reduced_density(state, keeps[-1])
+            assert single.register.labels == keeps[-1]
+            assert np.array_equal(single.matrix, stack[-1])
+
+
+def test_stacked_pair_analysis_matches_per_pair():
+    verdicts_seen = set()
+    for _, state, _ in analysis_states():
+        pairs = list(itertools.permutations(state.register.labels, 2))
+        reduced, spectra, verdicts = stacked_pair_analysis(state, pairs)
+        for pair, rho, spectrum, entangled in zip(pairs, reduced, spectra, verdicts):
+            ref_rho, ref_spectrum, ref_entangled = ref_pair_analysis(state, pair)
+            assert np.abs(rho - ref_rho).max() <= TOL
+            assert np.abs(spectrum - ref_spectrum).max() <= TOL
+            assert bool(entangled) is ref_entangled
+            rep = pair_analysis(state, pair)
+            assert rep.pair == pair and np.array_equal(rep.reduced.matrix, rho)
+            assert rep.min_pt_eigenvalue == spectrum[0] and rep.entangled is ref_entangled
+            verdicts_seen.add(ref_entangled)
+    assert verdicts_seen == {True, False}
+
+
+def test_stacked_triad_analysis_matches_per_triad():
+    zero_tangles = 0
+    for _, state, triads in analysis_states():
+        for triad, rho, spectrum, fidelities, tangles in zip(triads, *stacked_triad_analysis(state, triads)):
+            ref_rho, ref_spectrum, ref_fidelities, ref_tangles = ref_triad_analysis(state, triad)
+            assert np.abs(rho - ref_rho).max() <= TOL
+            assert np.abs(spectrum - ref_spectrum).max() <= TOL
+            assert np.abs(fidelities - ref_fidelities).max() <= TOL
+            assert np.abs(tangles - ref_tangles).max() <= TOL
+            assert list(fidelities < 1e-12) == [f < 1e-12 for f in ref_fidelities]
+            zero_tangles += sum(f < 1e-12 for f in ref_fidelities)
+            rep = triad_analysis(state, triad)
+            assert rep.triad == triad and np.array_equal(rep.reduced.matrix, rho)
+            assert rep.ghz_component_fidelities == tuple(fidelities.tolist())
+            assert rep.three_tangles == tuple(tangles.tolist())
+    assert zero_tangles > 0
+
+
+def test_stacked_three_tangle_matches_expanded_hyperdeterminant():
+    states = [haar_random_state(3, np.random.default_rng([seed, 81])) for seed in SEEDS]
+    ghz, w = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
+    ghz[[0, 7]] = 1.0 / np.sqrt(2.0)
+    w[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
+    states += [ghz, w, np.eye(8)[5]]
+    stack = three_tangle(np.array(states))
+    assert stack.shape == (len(states),)
+    for state, tau in zip(states, stack):
+        assert abs(tau - ref_three_tangle(state)) <= TOL
+        assert three_tangle(state) == tau
+
+
+def test_stacked_operator_schmidt_matches_per_operator_svd():
+    ops = [series_form(random_case(seed)[1])[1].ops for seed in SEEDS]
+    ops += [series_form(builtin_channel(name).spec)[1].ops for name in ("epr", "bell-transformed")]
+    ops.append(np.stack([np.eye(4), np.eye(4)[[0, 1, 3, 2]], np.eye(4)[[0, 2, 1, 3]],
+                         bell_transform_matrix()]))
+    ranks_seen = set()
+    for table in ops:
+        coefficients = operator_schmidt_coefficients(table)
+        ranks = operator_schmidt_rank(table)
+        ref_coefficients, ref_ranks = ref_operator_schmidt(table)
+        assert np.abs(coefficients - ref_coefficients).max() <= TOL
+        assert ranks.tolist() == ref_ranks
+        assert [operator_schmidt_rank(op) for op in table] == ref_ranks
+        ranks_seen.update(ref_ranks)
+    assert ranks_seen == {1, 2, 4}
+
+
+@pytest.mark.parametrize("name", ["pairs", "wstate", "triads", "series"])
+def test_analysis_sections_match_serial_bodies(name):
+    ref = {"pairs": ref_section_pairs, "wstate": ref_section_wstate,
+           "triads": ref_section_triads, "series": ref_section_series}[name]
+    for cfg in [report.SuiteConfig()] + [report.SuiteConfig(seed=s) for s in range(20)]:
+        sec, ref_sec = report.SECTION_BUILDERS[name](cfg), ref(cfg)
+        assert sec["name"] == ref_sec["name"] and sec["pass"] is ref_sec["pass"] is True
+        assert len(sec["checks"]) == len(ref_sec["checks"])
+        for row, ref_row in zip(sec["checks"], ref_sec["checks"]):
+            for key in ("name", "target", "tolerance", "pass"):
+                assert row[key] == ref_row[key]
+            if isinstance(row["value"], bool):
+                assert row["value"] is ref_row["value"]
+            else:
+                assert abs(row["value"] - ref_row["value"]) <= TOL

@@ -9,6 +9,8 @@ from entqc.entanglement import (
     WitnessSearchResult,
     minimize_witness,
     pair_analysis,
+    stacked_pair_analysis,
+    stacked_triad_analysis,
     symmetric_w_state,
     three_tangle,
     triad_analysis,
@@ -101,6 +103,29 @@ def test_pair_analysis_errors():
     )
     with pytest.raises(ContractError):
         pair_analysis(bell, ("a", "b"))
+
+
+@pytest.mark.parametrize("pair", [(), ("A1",), ("A1", "A1"), ("A1", "A2", "B1"), ("A1", "A2", "B1", "B2")])
+def test_pair_analysis_rejects_anything_but_two_distinct_labels(pair):
+    state = reference_channel()
+    with pytest.raises(ContractError, match="two distinct qubit labels"):
+        pair_analysis(state, pair)
+    # one bad pair fails the whole stack
+    with pytest.raises(ContractError, match="two distinct qubit labels"):
+        stacked_pair_analysis(state, [("A1", "B1"), pair])
+
+
+def test_stacked_analyses_keep_the_order_given():
+    state = reference_channel()
+    reduced, spectra, verdicts = stacked_pair_analysis(state, CHANNEL_PAIRS[::-1])
+    assert reduced.shape == (6, 4, 4) and spectra.shape == (6, 4) and verdicts.shape == (6,)
+    for pair, rho in zip(CHANNEL_PAIRS[::-1], reduced):
+        assert np.array_equal(rho, reduced_density(state, pair).matrix)
+    reduced, spectra, fidelities, tangles = stacked_triad_analysis(state, CHANNEL_TRIADS[::-1])
+    assert reduced.shape == (4, 8, 8) and spectra.shape == (4, 8)
+    assert fidelities.shape == tangles.shape == (4, 2)
+    with pytest.raises(LabelError):
+        stacked_triad_analysis(state, [CHANNEL_TRIADS[0], ("A1", "A2")])
 
 
 def test_w_state_pairs_all_weakly_entangled():
@@ -203,6 +228,11 @@ def test_three_tangle_input_validation():
         three_tangle(np.ones(8))  # unnormalized
     with pytest.raises(ContractError):
         three_tangle(GHZ3[:4])  # not three qubits
+    with pytest.raises(ContractError):
+        three_tangle(GHZ3.reshape(2, 2, 2))  # neither a state (8,) nor a stack (n, 8)
+    with pytest.raises(ContractError):
+        three_tangle(np.stack([GHZ3, np.ones(8)]))  # one unnormalized member
+    assert three_tangle(np.stack([GHZ3, GHZ3])).shape == (2,)
 
 
 # --- witness values and gradient ----------------------------------------------

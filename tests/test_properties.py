@@ -1,0 +1,71 @@
+"""Property-based invariants of the stacked analysis primitives.
+
+Hypothesis draws the sizes, seeds and state families; every numpy draw comes
+from a seeded generator. The settings are fixed and derandomized, with no
+example database, so every run checks the same examples.
+"""
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entqc.entanglement import three_tangle
+from entqc.tensor import (
+    DensityMatrix,
+    StateVector,
+    haar_random_state,
+    haar_unitaries,
+    partial_trace,
+    reduced_densities,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@PROPERTY_SETTINGS
+@given(n_qubits=st.integers(min_value=1, max_value=5), seed=SEEDS, zeros=st.integers(0, 3))
+def test_reduced_densities_equal_partial_trace_of_the_projector(n_qubits, seed, zeros):
+    rng = np.random.default_rng(seed)
+    amps = haar_random_state(n_qubits, rng)
+    # zero a few amplitudes too, for rank-deficient marginals
+    amps[rng.choice(amps.size, min(zeros, amps.size - 1), replace=False)] = 0.0
+    labels = tuple(f"q{i}" for i in range(n_qubits))
+    state = StateVector.from_raw(labels, amps)
+    projector = DensityMatrix.from_state(state)
+    for k in range(1, n_qubits + 1):
+        keeps = list(itertools.permutations(labels, k))
+        for keep, rho in zip(keeps, reduced_densities(state, keeps), strict=True):
+            assert np.abs(rho - partial_trace(projector, keep).matrix).max() <= 1e-13
+
+
+def three_qubit_states(family: str, rng, n: int) -> np.ndarray:
+    if family == "haar":
+        return np.array([haar_random_state(3, rng) for _ in range(n)])
+    states = np.zeros((n, 8), dtype=complex)
+    if family == "ghz":  # cos t |000> + e^{i p} sin t |111>: tangle sin^2(2t)
+        t, p = rng.uniform(0.0, np.pi, (2, n))
+        states[:, 0], states[:, 7] = np.cos(t), np.exp(1j * p) * np.sin(t)
+    else:  # the W class: tangle 0
+        w = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        states[:, [1, 2, 4]] = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return states
+
+
+@PROPERTY_SETTINGS
+@given(family=st.sampled_from(["haar", "ghz", "w"]), n=st.integers(1, 16), seed=SEEDS)
+def test_stacked_three_tangle_is_invariant_under_local_unitaries(family, n, seed):
+    rng = np.random.default_rng(seed)
+    states = three_qubit_states(family, rng, n)
+    u = haar_unitaries(rng.standard_normal((n, 3, 2, 2, 2)))
+    local = np.einsum("nai,nbj,nck->nabcijk", u[:, 0], u[:, 1], u[:, 2]).reshape(n, 8, 8)
+    rotated = np.einsum("nij,nj->ni", local, states)
+    tangles = three_tangle(states)
+    assert tangles.shape == (n,)
+    assert np.abs(three_tangle(rotated) - tangles).max() <= 1e-12
+    if family == "ghz":
+        t = np.arctan2(np.abs(states[:, 7]), np.abs(states[:, 0]))
+        assert np.abs(tangles - np.sin(2.0 * t) ** 2).max() <= 1e-12
+    elif family == "w":
+        assert tangles.max() <= 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from entqc.tensor import (
     ContractError,
+    _require_densities,
     DensityMatrix,
     LabelError,
     QubitRegister,
@@ -20,6 +21,7 @@ from entqc.tensor import (
     partial_inner,
     partial_trace,
     partial_transpose,
+    reduced_densities,
     reduced_density,
     require_hermitian,
     require_unitary,
@@ -147,6 +149,21 @@ def test_partial_trace_matches_reduced_density():
         assert np.abs(via_trace.matrix - via_state.matrix).max() < 1e-13
 
 
+def test_reduced_densities_stack_keeps_of_one_size():
+    s = state("pqr", haar_random_state(3, np.random.default_rng(7)))
+    stack = reduced_densities(s, [("q",), ("r",), ("p",)])
+    assert stack.shape == (3, 2, 2) and not stack.flags.writeable
+    assert np.array_equal(stack[1], reduced_density(s, ("r",)).matrix)
+    with pytest.raises(ContractError):
+        reduced_densities(s, [("q",), ("r", "p")])  # mixed sizes
+    with pytest.raises(ContractError):
+        reduced_densities(s, [])
+    with pytest.raises(LabelError):
+        reduced_densities(s, [("q",), ("z",)])
+    with pytest.raises(LabelError):
+        reduced_densities(s, [("q", "q")])
+
+
 def test_partial_trace_is_trace_preserving():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -250,6 +267,12 @@ def test_operator_schmidt_examples():
     assert operator_schmidt_rank(swap) == 4
     coeffs = operator_schmidt_coefficients(np.eye(4))
     assert abs(coeffs[0] - 2.0) < 1e-14 and coeffs[1:].max() < 1e-14
+    stack = np.stack([np.eye(4), cnot, swap])
+    assert operator_schmidt_coefficients(stack).shape == (3, 4)
+    assert operator_schmidt_rank(stack).tolist() == [1, 2, 4]
+    for bad in (np.eye(8), np.eye(2), np.zeros((2, 2, 4, 4))):
+        with pytest.raises(ContractError):
+            operator_schmidt_coefficients(bad)
 
 
 def test_density_matrix_validation():
@@ -260,6 +283,19 @@ def test_density_matrix_validation():
         DensityMatrix(reg, np.diag([0.7, 0.7]))  # trace != 1
     with pytest.raises(ContractError):
         DensityMatrix(reg, np.diag([1.5, -0.5]))  # not positive
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+    (np.diag([0.7, 0.7]), "trace is not 1"),
+    (np.diag([1.5, -0.5]), "negative eigenvalue"),
+])
+def test_density_checks_cover_every_member_of_a_stack(bad, message):
+    # the check that reduced_densities runs once on its whole stack
+    stack = np.stack([np.eye(2) / 2.0, np.diag([1.0, 0.0]), bad]).astype(complex)
+    _require_densities(stack[:2])
+    with pytest.raises(ContractError, match=message):
+        _require_densities(stack)
 
 
 def test_tensor_requires_disjoint_labels():

@@ -1,8 +1,9 @@
-"""Time the command line's layers in process: parser, renderers, `cli.main`,
-the batched protocol kernels, the stacked analysis calls (with their n = 1
-wrappers looped over the same items) and the `repro` section builders; and, as
-one-shot use pays them, a first `cli.main` call (parser built anew) and a
-whole `python -m entqc.cli` process.
+"""Time the command line's layers in process: parser, renderers, `cli.main`
+(`teleport`, `analyze` and each `repro` section), the batched protocol
+kernels, the stacked analysis calls (with their n = 1 wrappers looped over the
+same items) and the `repro` section builders; and, as one-shot use pays them,
+a first `cli.main` call (parser built anew) and a whole `python -m entqc.cli`
+process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -11,10 +12,9 @@ Run from anywhere; the library is imported from this checkout's `src/`:
 stdlib and numpy only. BLAS is held to N threads (default 1), set before
 numpy is imported. Each figure is wall time per call, the minimum over
 REPEATS batches, each batch long enough (>= 0.2 s, as `timeit` picks it) to
-swamp the clock. A section builder whose single call takes over a second is
-timed once; a process is run REPEATS times and its minimum kept. The result
-is written as `{machine, numpy, end_to_end, layers}`; metric names end in
-their unit.
+swamp the clock; a process is run REPEATS times and its minimum kept. The
+result is written as `{machine, numpy, end_to_end, layers}`; metric names end
+in their unit.
 """
 from __future__ import annotations
 
@@ -61,17 +61,13 @@ from entqc.tensor import haar_draws, operator_schmidt_rank, reduced_densities, r
 REPEATS = 7
 SEED = "7"
 TELEPORT_ARGV = ["teleport", "--channel", "bell-transformed", "--seed", SEED]
-SLOW_CALL_S = 1.0
-# `repro` sections run through cli.main: every one but the witness search
-CHEAP_SECTIONS = [name for name in report.SECTION_BUILDERS if name != "witness"]
+ANALYZE_ARGV = ["analyze", "--channel", "bell-transformed", "--seed", SEED]
 
 
 def _per_call(fn) -> float:
     """Seconds per call: minimum over REPEATS auto-sized batches."""
     timer = timeit.Timer(fn)
-    number, elapsed = timer.autorange()
-    if number == 1 and elapsed > SLOW_CALL_S:
-        return elapsed
+    number, _ = timer.autorange()
     return min(timer.repeat(REPEATS, number)) / number
 
 
@@ -181,8 +177,9 @@ def measure() -> dict:
         # one-shot use: what each `entqc` command pays
         "cli.main.teleport.json.first_call.ms": _per_call(lambda: _first_main(TELEPORT_ARGV)) * 1e3,
         "entqc.process.teleport.json.ms": _process(TELEPORT_ARGV) * 1e3,
+        "cli.main.analyze.ms": _per_call(lambda: _quiet_main(ANALYZE_ARGV)) * 1e3,
     }
-    for name in CHEAP_SECTIONS:
+    for name in report.SECTION_BUILDERS:
         argv = ["repro", "--section", name, "--seed", SEED]
         end_to_end[f"cli.main.repro.{name}.ms"] = _per_call(lambda: _quiet_main(argv)) * 1e3
     return {"end_to_end": end_to_end, "layers": layers}

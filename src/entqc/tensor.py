@@ -239,7 +239,7 @@ class DensityMatrix:
 
     @classmethod
     def _checked(cls, register: QubitRegister, matrix: np.ndarray) -> "DensityMatrix":
-        """Wrap a read-only matrix that `_require_densities` already passed."""
+        """Wrap a read-only marginal of a checked state without checking it again."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "register", register)
         object.__setattr__(rho, "matrix", matrix)
@@ -266,9 +266,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def reduced_densities(state: StateVector, keeps) -> np.ndarray:
-    """Reduced density matrices of a pure state, one per keep (all of one
-    size), as a read-only (m, d, d) stack checked once (Hermitian, trace, PSD):
-    M M† for M the state reshaped to (keep | rest), keep in the order given."""
+    """Reduced density matrices of a pure state, one per keep (all of one size),
+    as a read-only (m, d, d) stack, not checked again (the state was checked when
+    built): M M† for M the state reshaped to (keep | rest), keep in the order given."""
     psi = state.tensor_view()
     blocks = []
     for keep in keeps:
@@ -279,7 +279,6 @@ def reduced_densities(state: StateVector, keeps) -> np.ndarray:
         raise ContractError("reduced_densities needs one or more keeps of one size")
     m = np.stack(blocks)
     rho = m @ np.swapaxes(m, -1, -2).conj()
-    _require_densities(rho)
     rho.setflags(write=False)
     return rho
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entqc import entanglement
 from entqc.channel import builtin_channel, generalized_ghz
 from entqc.entanglement import (
     CHANNEL_PAIRS,
@@ -349,6 +350,33 @@ def test_minimize_witness_respects_global_bound():
     floor = 0.75 - hermitian_eigenvalues(rho.matrix).max()
     result = minimize_witness(rho, restarts=8, seed=2)
     assert result.min_value >= floor - 1e-9
+
+
+def repro_witness_cases():
+    """The `repro` witness section's six inputs at seed 7: four triads, the
+    planted GHZ state and I/8."""
+    state = reference_channel()
+    cases = [reduced_density(state, triad).matrix for triad in CHANNEL_TRIADS]
+    phi = witness_state(np.random.default_rng([7, 4242]).uniform(0.0, 2.0 * np.pi, 9))
+    return cases + [np.outer(phi, phi.conj()), np.eye(8) / 8.0]
+
+
+def test_minimize_witness_reaches_the_certificate_below_the_sweep_cap(monkeypatch):
+    sweeps, ascend = [], entanglement._ascend_batch
+
+    def counted(m, rots):
+        result = ascend(m, rots)
+        sweeps.append(result[1])
+        return result
+
+    monkeypatch.setattr(entanglement, "_ascend_batch", counted)
+    for rho in repro_witness_cases():
+        result = minimize_witness(rho, restarts=64, seed=7)
+        # 3/4 - lambda_max(rho) bounds the witness from below; all six reach it
+        floor = 0.75 - np.linalg.eigvalsh(rho).max()
+        assert abs(result.min_value - floor) <= 1e-12
+        assert witness_value(rho, result.parameters) == result.min_value
+    assert len(sweeps) == 6 and max(sweeps) < entanglement.MAX_SWEEPS
 
 
 def test_minimize_witness_validates_restarts():

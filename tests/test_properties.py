@@ -1,4 +1,5 @@
-"""Property-based invariants of the stacked analysis primitives.
+"""Property-based invariants of the stacked analysis primitives and the
+witness search's Euler-angle read-out.
 
 Hypothesis draws the sizes, seeds and state families; every numpy draw comes
 from a seeded generator. The settings are fixed and derandomized, with no
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entqc.entanglement import three_tangle
+from entqc.entanglement import _euler_angles, _euler_columns, three_tangle, witness_state
 from entqc.tensor import (
     DensityMatrix,
     StateVector,
@@ -69,3 +70,17 @@ def test_stacked_three_tangle_is_invariant_under_local_unitaries(family, n, seed
         assert np.abs(tangles - np.sin(2.0 * t) ** 2).max() <= 1e-12
     elif family == "w":
         assert tangles.max() <= 1e-12
+
+
+ANGLES = st.floats(min_value=-4.0 * np.pi, max_value=4.0 * np.pi, allow_nan=False)
+# b = 0 and b = pi are the Euler chart's singular points
+TILTS = st.one_of(st.sampled_from([0.0, np.pi]), ANGLES)
+
+
+@PROPERTY_SETTINGS
+@given(angles=st.lists(st.tuples(ANGLES, TILTS, ANGLES), min_size=3, max_size=3))
+def test_euler_read_out_reproduces_the_witness_state(angles):
+    params = np.array(angles, dtype=float).reshape(1, 9)
+    read_out = _euler_angles(_euler_columns(params))
+    overlap = np.vdot(witness_state(read_out[0]), witness_state(params[0]))
+    assert abs(abs(overlap) - 1.0) <= 1e-12

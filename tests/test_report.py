@@ -62,7 +62,7 @@ def test_full_report_passes_within_time_budget():
         if row["pass"] is False
     ]
     assert failing == []
-    assert elapsed < 60.0, f"verification suite took {elapsed:.1f}s"
+    assert elapsed < 5.0, f"verification suite took {elapsed:.1f}s"
     assert_matches_golden(json.loads(render_json(doc)))
 
 

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from entqc.entanglement import pair_analysis
 from entqc.tensor import (
+    ATOL,
     ContractError,
     _require_densities,
     DensityMatrix,
@@ -164,6 +166,17 @@ def test_reduced_densities_stack_keeps_of_one_size():
         reduced_densities(s, [("q", "q")])
 
 
+def test_marginals_of_an_edge_normalized_state_are_accepted():
+    # |psi| = 1 + 0.9e-12 passes the constructor's norm check, so its
+    # marginals (trace 1 + 1.8e-12) must not be rejected by a second check
+    amps = haar_random_state(4, np.random.default_rng(11)) * (1.0 + 0.9e-12)
+    s = state("abcd", amps)
+    stack = reduced_densities(s, [("a", "b"), ("c", "d")])
+    assert np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).max() > ATOL
+    assert np.array_equal(reduced_density(s, ("c", "d")).matrix, stack[1])
+    assert pair_analysis(s, ("a", "b")).reduced.register.labels == ("a", "b")
+
+
 def test_partial_trace_is_trace_preserving():
     rng = np.random.default_rng(4)
     for _ in range(25):
@@ -291,7 +304,7 @@ def test_density_matrix_validation():
     (np.diag([1.5, -0.5]), "negative eigenvalue"),
 ])
 def test_density_checks_cover_every_member_of_a_stack(bad, message):
-    # the check that reduced_densities runs once on its whole stack
+    # the density checks run on one matrix or on a whole stack at once
     stack = np.stack([np.eye(2) / 2.0, np.diag([1.0, 0.0]), bad]).astype(complex)
     _require_densities(stack[:2])
     with pytest.raises(ContractError, match=message):

@@ -1,9 +1,9 @@
 """Time the command line's layers in process: parser, renderers, `cli.main`
 (`teleport`, `analyze` and each `repro` section), the batched protocol
-kernels, the stacked analysis calls (with their n = 1 wrappers looped over the
-same items) and the `repro` section builders; and, as one-shot use pays them,
-a first `cli.main` call (parser built anew) and a whole `python -m entqc.cli`
-process.
+kernels and the protocol's object API, the stacked analysis calls (with
+their n = 1 wrappers looped over the same items) and the `repro` section
+builders; and, as one-shot use pays them, a first `cli.main` call (parser
+built anew) and a whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -55,7 +55,7 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from entqc import cli, entanglement, report, teleport  # noqa: E402
-from entqc.channel import bell_transform_matrix, builtin_channel  # noqa: E402
+from entqc.channel import ChannelSpec, bell_transform_matrix, builtin_channel  # noqa: E402
 from entqc.tensor import haar_draws, operator_schmidt_rank, reduced_densities, reduced_density  # noqa: E402
 
 REPEATS = 7
@@ -105,9 +105,12 @@ def _process(argv) -> float:
 def protocol_kernels() -> dict:
     """The batched protocol kernels on the `repro` sections' input sizes:
     the teleport sweep (T = 1 002), one `teleport` call (T = 1) and the
-    invariance section (n = 100 transforms, per-trial corrections)."""
+    invariance section (n = 100 transforms, per-trial corrections); and the
+    object API on the sweep's first draw: `teleport_all_outcomes` (sixteen
+    TeleportOutcomes) and the checked basis `measurement_basis` builds."""
     dressings, unknowns = haar_draws(2, [int(SEED), 1], 1002, 1)
     dressings = dressings[:, 0]
+    spec, unknown = ChannelSpec(dressings[0]), teleport.UnknownState(unknowns[0])
     pairs, inputs = haar_draws(2, [int(SEED), 2], 100, 2)
     kets = teleport.measurement_kets(bell_transform_matrix())
     sigma = teleport.standard_corrections().ops
@@ -124,6 +127,9 @@ def protocol_kernels() -> dict:
             _per_call(lambda: teleport.invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])) * 1e6,
         "teleport.run_protocol_batch.per_trial.T100.us":
             _per_call(lambda: teleport.run_protocol_batch(inputs, t_kets, physical, recovery)) * 1e6,
+        "teleport.teleport_all_outcomes.us":
+            _per_call(lambda: teleport.teleport_all_outcomes(unknown, spec)) * 1e6,
+        "teleport.measurement_basis.us": _per_call(lambda: teleport.measurement_basis(spec)) * 1e6,
     }
 
 

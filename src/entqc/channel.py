@@ -19,6 +19,7 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
+    _unitary_stack,
     kron,
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -112,13 +113,8 @@ class GhzSpec:
         bases = self.local_bases or (I2, I2, I2, I2)
         if len(bases) != 4:
             raise ContractError("need one basis pair per qubit (four total)")
-        bases = tuple(
-            require_unitary(b, what="local basis pair") for b in bases
-        )
-        for b in bases:
-            if b.shape != (2, 2):
-                raise ContractError("local basis pairs must be 2x2")
-        object.__setattr__(self, "local_bases", bases)
+        bases = _unitary_stack(bases, (2, 2), "local basis pair", "local basis pairs must be 2x2")
+        object.__setattr__(self, "local_bases", tuple(bases))
 
 
 def generalized_ghz(spec: GhzSpec = GhzSpec()) -> StateVector:

@@ -37,7 +37,7 @@ from .report import (
     check,
     section,
 )
-from .tensor import ContractError, LabelError, reduced_densities
+from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, reduced_densities
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
 
@@ -195,7 +195,8 @@ def _parse_state_arg(text: str) -> UnknownState:
         reals = [float(p) for p in parts]
     except ValueError as exc:
         raise ContractError(f"--state entries must be numbers: {exc}") from exc
-    norm = float(np.linalg.norm(reals))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norm = float(np.linalg.norm(reals))
     dev = abs(norm - 1.0)
     if dev > STATE_NORM_LIMIT:
         raise ContractError(
@@ -310,6 +311,7 @@ def cmd_analyze(args) -> int:
             check(f"triad {tag} component fidelities", fids),
             check(f"triad {tag} three-tangles", tangles),
         ]
+        rho = DensityMatrix._checked(QubitRegister(triad), rho)  # a marginal of a checked state
         result = minimize_witness(rho, restarts=args.restarts, seed=seed)
         witness_checks += [
             check(f"triad {tag} witness minimum", result.min_value),

@@ -28,7 +28,6 @@ from .tensor import (
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
-    require_hermitian,
 )
 
 #: a pair is declared entangled iff its minimum PT eigenvalue is below this
@@ -211,6 +210,8 @@ _HALF_Z = -0.5j * SIGMA_Z
 def _angle_stack(rotation_params) -> tuple[np.ndarray, bool]:
     """Angles as an (n, 9) stack, and whether one point of shape (9,) was given."""
     params = np.asarray(rotation_params, dtype=float)
+    if not np.all(np.isfinite(params)):
+        raise ContractError("rotation parameters contain non-finite entries")
     if params.shape == (9,):
         return params[None, :], True
     if params.ndim != 2 or params.shape[1] != 9:
@@ -230,19 +231,19 @@ def witness_state(rotation_params) -> np.ndarray:
 
 
 def _density8(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        if rho.register.size != 3:
-            raise ContractError("the witness acts on three-qubit density matrices")
-        return rho.matrix
-    m = require_hermitian(rho, what="density matrix")
-    if m.shape != (8, 8):
-        raise ContractError("the witness acts on 8x8 density matrices")
-    return m
+    """A three-qubit DensityMatrix's matrix as it is; any other input is checked as one."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(QubitRegister(("q1", "q2", "q3")), rho)
+    if rho.register.size != 3:
+        raise ContractError("the witness acts on three-qubit density matrices")
+    return rho.matrix
 
 
 def witness_value(rho, rotation_params):
-    """Witness expectation 3/4 - <phi|rho|phi> at the given rotation angles;
-    angles (9,) give a float, a stack (n, 9) an (n,) array in one pass."""
+    """Witness expectation 3/4 - <phi|rho|phi> at the given finite rotation angles;
+    angles (9,) give a float, a stack (n, 9) an (n,) array in one pass. `rho` is
+    a three-qubit DensityMatrix or an (8, 8) array checked as a density matrix
+    (Hermitian, unit trace, positive semidefinite)."""
     m = _density8(rho)
     params, single = _angle_stack(rotation_params)
     values = _batch_value(m, params)
@@ -310,8 +311,8 @@ def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
 
 
 def witness_gradient(rho, rotation_params) -> np.ndarray:
-    """Analytic gradient of witness_value in the 9 rotation angles;
-    angles (9,) give (9,), a stack (n, 9) gives (n, 9) in one pass."""
+    """Analytic gradient of witness_value (same `rho` and angles) in the 9 rotation
+    angles: (9,) give (9,), a stack (n, 9) gives (n, 9) in one pass."""
     m = _density8(rho)
     params, single = _angle_stack(rotation_params)
     _, grad = _batch_value_grad(m, params)
@@ -361,9 +362,10 @@ def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchRes
     """Multi-start block-coordinate ascent of the overlap over local rotations
     (`_ascend_batch`), read out as 9 Euler angles.
 
-    Each restart draws its starting angles from its own stream derived from
-    (seed, restart index), so results do not depend on execution order. The
-    reported value is `witness_value` at the reported angles.
+    `rho` is as for `witness_value`. Each restart draws its starting angles from
+    its own stream derived from (seed, restart index), so results do not depend
+    on execution order. The reported value is `witness_value` at the reported
+    angles.
     """
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ContractError(f"restarts must lie in 1..{MAX_RESTARTS}, got {restarts}")

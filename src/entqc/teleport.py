@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CHANNEL_LABELS, SENDER_LABELS, ChannelSpec, dressed_channel, epr_amplitudes
+from .channel import CHANNEL_LABELS, RECEIVER_LABELS, SENDER_LABELS, ChannelSpec, epr_amplitudes
 from .tensor import (
     ATOL,
     EIG_ATOL,
@@ -24,9 +24,10 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
+    _require,
+    _unitary_stack,
     haar_random_state,
     kron,
-    require_unitary,
 )
 
 UNKNOWN_LABELS = ("U1", "U2")
@@ -84,13 +85,6 @@ def _outcome_index(outcome) -> int:
     return _OUTCOME_INDEX[key]
 
 
-def _unitary_stack(ops, what: str, wrong_shape: str) -> np.ndarray:
-    """A checked (n, 4, 4) stack; shapes are read first, so a ragged set fails as `wrong_shape`."""
-    if any(np.shape(op) != (4, 4) for op in ops):
-        raise ContractError(wrong_shape)
-    return require_unitary(ops, what=what)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """Sixteen joint-measurement kets on (A1,A2,U1,U2), in OUTCOMES order.
@@ -112,15 +106,9 @@ class MeasurementBasis:
         amps = _as_complex(kets, "basis").copy()
         if amps.shape != (16, 16):
             raise ContractError(f"a measurement basis is 16 kets of 16 amplitudes, got {amps.shape}")
-        # the Gram diagonal also checks each ket's norm
-        gram_dev = np.abs(amps @ amps.conj().T - np.eye(16)).max()
-        if gram_dev > ATOL:
-            raise ContractError(f"basis is not orthonormal: deviation {gram_dev:.3e}")
-        complete_dev = np.abs(amps.T @ amps.conj() - np.eye(16)).max()
-        if complete_dev > ATOL:
-            raise ContractError(
-                f"basis projectors do not resolve the identity: {complete_dev:.3e}"
-            )
+        # rows orthonormal (the Gram diagonal also checks each ket's norm) and columns
+        # complete (the projectors resolve the identity): one stacked unitarity check
+        _require(np.stack([amps.T, amps]), "unitary", ATOL, "basis is not orthonormal and complete")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -149,7 +137,7 @@ class CorrectionTable:
         ops = self.ops if isinstance(self.ops, np.ndarray) else tuple(self.ops)
         if len(ops) != 16:
             raise ContractError(f"a correction table has 16 entries, got {len(ops)}")
-        ops = _unitary_stack(ops, "correction", "corrections act on two qubits (4x4)")
+        ops = _unitary_stack(ops, (4, 4), "correction", "corrections act on two qubits (4x4)")
         object.__setattr__(self, "ops", ops)
 
     def op(self, outcome) -> np.ndarray:
@@ -162,6 +150,8 @@ class CorrectionTable:
 #: the sixteen sigma-pairs in OUTCOMES order: the standard correction table
 _STANDARD_CORRECTIONS = CorrectionTable([pauli_pair(a, b) for a, b in OUTCOMES])
 _SIGMA_PAIRS = _STANDARD_CORRECTIONS.ops
+#: the series-form basis: kets sigma-pair^T / 2 on bare EPR pairs, one for every channel
+_SERIES_BASIS = MeasurementBasis(epr_amplitudes(_SIGMA_PAIRS).reshape(16, 16))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,6 +270,13 @@ def corrections_from(
     return CorrectionTable(recovery_ops(basis.amplitudes.reshape(16, 4, 4), channel))
 
 
+def _outcomes(labels, batch) -> list[TeleportOutcome]:
+    """The sixteen TeleportOutcomes of a T = 1 `run_protocol_batch` result."""
+    probabilities, bob, corrected = (a[0] for a in batch)
+    bobs, fixed = _states(labels, bob), _states(labels, corrected)
+    return list(map(TeleportOutcome, OUTCOMES, probabilities.tolist(), bobs, fixed))
+
+
 def run_protocol(
     unknown: UnknownState,
     basis: MeasurementBasis,
@@ -288,24 +285,16 @@ def run_protocol(
 ) -> list[TeleportOutcome]:
     """Simulate all sixteen outcomes of one protocol variant end to end."""
     rest, channel = _channel_matrix(channel_state)
-    probabilities, bob, corrected = run_protocol_batch(
-        unknown.coefficients[None], basis.amplitudes.reshape(1, 16, 4, 4),
-        channel[None], corrections.ops,
-    )
-    bobs, fixed = _states(rest, bob[0]), _states(rest, corrected[0])
-    return list(map(TeleportOutcome, OUTCOMES, probabilities[0].tolist(), bobs, fixed))
+    kets = basis.amplitudes.reshape(1, 16, 4, 4)
+    batch = run_protocol_batch(unknown.coefficients[None], kets, channel[None], corrections.ops)
+    return _outcomes(rest, batch)
 
 
-def teleport_all_outcomes(
-    unknown: UnknownState, channel: ChannelSpec
-) -> list[TeleportOutcome]:
-    """The standard protocol: dressed basis, dressed channel, sigma corrections."""
-    return run_protocol(
-        unknown,
-        measurement_basis(channel),
-        dressed_channel(channel),
-        standard_corrections(),
-    )
+def teleport_all_outcomes(unknown: UnknownState, channel: ChannelSpec) -> list[TeleportOutcome]:
+    """The standard protocol (dressed basis, dressed channel, sigma corrections):
+    `standard_protocol_batch` at T = 1, on the spec's checked dressing."""
+    return _outcomes(RECEIVER_LABELS, standard_protocol_batch(
+        unknown.coefficients[None], channel.dressing[None]))
 
 
 def invariance_transform(
@@ -318,7 +307,8 @@ def invariance_transform(
     sixteen channel states; per-pair transfer blocks and protocol statistics
     are unchanged.
     """
-    wl, wr = _unitary_stack((w_l, w_r), "w_l or w_r", "w_l and w_r must be two-qubit (4x4) unitaries")
+    wl, wr = _unitary_stack((w_l, w_r), (4, 4), "w_l or w_r",
+                            "w_l and w_r must be two-qubit (4x4) unitaries")
     kets, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, wl, wr)
     return MeasurementBasis(kets.reshape(16, 16)), _states(CHANNEL_LABELS, channels)
 
@@ -332,8 +322,7 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
     channel, the protocol still achieves unit fidelity. By the EPR-pair
     identity the kets are sigma-pair^T / 2, the corrections sigma-pair . D†.
     """
-    table = CorrectionTable(_SIGMA_PAIRS @ channel.dressing.conj().T)
-    return MeasurementBasis(epr_amplitudes(_SIGMA_PAIRS).reshape(16, 16)), table
+    return _SERIES_BASIS, CorrectionTable(_SIGMA_PAIRS @ channel.dressing.conj().T)
 
 
 def split_schmidt_coefficients(basis: MeasurementBasis) -> dict:
@@ -370,15 +359,13 @@ def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:
     if channel_state.register.size != 4:
         raise ContractError("povm_check expects a four-qubit state")
     k = channel_state.amplitudes.reshape(4, 4)
-    if np.abs(k @ k.conj().T - np.eye(4) / 4.0).max() > EIG_ATOL:
-        raise ContractError(
-            "povm_check expects a maximally entangled state across its "
-            "first-two/last-two split"
-        )
+    # K K† = 1/4 exactly when 2 K^T is unitary, at 4 times the deviation
+    _require(2.0 * k.T, "unitary", 4 * EIG_ATOL, "povm_check expects a maximally entangled "
+             "state across its first-two/last-two split")
     members = tuple(unitary_set)
     if not members:
         raise ContractError("the unitary set must be non-empty")
-    ops = _unitary_stack(members, "set member", "set members must be two-qubit (4x4) unitaries")
+    ops = _unitary_stack(members, (4, 4), "set member", "set members must be two-qubit (4x4) unitaries")
     twirled = (k @ ops.transpose(0, 2, 1)).reshape(len(ops), 16)
     acc = twirled.T @ twirled.conj() / len(ops)
     deviation = float(np.abs(acc - np.eye(16) / 16.0).max())

@@ -39,6 +39,21 @@ def _as_complex(a, what: str = "array") -> np.ndarray:
     return arr
 
 
+def _require(m: np.ndarray, of: str, tol: float, fault: str) -> None:
+    """Raise ContractError(fault) unless max |m† m - 1| (of="unitary"), |m - m†| ("hermitian")
+    or |tr m - 1| ("trace") over a matrix or a stack (..., n, n) is within `tol`. Overflow
+    gives inf or NaN without a numpy warning, and `not dev <= tol` rejects both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if of == "trace":
+            diff = np.trace(m, axis1=-2, axis2=-1) - 1.0
+        else:
+            adjoint = np.swapaxes(m, -1, -2).conj()
+            diff = adjoint @ m - np.eye(m.shape[-1]) if of == "unitary" else m - adjoint
+        dev = np.abs(diff).max(initial=0.0)
+    if not dev <= tol:
+        raise ContractError(f"{fault}: deviation {dev:.3e} > {tol:g}")
+
+
 def kron(*factors) -> np.ndarray:
     """Kronecker product of one or more vectors/matrices, left to right."""
     if not factors:
@@ -51,13 +66,17 @@ def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray
     u = _as_complex(m, what).copy()
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ContractError(f"{what} is not square: shape {u.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.swapaxes(u.conj(), -1, -2) @ u
-        dev = np.abs(gram - np.eye(u.shape[-1])).max(initial=0.0)
-    if not dev <= tol:  # a NaN deviation fails too
-        raise ContractError(f"{what} is not unitary: deviation {dev:.3e} > {tol:g}")
+    _require(u, "unitary", tol, f"{what} is not unitary")
     u.setflags(write=False)
     return u
+
+
+def _unitary_stack(ops, shape, what: str, wrong_shape: str) -> np.ndarray:
+    """A checked read-only stack of unitaries, each of `shape`; shapes are read
+    first, so a ragged set fails as `wrong_shape`."""
+    if any(np.shape(op) != shape for op in ops):
+        raise ContractError(wrong_shape)
+    return require_unitary(ops, what=what)
 
 
 def require_hermitian(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray:
@@ -65,10 +84,7 @@ def require_hermitian(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarr
     h = _as_complex(m, what).copy()
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ContractError(f"{what} is not square: shape {h.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = np.abs(h - h.conj().T).max()
-    if not dev <= tol:  # a NaN deviation fails too
-        raise ContractError(f"{what} is not Hermitian: deviation {dev:.3e} > {tol:g}")
+    _require(h, "hermitian", tol, f"{what} is not Hermitian")
     h.setflags(write=False)
     return h
 
@@ -210,12 +226,9 @@ def partial_inner(bra: StateVector, ket: StateVector):
 def _require_densities(m: np.ndarray) -> None:
     """Hermitian, unit-trace and positive-semidefinite checks of a matrix or a
     stack (..., d, d), each over the whole stack (one stacked `eigvalsh`)."""
-    if np.abs(m - np.swapaxes(m, -1, -2).conj()).max() > ATOL:
-        raise ContractError("density matrix is not Hermitian")
-    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    if off.max() > ATOL:
-        raise ContractError(f"density matrix trace is not 1 (off by {off.max():.3e})")
-    if np.linalg.eigvalsh(m).min() < -EIG_ATOL:
+    _require(m, "hermitian", ATOL, "density matrix is not Hermitian")
+    _require(m, "trace", ATOL, "density matrix trace is not 1")
+    if not np.linalg.eigvalsh(m).min() >= -EIG_ATOL:
         raise ContractError("density matrix has a negative eigenvalue")
 
 
@@ -302,8 +315,7 @@ def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues in ascending order; input must be Hermitian."""
-    h = require_hermitian(m, tol=EIG_ATOL)
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(require_hermitian(m, tol=EIG_ATOL))
 
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:

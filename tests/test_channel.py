@@ -157,6 +157,8 @@ def test_ghz_spec_validation():
         GhzSpec(local_bases=(np.ones((2, 2)),) * 4)  # not unitary
     with pytest.raises(ContractError):
         GhzSpec(local_bases=(np.eye(2),))  # wrong count
+    with pytest.raises(ContractError, match="2x2"):  # shapes are read before unitarity
+        GhzSpec(local_bases=(np.eye(2),) * 3 + (np.ones((4, 4)),))
 
 
 @pytest.mark.parametrize("amplitudes", [(np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan),

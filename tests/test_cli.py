@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -78,11 +79,13 @@ def test_teleport_state_near_normalized_warns(capsys):
 
 
 def test_teleport_state_far_from_normalized_fails(capsys):
-    code, out, err = run(
-        capsys, ["teleport", "--channel", "epr", "--state", "2,0,0,0,0,0,0,0"]
-    )
-    assert code == 2
-    assert "norm" in err
+    # the second norm overflows to inf: rejected with a message and no numpy warning
+    for state in ("2,0,0,0,0,0,0,0", "1e300,0,0,0,0,0,0,0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["teleport", "--channel", "epr", "--state", state])
+        assert code == 2
+        assert "norm" in err
 
 
 @pytest.mark.parametrize(

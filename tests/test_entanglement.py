@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,21 @@ def test_witness_rejects_bad_inputs():
         for witness in (witness_value, witness_gradient):
             with pytest.raises(ContractError):
                 witness(np.eye(8) / 8.0, np.zeros(shape))
+    # an (8, 8) array is checked as a density matrix: trace 8, trace 2, not positive
+    for rho in (np.eye(8), 2 * np.eye(8) / 8.0, np.diag([1, 1, 1, 1, -1, -1, 1, -1]) / 2.0):
+        with pytest.raises(ContractError, match="trace is not 1|negative eigenvalue"):
+            witness_value(rho, np.zeros(9))
+        with pytest.raises(ContractError, match="trace is not 1|negative eigenvalue"):
+            minimize_witness(rho, restarts=1)
+    # non-finite angles fail as amplitudes do, without a numpy warning
+    flat = np.eye(8) / 8.0
+    calls = (lambda p: witness_value(flat, p), lambda p: witness_gradient(flat, p), witness_state)
+    for params in (np.full(9, np.nan), np.full(9, np.inf), np.full((2, 9), -np.inf)):
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractError, match="non-finite"):
+                    call(params)
 
 
 def test_witness_gradient_matches_finite_differences():

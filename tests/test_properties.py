@@ -1,5 +1,5 @@
-"""Property-based invariants of the stacked analysis primitives and the
-witness search's Euler-angle read-out.
+"""Property-based invariants of the stacked analysis primitives, the
+witness search's Euler-angle read-out and the standard protocol.
 
 Hypothesis draws the sizes, seeds and state families; every numpy draw comes
 from a seeded generator. The settings are fixed and derandomized, with no
@@ -11,10 +11,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entqc.channel import ChannelSpec, dressed_channel
 from entqc.entanglement import _euler_angles, _euler_columns, three_tangle, witness_state
+from entqc.teleport import (
+    UnknownState,
+    measurement_basis,
+    run_protocol,
+    standard_corrections,
+    teleport_all_outcomes,
+)
 from entqc.tensor import (
     DensityMatrix,
     StateVector,
+    fidelity_pure,
     haar_random_state,
     haar_unitaries,
     partial_trace,
@@ -84,3 +93,28 @@ def test_euler_read_out_reproduces_the_witness_state(angles):
     read_out = _euler_angles(_euler_columns(params))
     overlap = np.vdot(witness_state(read_out[0]), witness_state(params[0]))
     assert abs(abs(overlap) - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=SEEDS)
+def test_teleport_all_outcomes_is_the_standard_protocol(seed):
+    rng = np.random.default_rng(seed)
+    spec = ChannelSpec(haar_unitaries(rng.standard_normal((2, 4, 4))))
+    unknown = UnknownState(haar_random_state(2, rng))
+    outcomes = teleport_all_outcomes(unknown, spec)
+    # the same bits as the object path: checked basis, dressed channel state, sigma-pairs
+    reference = run_protocol(unknown, measurement_basis(spec), dressed_channel(spec),
+                             standard_corrections())
+    for out, ref in zip(outcomes, reference, strict=True):
+        assert out.outcome == ref.outcome and out.probability == ref.probability
+        for mine, theirs in ((out.bob_state, ref.bob_state), (out.corrected_state, ref.corrected_state)):
+            assert mine.register == theirs.register
+            assert np.array_equal(mine.amplitudes, theirs.amplitudes)
+    probabilities = np.array([out.probability for out in outcomes])
+    bob = np.array([out.bob_state.amplitudes for out in outcomes])
+    assert np.abs(probabilities - 1.0 / 16.0).max() <= 1e-12
+    for out in outcomes:
+        assert abs(fidelity_pure(out.corrected_state, unknown.as_state()) - 1.0) <= 1e-12
+    # the receiver's outcome-averaged state is I/4: no signalling
+    marginal = np.einsum("g,gi,gj->ij", probabilities, bob, bob.conj())
+    assert np.abs(marginal - np.eye(4) / 4.0).max() <= 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,12 @@ def test_measurement_basis_rejects_nonorthogonal_kets():
     kets = measurement_basis(builtin_channel("epr").spec).kets
     with pytest.raises(ContractError):
         MeasurementBasis((kets[0],) * 16)
+    # Gram deviations that overflow to NaN fail too, without a numpy warning
+    for big in (1e200, 1e155):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="not orthonormal"):
+                MeasurementBasis(np.full((16, 16), big + big * 1j))
 
 
 def test_transfer_blocks_are_quarter_unitaries():

@@ -1,4 +1,5 @@
-"""Time the command line's layers in process: parser, renderers, `cli.main`
+"""Time the command line's layers in process: parser, renderers and
+channel resolution (built-in channel and channel file), `cli.main`
 (`teleport`, `analyze` and each `repro` section), the batched protocol
 kernels and the protocol's object API, the stacked analysis calls (with
 their n = 1 wrappers looped over the same items) and the `repro` section
@@ -26,6 +27,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from pathlib import Path
@@ -55,8 +57,8 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from entqc import cli, entanglement, report, teleport  # noqa: E402
-from entqc.channel import ChannelSpec, bell_transform_matrix, builtin_channel  # noqa: E402
-from entqc.tensor import haar_draws, operator_schmidt_rank, reduced_densities, reduced_density  # noqa: E402
+from entqc.channel import ChannelSpec, bell_transform_matrix, builtin_channel, resolve_channel  # noqa: E402
+from entqc.tensor import haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities, reduced_density  # noqa: E402
 
 REPEATS = 7
 SEED = "7"
@@ -159,17 +161,34 @@ def analysis_layers() -> dict:
     return {f"{name}.us": _per_call(fn) * 1e6 for name, fn in calls.items()}
 
 
-def measure() -> dict:
+def _channel_file(directory: str) -> str:
+    """A channel file as users write them: a Haar dressing as 16 [re, im]
+    pairs. Its teleport document holds about three times the distinct
+    floats of a built-in channel's."""
+    dressing = haar_random_unitary(2, [int(SEED), 3])
+    path = os.path.join(directory, "haar.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"name": "haar", "dressing": [[z.real, z.imag] for z in dressing.reshape(-1)]}, fh)
+    return path
+
+
+def measure(directory: str) -> dict:
     # on a parser that is built once per process, the un-cached builder
     build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
     parser = build()
+    channel_file = _channel_file(directory)
+    file_argv = ["teleport", "--channel", channel_file, "--seed", SEED]
     doc = json.loads(_quiet_main(TELEPORT_ARGV))
+    file_doc = json.loads(_quiet_main(file_argv))
     cfg = report.SuiteConfig()
     layers = {
         "cli.build_parser.us": _per_call(build) * 1e6,
         "cli.parse_args.us": _per_call(lambda: parser.parse_args(TELEPORT_ARGV)) * 1e6,
         "cli.render_json.teleport.us": _per_call(lambda: cli.render_json(doc)) * 1e6,
         "cli.render_text.teleport.us": _per_call(lambda: cli.render_text(doc)) * 1e6,
+        "cli.render_json.teleport_file.us": _per_call(lambda: cli.render_json(file_doc)) * 1e6,
+        "cli.render_text.teleport_file.us": _per_call(lambda: cli.render_text(file_doc)) * 1e6,
+        "channel.resolve_channel.file.us": _per_call(lambda: resolve_channel(channel_file)) * 1e6,
     }
     layers.update(protocol_kernels())
     layers.update(analysis_layers())
@@ -180,6 +199,7 @@ def measure() -> dict:
         "cli.main.teleport.json.ms": _per_call(lambda: _quiet_main(TELEPORT_ARGV)) * 1e3,
         "cli.main.teleport.text.ms":
             _per_call(lambda: _quiet_main(TELEPORT_ARGV + ["--format", "text"])) * 1e3,
+        "cli.main.teleport.file.json.ms": _per_call(lambda: _quiet_main(file_argv)) * 1e3,
         # one-shot use: what each `entqc` command pays
         "cli.main.teleport.json.first_call.ms": _per_call(lambda: _first_main(TELEPORT_ARGV)) * 1e3,
         "entqc.process.teleport.json.ms": _process(TELEPORT_ARGV) * 1e3,
@@ -201,8 +221,9 @@ def main() -> int:
             "blas_threads": ARGS.blas_threads,
         },
         "numpy": np.__version__,
-        **measure(),
     }
+    with tempfile.TemporaryDirectory() as directory:
+        result.update(measure(directory))
     text = json.dumps(result, indent=2) + "\n"
     Path(ARGS.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)

@@ -6,6 +6,7 @@ teleportation exactly when both two-qubit marginals are maximally mixed.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from .tensor import (
     StateVector,
     _as_complex,
     _unitary_stack,
-    kron,
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
     require_unitary,
@@ -119,9 +119,12 @@ class GhzSpec:
 
 def generalized_ghz(spec: GhzSpec = GhzSpec()) -> StateVector:
     """Sum of two orthogonal product branches with the spec's amplitudes."""
-    branch0 = kron(*(b[:, 0] for b in spec.local_bases))
-    branch1 = kron(*(b[:, 1] for b in spec.local_bases))
-    amps = spec.amplitudes[0] * branch0 + spec.amplitudes[1] * branch1
+    def branch(k):
+        # the flattened outer product of the four kets: their Kronecker
+        # product, the same numbers without a kron per factor
+        return functools.reduce(np.multiply.outer, [b[:, k] for b in spec.local_bases]).reshape(-1)
+
+    amps = spec.amplitudes[0] * branch(0) + spec.amplitudes[1] * branch(1)
     return StateVector(QubitRegister(CHANNEL_LABELS), amps)
 
 
@@ -141,11 +144,15 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
 
 @dataclass(frozen=True, eq=False)
 class ResolvedChannel:
-    """A named channel ready for use: spec (when dressed) plus its state."""
+    """A named channel ready for use: its spec when dressed (None for the
+    undressed GHZ channel) and its state, built on first read of `state`."""
 
     name: str
     spec: ChannelSpec | None
-    state: StateVector
+
+    @functools.cached_property
+    def state(self) -> StateVector:
+        return generalized_ghz() if self.spec is None else dressed_channel(self.spec)
 
 
 def builtin_channel(name: str) -> ResolvedChannel:
@@ -154,12 +161,12 @@ def builtin_channel(name: str) -> ResolvedChannel:
     elif name == "bell-transformed":
         spec = ChannelSpec(bell_transform_matrix(), name="bell-transformed")
     elif name == "ghz":
-        return ResolvedChannel("ghz", None, generalized_ghz())
+        spec = None
     else:
         raise ContractError(
             f"unknown channel {name!r}; built-ins: {', '.join(BUILTIN_CHANNELS)}"
         )
-    return ResolvedChannel(name, spec, dressed_channel(spec))
+    return ResolvedChannel(name, spec)
 
 
 def _complex_from_pair(node, what: str) -> complex:
@@ -226,7 +233,7 @@ def resolve_channel(arg: str) -> ResolvedChannel:
         return builtin_channel(arg)
     if arg.endswith(".json") or os.path.exists(arg):
         spec = load_channel_json(arg)
-        return ResolvedChannel(spec.name, spec, dressed_channel(spec))
+        return ResolvedChannel(spec.name, spec)
     raise ContractError(
         f"unknown channel {arg!r}; built-ins: {', '.join(BUILTIN_CHANNELS)} "
         "(or pass a .json spec file)"

@@ -50,60 +50,132 @@ STATE_NORM_LIMIT = 1e-6
 # ---------------------------------------------------------------------------
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
-_FLOATS = (float, np.floating)  # built once, not per _emit call
+_FLOATS = (float, np.floating)  # built once, not per call
 
 
-def _finite(text: str) -> str:
-    if text[-1] > "9":  # nan, inf, -inf: the only formatted floats ending in a letter
-        raise ContractError(f"cannot write the non-finite number {text}: report values must be finite")
-    return text
+def _float_formatter(memo: dict, spec: str):
+    """`fresh(x)`: format(x, spec) of a float x, which must be finite, kept in
+    `memo` so that each distinct value is formatted once: callers read
+    `memo.get(x) or fresh(x)`. Zeros are not kept (0.0 == -0.0 would share a
+    key); nan and inf are rejected, so never kept."""
+    def fresh(x: float) -> str:
+        text = format(x, spec)
+        if text[-1] > "9":  # nan, inf, -inf: the only formatted floats ending in a letter
+            raise ContractError(f"cannot write the non-finite number {text}: report values must be finite")
+        if x:
+            memo[x] = text
+        return text
+    return fresh
 
 
-def _emit(value, out):
-    # the common kinds first: no float is also a str, dict, list or tuple, and
-    # no None, bool, int or complex is a container, so the order is free
-    if isinstance(value, _FLOATS):
-        text = format(float(value), ".17g")
-        out.append(text if text[-1] <= "9" else _finite(text))  # no call per finite float
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
-    elif isinstance(value, dict):
-        out.append("{")
+def _encoder():
+    """The JSON encoder of one rendering: `encode(value)` returns the text of
+    a value, floats at %.17g. Each distinct float, and each str dict key, is
+    formatted once per encoder; its memos go with it.
+
+    Exact floats, strings, ints, dicts and lists dispatch on their type, and
+    what a dict or list holds is written without a call through `emit` when
+    it is a float, a list or a dict (a dict's None, bool and str values too).
+    Anything else (numpy scalars, str/dict/tuple subclasses, complex
+    numbers, ndarrays) goes through the `isinstance` chain.
+    """
+    memo: dict = {}
+    known, fresh = memo.get, _float_formatter(memo, ".17g")
+    keys: dict = {}
+    out: list[str] = []
+    append = out.append
+
+    def key_text(key) -> str:
+        text = _encode_str(str(key)) + ": "
+        if type(key) is str:
+            keys[key] = text
+        return text
+
+    def mapping(value):
+        append("{")
         sep = ""
         for key, item in value.items():
-            out.append(sep)
-            out.append(_encode_str(str(key)))
-            out.append(": ")
-            _emit(item, out)
+            append(sep)
+            append(keys.get(key) or key_text(key))
+            kind = type(item)
+            if kind is float:
+                append(known(item) or fresh(item))
+            elif kind is str:
+                append(_encode_str(item))
+            elif item is None:
+                append("null")
+            elif kind is bool:
+                append("true" if item else "false")
+            elif kind is list:
+                sequence(item)
+            elif kind is dict:
+                mapping(item)
+            else:
+                emit(item)
             sep = ", "
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
+        append("}")
+
+    def sequence(value):
+        append("[")
         sep = ""
         for item in value:
-            out.append(sep)
-            _emit(item, out)
+            append(sep)
+            kind = type(item)
+            if kind is float:
+                append(known(item) or fresh(item))
+            elif kind is list:
+                sequence(item)
+            elif kind is dict:
+                mapping(item)
+            else:
+                emit(item)
             sep = ", "
-        out.append("]")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (complex, np.complexfloating)):
-        _emit([float(value.real), float(value.imag)], out)
-    elif isinstance(value, np.ndarray):
-        _emit(value.tolist(), out)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
+        append("]")
+
+    def emit(value):
+        # no float is also a str, dict, list or tuple, and no None, bool, int
+        # or complex is a container, so the order of the kinds is free
+        kind = type(value)
+        if kind is float:
+            append(known(value) or fresh(value))
+        elif kind is str:
+            append(_encode_str(value))
+        elif kind is int:
+            append(str(value))
+        elif isinstance(value, dict):
+            mapping(value)
+        elif isinstance(value, (list, tuple)):
+            sequence(value)
+        elif value is None:
+            append("null")
+        elif isinstance(value, _FLOATS):
+            emit(float(value))
+        elif isinstance(value, str):
+            append(_encode_str(value))
+        elif isinstance(value, (bool, np.bool_)):
+            append("true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            append(str(int(value)))
+        elif isinstance(value, (complex, np.complexfloating)):
+            sequence([float(value.real), float(value.imag)])
+        elif isinstance(value, np.ndarray):
+            emit(value.tolist())
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+
+    def encode(value) -> str:
+        emit(value)
+        text = "".join(out)
+        out.clear()
+        return text
+
+    return encode
 
 
 def render_json(doc) -> str:
-    """Deterministic JSON: insertion order, floats as %.17g (finite only)."""
-    out: list[str] = []
-    _emit(doc, out)
-    return "".join(out) + "\n"
+    """Deterministic JSON: insertion order, floats as %.17g (finite only).
+    Each distinct float is formatted once per call; nothing outlives it."""
+    return _encoder()(doc) + "\n"
 
 
 def _verdict(passed) -> str:
@@ -112,23 +184,28 @@ def _verdict(passed) -> str:
     return "PASS" if passed else "FAIL"
 
 
-def _fmt_scalar(value) -> str:
-    if isinstance(value, _FLOATS):
-        return _finite(format(float(value), ".10g"))
-    if isinstance(value, (list, tuple, dict)):
-        out: list[str] = []
-        _emit(value, out)
-        return "".join(out)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def render_text(doc) -> str:
+    """The text report: a header, one `key=value` line of the document's
+    other top-level entries, then one line per check row. Scalars are
+    written at %.10g and lists, dicts and tuples as their JSON (%.17g), with
+    each distinct float formatted once per format and call."""
+    encode, memo = _encoder(), {}
+    known, fresh = memo.get, _float_formatter(memo, ".10g")
+
+    def scalar(value) -> str:
+        if isinstance(value, _FLOATS):
+            value = float(value)
+            return known(value) or fresh(value)
+        if isinstance(value, (list, tuple, dict)):
+            return encode(value)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
     kind = doc.get("report", "report")
     lines = [f"entqc {kind} report"]
     meta = [
-        f"{key}={_fmt_scalar(value)}"
+        f"{key}={scalar(value)}"
         for key, value in doc.items()
         if key not in ("report", "sections", "pass")
     ]
@@ -138,11 +215,11 @@ def render_text(doc) -> str:
         lines.append("")
         lines.append(f"[{_verdict(sec['pass'])}] section {sec['name']}")
         for row in sec["checks"]:
-            piece = f"  [{_verdict(row['pass'])}] {row['name']}: value={_fmt_scalar(row['value'])}"
+            piece = f"  [{_verdict(row['pass'])}] {row['name']}: value={scalar(row['value'])}"
             if row.get("target") is not None:
-                piece += f" target={_fmt_scalar(row['target'])}"
+                piece += f" target={scalar(row['target'])}"
             if row.get("tolerance") is not None:
-                piece += f" tolerance={_fmt_scalar(row['tolerance'])}"
+                piece += f" tolerance={scalar(row['tolerance'])}"
             lines.append(piece)
     if "pass" in doc:
         lines.append("")

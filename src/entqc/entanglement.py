@@ -182,7 +182,8 @@ def three_tangle(state):
     amps = state.amplitudes if isinstance(state, StateVector) else _as_complex(state, "state")
     if amps.shape[-1:] != (8,) or amps.ndim > 2:
         raise ContractError(f"three_tangle expects a state (8,) or a stack (n, 8), got {amps.shape}")
-    norms = np.linalg.norm(amps, axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+        norms = np.linalg.norm(amps, axis=-1)
     if np.any(np.abs(norms - 1.0) > ATOL):
         raise ContractError(f"state is not normalized: |psi| = {norms!r}")
     # Cayley's hyperdeterminant is the discriminant c1^2 - 4 c0 c2 of

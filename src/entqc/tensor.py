@@ -74,7 +74,8 @@ def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray
 def _unitary_stack(ops, shape, what: str, wrong_shape: str) -> np.ndarray:
     """A checked read-only stack of unitaries, each of `shape`; shapes are read
     first, so a ragged set fails as `wrong_shape`."""
-    if any(np.shape(op) != shape for op in ops):
+    shapes = (ops.shape[1:],) if isinstance(ops, np.ndarray) else map(np.shape, ops)
+    if any(member != shape for member in shapes):
         raise ContractError(wrong_shape)
     return require_unitary(ops, what=what)
 

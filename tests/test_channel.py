@@ -278,6 +278,25 @@ def test_resolve_channel_builtin_path_and_garbage(tmp_path):
     assert "bell-transformed" in str(err.value)
 
 
+def test_resolved_channel_builds_its_state_on_first_read(tmp_path):
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps({"dressing": _pairs(haar_random_unitary(2, 11))}))
+    resolved = resolve_channel(str(path))
+    assert "state" not in vars(resolved)  # resolving builds no state
+    state = resolved.state
+    assert resolved.state is state
+    ref = dressed_channel(resolved.spec)
+    assert state.register == ref.register
+    assert np.array_equal(state.amplitudes, ref.amplitudes)
+    # the undressed GHZ channel: (|0000> + |1111>)/sqrt2, as before
+    ghz = builtin_channel("ghz")
+    assert ghz.spec is None and "state" not in vars(ghz)
+    expected = np.zeros(16, dtype=complex)
+    expected[[0, 15]] = INV_SQRT2
+    assert ghz.state.register.labels == CHANNEL_LABELS
+    assert np.array_equal(ghz.state.amplitudes, expected)
+
+
 def test_resolved_channel_marginals_follow_dressing():
     state = builtin_channel("bell-transformed").state
     for pair in (("A1", "A2"), ("B1", "B2")):

@@ -7,18 +7,19 @@ invariance transform, the serial Euler/`np.kron` witness, the bit-loop EPR
 channel with its `apply_unitary` dressing, the series form as an invariance
 transform of the dressed protocol, the per-member `apply_unitary` POVM
 twirl, the report's per-trial teleport and invariance loops, its per-point
-gradient check, the per-ket Schmidt decompositions of a basis, the
-per-draw Haar samplers, the `isinstance`-chain JSON/text renderer, the
-protocol kernel that formed every (trial, outcome) transfer block and the
-four-product invariance transform, the tensordot reduced density, the
-per-pair PT and per-triad eigenspace analyses with the expanded
-hyperdeterminant, the per-operator operator-Schmidt SVD, the report's
-per-pair, per-triad and per-channel section bodies, and the Armijo steepest
-descent the witness search ran before its exact block-coordinate ascent. They
-are kept here, test-only, as the oracle. The batched code sums in a
-different order, so results are compared at a tolerance fixed beforehand from
-complex128 roundoff on 16-amplitude contractions; the renderer and the Haar
-unitaries must match exactly.
+gradient check, the per-ket Schmidt decompositions of a basis, the per-draw
+Haar samplers, the `isinstance`-chain JSON/text renderer (each float
+formatted afresh), the protocol kernel that formed every (trial, outcome)
+transfer block and the four-product invariance transform, the tensordot
+reduced density, the per-pair PT and per-triad eigenspace analyses with the
+expanded hyperdeterminant, the per-operator operator-Schmidt SVD, the
+report's per-pair, per-triad and per-channel section bodies, the Armijo
+steepest descent the witness search ran before its exact block-coordinate
+ascent, and the `np.kron` chain that built each GHZ branch. They are kept
+here, test-only, as the oracle. The batched code sums in a different order,
+so results are compared at a tolerance fixed beforehand from complex128
+roundoff on 16-amplitude contractions; the renderer, the Haar unitaries and
+the GHZ branches must match exactly.
 """
 import collections
 import itertools
@@ -27,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entqc import cli, report
 from entqc.channel import (
@@ -34,6 +37,7 @@ from entqc.channel import (
     CHANNEL_LABELS,
     RECEIVER_LABELS,
     ChannelSpec,
+    GhzSpec,
     bell_transform_matrix,
     builtin_channel,
     dressed_channel,
@@ -123,6 +127,13 @@ def ref_epr_pair_channel():
     for i in range(2):
         for j in range(2):
             amps[(i << 3) | (j << 2) | (i << 1) | j] = 0.5
+    return StateVector(QubitRegister(CHANNEL_LABELS), amps)
+
+
+def ref_generalized_ghz(spec):
+    """The GHZ channel with each branch as the `np.kron` chain of its kets."""
+    branches = [kron(*(b[:, k] for b in spec.local_bases)) for k in (0, 1)]
+    amps = spec.amplitudes[0] * branches[0] + spec.amplitudes[1] * branches[1]
     return StateVector(QubitRegister(CHANNEL_LABELS), amps)
 
 
@@ -820,6 +831,19 @@ def test_channels_match_bit_loop_and_apply_unitary():
         assert_states_close(dressed_channel(spec), ref_dressed_channel(spec))
 
 
+def test_generalized_ghz_matches_the_kron_chain_bit_for_bit():
+    specs = [GhzSpec()]
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 6])
+        t = rng.uniform(0.0, np.pi / 2)
+        specs.append(GhzSpec(amplitudes=(np.cos(t), np.sin(t)),
+                             local_bases=tuple(haar_random_unitary(1, rng) for _ in range(4))))
+    for spec in specs:
+        state, ref = generalized_ghz(spec), ref_generalized_ghz(spec)
+        assert state.register == ref.register
+        assert np.array_equal(state.amplitudes, ref.amplitudes)
+
+
 def test_series_form_matches_invariance_transform():
     for seed in SEEDS:
         _, spec, unknown = random_case(seed)
@@ -986,6 +1010,33 @@ def teleport_documents(monkeypatch, tmp_path):
     return docs
 
 
+def rows_document(*values, **meta):
+    """A report document with one check row per (value, target, tolerance)."""
+    rows = [{"name": f"row {i}", "value": value, "target": target, "tolerance": tolerance,
+             "pass": None} for i, (value, target, tolerance) in enumerate(values)]
+    return {"report": "rows", **meta, "sections": [{"name": "s", "checks": rows, "pass": True}]}
+
+
+# documents where a renderer that remembers its float texts could go wrong
+MEMO_DOCUMENTS = {
+    "one float across rows": rows_document(
+        *[(0.1, 0.1, 0.1)] * 3, ([0.1, [0.1]], 0.1, None), x=0.1, y=[0.1, 0.1]),
+    "signed zeros and the least subnormal": rows_document(
+        (0.0, -0.0, 5e-324), (-0.0, 0.0, -5e-324), ([0.0, -0.0, 5e-324], [-0.0, 0.0], None),
+        zeros=[0.0, -0.0, 5e-324, -0.0, 0.0], negated=[-0.0, 0.0, -5e-324, 0.0, -0.0]),
+    "numpy scalars equal to floats": rows_document(
+        (0.1, np.float64(0.1), np.float32(0.1)), (np.float64(-0.0), 0.0, np.float64(0.0)),
+        x=[np.float64(1 / 3), 1 / 3, np.float32(1 / 3)], y={"a": np.float64(0.1), "b": 0.1}),
+    # .10g for a text scalar, .17g inside a list: one value, two texts
+    "scalar and list texts": rows_document(
+        (1 / 3, [1 / 3], 1 / 3), ([1 / 3, 2 / 3], 2 / 3, [2 / 3]), x=1 / 3, y=[1 / 3]),
+    # equal keys and values of other types, and ints beyond a float's digits
+    "equal keys, big ints": rows_document(
+        ({1: 1.0, "1": 1}, [1, 1.0, True], 2**64 + 1),
+        x=[{1: 0}, {1.0: 0}, {True: 0}, {"1": 0}], y=[-(10**20), 10**20 + 1]),
+}
+
+
 def test_renderers_match_isinstance_chain(monkeypatch, tmp_path):
     # the seed-7 repro document: live, and as the golden file holds it
     golden_text = GOLDEN_REPORT.read_text(encoding="utf-8")
@@ -995,6 +1046,7 @@ def test_renderers_match_isinstance_chain(monkeypatch, tmp_path):
         golden,
         *teleport_documents(monkeypatch, tmp_path),
         odd_document(),
+        *MEMO_DOCUMENTS.values(),
     ]
     for doc in docs:
         assert cli.render_json(doc) == ref_render_json(doc)
@@ -1016,13 +1068,42 @@ def test_renderer_rejects_what_the_isinstance_chain_rejects(bad):
 def test_renderers_reject_non_finite_floats_as_the_oracle_does(bad):
     row = {"name": "x", "value": bad, "target": None, "tolerance": None, "pass": None}
     docs = [{"x": bad}, {"x": [1.0, [2.0, bad]]},
-            {"report": "r", "sections": [{"name": "s", "checks": [row], "pass": True}]}]
+            {"report": "r", "sections": [{"name": "s", "checks": [row], "pass": True}]},
+            # after the same float has been written, and remembered, twice
+            {"x": [0.5, 0.5, {"y": 0.5, "z": bad}]},
+            rows_document((0.5, 0.5, 0.5), ([0.5, 0.5], 0.5, None), (bad, 0.5, 0.5), x=0.5)]
     for doc in docs:
         for render, ref in ((cli.render_json, ref_render_json), (cli.render_text, ref_render_text)):
             with pytest.raises(ContractError):
                 ref(doc)
             with pytest.raises(ContractError, match="non-finite"):
                 render(doc)
+
+
+# a small pool, so that documents repeat their floats; signed zeros drawn most
+FLOAT_POOL = [0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 0.1, -0.1, 1 / 3, 0.0625, 1e-10, 1.0,
+              2.5e300, np.float64(0.1), np.float64(-0.0), np.float32(0.1)]
+LEAVES = (st.sampled_from(FLOAT_POOL) | st.none() | st.booleans() | st.integers(-3, 3)
+          | st.sampled_from(["a", "é"]))
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.sampled_from(["k", "v"]), inner, max_size=2),
+                      max_leaves=12)
+ROWS = st.fixed_dictionaries({"name": st.sampled_from(["r", "s"]), "value": VALUES,
+                              "target": VALUES, "tolerance": VALUES,
+                              "pass": st.sampled_from([None, True, False])})
+DOCUMENTS = st.builds(
+    lambda meta, rows, passed: {"report": "drawn", **meta,
+                                "sections": [{"name": "s", "checks": rows, "pass": passed}],
+                                "pass": passed},
+    st.dictionaries(st.sampled_from(["x", "y", "z"]), VALUES, max_size=3),
+    st.lists(ROWS, max_size=6), st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=DOCUMENTS)
+def test_renderers_match_isinstance_chain_on_drawn_documents(doc):
+    assert cli.render_json(doc) == ref_render_json(doc)
+    assert cli.render_text(doc) == ref_render_text(doc)
 
 
 # --- the protocol kernels against the per-(trial, outcome) products --------------

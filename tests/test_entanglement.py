@@ -238,6 +238,14 @@ def test_three_tangle_input_validation():
     assert three_tangle(np.stack([GHZ3, GHZ3])).shape == (2,)
 
 
+@pytest.mark.parametrize("amps", [np.full(8, 1e200), np.full((2, 8), 1e200 + 1e200j)])
+def test_three_tangle_rejects_an_overflowing_norm_without_a_warning(amps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="not normalized"):
+            three_tangle(amps)
+
+
 # --- witness values and gradient ----------------------------------------------
 
 def triad_density():

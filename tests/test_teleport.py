@@ -103,8 +103,10 @@ def test_basis_and_table_each_hold_one_read_only_array():
     table = standard_corrections()
     assert table.ops.shape == (16, 4, 4) and not table.ops.flags.writeable
     assert np.array_equal(CorrectionTable(list(table.ops)).ops, table.ops)
-    with pytest.raises(ContractError, match="two qubits"):
-        CorrectionTable([np.eye(4)] * 15 + [np.eye(2)])
+    # a ragged set, and ndarray stacks of the wrong member shape
+    for ops in ([np.eye(4)] * 15 + [np.eye(2)], np.zeros((16, 2, 2)), np.zeros((16, 4))):
+        with pytest.raises(ContractError, match=r"corrections act on two qubits \(4x4\)"):
+            CorrectionTable(ops)
 
 
 def test_measurement_basis_rejects_wrong_register():

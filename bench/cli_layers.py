@@ -1,10 +1,11 @@
-"""Time the command line's layers in process: parser, renderers and
-channel resolution (built-in channel and channel file), `cli.main`
-(`teleport`, `analyze` and each `repro` section), the batched protocol
-kernels and the protocol's object API, the stacked analysis calls (with
-their n = 1 wrappers looped over the same items) and the `repro` section
-builders; and, as one-shot use pays them, a first `cli.main` call (parser
-built anew) and a whole `python -m entqc.cli` process.
+"""Time the command line's layers in process: parser, renderers (on the
+documents `entqc teleport` builds) and channel resolution (built-in channel
+and channel file), `cli.main` (`teleport`, `analyze` and each `repro`
+section), the batched protocol kernels and the protocol's object API, the
+stacked analysis calls and witness kernels (with their n = 1 wrappers looped
+over the same items) and the `repro` section builders; and, as one-shot use
+pays them, a first `cli.main` call (parser built anew) and a whole
+`python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -82,6 +83,21 @@ def _quiet_main(argv):
     return out.getvalue()
 
 
+def _live_document(argv) -> dict:
+    """The document `cli.main(argv)` renders, as it was built: read back from
+    the JSON instead, every float that prints as an integer (1.0) would come
+    back as an int and take the renderer's int path."""
+    built, write = [], cli._write_document
+    cli._write_document = lambda doc, args: built.append(doc)
+    try:
+        code = cli.main(list(argv))
+    finally:
+        cli._write_document = write
+    if code != 0:
+        raise RuntimeError(f"entqc {' '.join(argv)} exited {code}")
+    return built[0]
+
+
 def _first_main(argv):
     """`cli.main` as the first call of a process makes it: parser built anew."""
     clear = getattr(cli.build_parser, "cache_clear", None)
@@ -107,8 +123,9 @@ def _process(argv) -> float:
 def protocol_kernels() -> dict:
     """The batched protocol kernels on the `repro` sections' input sizes:
     the teleport sweep (T = 1 002), one `teleport` call (T = 1) and the
-    invariance section (n = 100 transforms, per-trial corrections); and the
-    object API on the sweep's first draw: `teleport_all_outcomes` (sixteen
+    invariance section (n = 100 transforms, per-trial corrections, and the
+    transfer blocks of its 100 x 16 transformed pairs); and the object API
+    on the sweep's first draw: `teleport_all_outcomes` (sixteen
     TeleportOutcomes) and the checked basis `measurement_basis` builds."""
     dressings, unknowns = haar_draws(2, [int(SEED), 1], 1002, 1)
     dressings = dressings[:, 0]
@@ -121,6 +138,8 @@ def protocol_kernels() -> dict:
     recovery = teleport.recovery_ops(t_kets, physical[:, None])
     batch = teleport.standard_protocol_batch
     return {
+        "teleport.transfer_blocks.T100x16.us":
+            _per_call(lambda: teleport.transfer_blocks(t_kets, t_channels)) * 1e6,
         "teleport.standard_protocol_batch.T1.us":
             _per_call(lambda: batch(unknowns[:1], dressings[:1])) * 1e6,
         "teleport.standard_protocol_batch.T1002.us":
@@ -161,6 +180,31 @@ def analysis_layers() -> dict:
     return {f"{name}.us": _per_call(fn) * 1e6 for name, fn in calls.items()}
 
 
+def witness_layers() -> dict:
+    """The witness kernels on the `gradient` section's stack sizes (values at
+    1 800 shifted points, gradients at 100 points, on a triad marginal), and
+    the witness search on the `witness` section's six densities and
+    `analyze`'s four triads (64 restarts, seed 7): one stacked call, and its
+    n = 1 wrapper looped over the same densities."""
+    state = builtin_channel("bell-transformed").state
+    triads = reduced_densities(state, entanglement.CHANNEL_TRIADS)
+    rho = triads[0]
+    angles = np.random.default_rng([int(SEED), 3]).uniform(0.0, 2.0 * np.pi, (1800, 9))
+    planted = np.random.default_rng([int(SEED), 4242]).uniform(0.0, 2.0 * np.pi, 9)
+    phi = entanglement.witness_state(planted)
+    section = np.concatenate([triads, [np.outer(phi, phi.conj()), np.eye(8) / 8.0]])
+    search, serial = entanglement.stacked_minimize_witness, entanglement.minimize_witness
+    calls = {
+        "entanglement.witness_value.n1800": lambda: entanglement.witness_value(rho, angles),
+        "entanglement.witness_gradient.n100": lambda: entanglement.witness_gradient(rho, angles[:100]),
+        "entanglement.stacked_minimize_witness.m6": lambda: search(section, 64, int(SEED)),
+        "entanglement.minimize_witness.m6_serial": lambda: [serial(m, 64, int(SEED)) for m in section],
+        "entanglement.stacked_minimize_witness.m4": lambda: search(triads, 64, int(SEED)),
+        "entanglement.minimize_witness.m4_serial": lambda: [serial(m, 64, int(SEED)) for m in triads],
+    }
+    return {f"{name}.us": _per_call(fn) * 1e6 for name, fn in calls.items()}
+
+
 def _channel_file(directory: str) -> str:
     """A channel file as users write them: a Haar dressing as 16 [re, im]
     pairs. Its teleport document holds about three times the distinct
@@ -178,8 +222,8 @@ def measure(directory: str) -> dict:
     parser = build()
     channel_file = _channel_file(directory)
     file_argv = ["teleport", "--channel", channel_file, "--seed", SEED]
-    doc = json.loads(_quiet_main(TELEPORT_ARGV))
-    file_doc = json.loads(_quiet_main(file_argv))
+    doc = _live_document(TELEPORT_ARGV)
+    file_doc = _live_document(file_argv)
     cfg = report.SuiteConfig()
     layers = {
         "cli.build_parser.us": _per_call(build) * 1e6,
@@ -192,6 +236,7 @@ def measure(directory: str) -> dict:
     }
     layers.update(protocol_kernels())
     layers.update(analysis_layers())
+    layers.update(witness_layers())
     for name, builder in report.SECTION_BUILDERS.items():
         layers[f"report.section.{name}.ms"] = _per_call(lambda: builder(cfg)) * 1e3
 

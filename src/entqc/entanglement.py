@@ -3,11 +3,12 @@
 Pairwise positive-partial-transpose analysis, the triad decomposition into
 two orthogonal maximal-GHZ components, the three-tangle, and a GHZ-witness
 minimization over local rotations (multi-start, exact block-coordinate ascent
-on SU(2)^3). Pair and triad analyses run on stacks; `pair_analysis`,
-`triad_analysis` are n = 1 cases.
+on SU(2)^3). Pair and triad analyses and the witness search run on stacks;
+`pair_analysis`, `triad_analysis` and `minimize_witness` are n = 1 cases.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .tensor import (
     SIGMA_Z,
     StateVector,
     _as_complex,
+    _require_densities,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -51,6 +53,11 @@ CHANNEL_TRIADS = tuple(TRIAD_COMPONENT_SIGNS)
 
 #: most witness-search restarts per call; the batch allocation grows with it
 MAX_RESTARTS = 4096
+#: most rows (densities x restarts) one ascent holds; a longer stack runs in chunks
+MAX_SEARCH_ROWS = MAX_RESTARTS
+#: most angle rows one pass of the witness kernels takes: a pass's temporaries then stay
+#: small enough (under 128 KiB each) for the allocator to recycle, not map afresh
+ROWS_PER_PASS = 512
 #: most ascent sweeps (three exact per-qubit updates each) per witness search
 MAX_SWEEPS = 1_000
 
@@ -204,9 +211,12 @@ def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
 
 
 # --- GHZ witness over local rotations --------------------------------------
-
-_HALF_Z = -0.5j * SIGMA_Z
-
+#
+# The kernels keep the stack on the last axis: rotations (3, 2, 2, *stack),
+# indexed [qubit, row, column], and states (8, *stack). Every elementwise step
+# then runs over rows as long as the stack, and rho . phi is one (8, 8) . (8, n)
+# product. The stack is (n,) for one density and (m, r) for m densities of r
+# restarts each; public shapes stay stack-first.
 
 def _angle_stack(rotation_params) -> tuple[np.ndarray, bool]:
     """Angles as an (n, 9) stack, and whether one point of shape (9,) was given."""
@@ -227,7 +237,7 @@ def witness_state(rotation_params) -> np.ndarray:
     """(R1 (x) R2 (x) R3)(|000> + |111>)/sqrt2 for 9 stacked Euler angles;
     angles (9,) give one state (8,), a stack (n, 9) gives (n, 8)."""
     params, single = _angle_stack(rotation_params)
-    states = _batch_states(_euler_columns(params))
+    states = np.ascontiguousarray(_batch_states(_euler_columns(params)).T)
     return states[0] if single else states
 
 
@@ -242,43 +252,64 @@ def _density8(rho) -> np.ndarray:
 
 def witness_value(rho, rotation_params):
     """Witness expectation 3/4 - <phi|rho|phi> at the given finite rotation angles;
-    angles (9,) give a float, a stack (n, 9) an (n,) array in one pass. `rho` is
-    a three-qubit DensityMatrix or an (8, 8) array checked as a density matrix
-    (Hermitian, unit trace, positive semidefinite)."""
+    angles (9,) give a float, a stack (n, 9) an (n,) array in passes of
+    ROWS_PER_PASS rows. `rho` is a three-qubit DensityMatrix or an (8, 8) array
+    checked as a density matrix (Hermitian, unit trace, positive semidefinite)."""
     m = _density8(rho)
     params, single = _angle_stack(rotation_params)
-    values = _batch_value(m, params)
+    values = np.concatenate([_batch_value(m, rows) for rows in _passes(params)])
     return float(values[0]) if single else values
 
 
+def _passes(params2d: np.ndarray) -> list:
+    """An angle stack cut into runs of at most ROWS_PER_PASS rows (one run if empty)."""
+    return [params2d[i:i + ROWS_PER_PASS] for i in range(0, max(len(params2d), 1), ROWS_PER_PASS)]
+
+
+#: each qubit's angles (a, b, c) -> (b, a + c, a - c) / 4: rows [half angle, qubit]
+#: over the 9 angles
+_QUARTER_ANGLES = np.einsum("ha,qr->hqra", 0.25 * np.array([[0, 1, 0], [1, 0, 1], [1, 0, -1]]),
+                            np.eye(3)).reshape(9, 9)
+
+
 def _euler_columns(params2d: np.ndarray) -> np.ndarray:
-    """Z-Y-Z Euler rotations (global phase dropped): (n, 9) -> (n, 3, 2, 2)."""
-    p = params2d.reshape(-1, 3, 3)
-    a, b, c = p[..., 0], p[..., 1], p[..., 2]
-    cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
-    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
-    rots = np.empty(p.shape[:2] + (2, 2), dtype=complex)
-    rots[..., 0, 0] = ea * ec * cb
-    rots[..., 0, 1] = -ea * np.conj(ec) * sb
-    rots[..., 1, 0] = np.conj(ea) * ec * sb
-    rots[..., 1, 1] = np.conj(ea * ec) * cb
+    """Z-Y-Z Euler rotations (global phase dropped): angles (n, 9) -> (3, 2, 2, n).
+    With a, b, c one qubit's angles, R00 = e^{-i(a+c)/2} cos(b/2) = conj(R11) and
+    R10 = e^{i(a-c)/2} sin(b/2) = -conj(R01). Each half angle's cosine and sine
+    come from one tangent t of its half, (1 - t^2, 2t) / (1 + t^2): numpy's
+    vectorized tan is several times faster than its cos and sin together."""
+    t = np.tan(_QUARTER_ANGLES @ params2d.T).reshape(3, 3, -1)
+    scale = 1.0 / (1.0 + t * t)
+    (cb, cp, cm), (sb, sp, sm) = (1.0 - t * t) * scale, 2.0 * t * scale
+    rots = np.empty((3, 2, 2, len(params2d)), dtype=complex)
+    diag, low = rots[:, 0, 0], rots[:, 1, 0]
+    diag.real, diag.imag = cb * cp, -cb * sp
+    low.real, low.imag = sb * cm, sb * sm
+    rots[:, 1, 1] = diag.conj()
+    rots[:, 0, 1] = -low.conj()
     return rots
 
 
 def _batch_states(rots: np.ndarray) -> np.ndarray:
-    """Witness states for a rotation stack: (n, 3, 2, 2) -> (n, 8)."""
-    phi = np.einsum("nas,nbs,ncs->nabc", rots[:, 0], rots[:, 1], rots[:, 2])
-    return phi.reshape(-1, 8) / np.sqrt(2.0)
+    """Witness states for rotations (3, 2, 2, *stack): (8, *stack)."""
+    pair = rots[0][:, None] * (rots[1] * np.sqrt(0.5))[None]  # [a, b, branch] / sqrt2
+    phi = pair[:, :, None, 0] * rots[2][:, 0] + pair[:, :, None, 1] * rots[2][:, 1]
+    return phi.reshape(8, *rots.shape[3:])
 
 
-def _states_values(m: np.ndarray, rots: np.ndarray):
-    """(phi, rho.phi, witness values) for a rotation stack; rho.phi in products of 256
-    rows, below OpenBLAS's threading threshold (a busy second thread costs more than it saves)."""
+def _rho_dot(ms: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """rho . phi: one density (8, 8) on states (8, n), or each of m densities
+    (m, 8, 8) on its own columns of states (8, m, r)."""
+    if ms.ndim == 2:
+        return ms @ phi
+    return np.swapaxes(ms @ np.swapaxes(phi, 0, 1), 0, 1)
+
+
+def _states_values(ms: np.ndarray, rots: np.ndarray):
+    """(phi, rho . phi, witness values) for a rotation stack."""
     phi = _batch_states(rots)
-    y, cut = np.empty_like(phi), len(phi) - len(phi) % 256
-    np.matmul(phi[:cut].reshape(-1, 256, 8), m.T, out=y[:cut].reshape(-1, 256, 8))
-    np.matmul(phi[cut:], m.T, out=y[cut:])
-    return phi, y, 0.75 - np.real(np.einsum("ni,ni->n", phi.conj(), y))
+    y = _rho_dot(ms, phi)
+    return phi, y, 0.75 - (phi.conj() * y).real.sum(axis=0)
 
 
 def _batch_value(m: np.ndarray, params2d: np.ndarray) -> np.ndarray:
@@ -288,95 +319,186 @@ def _batch_value(m: np.ndarray, params2d: np.ndarray) -> np.ndarray:
 def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
     rots = _euler_columns(params2d)
     phi, y, value = _states_values(m, rots)
-    yc = y.conj().reshape(-1, 2, 2, 2)
-    pt = phi.reshape(-1, 2, 2, 2)
-    overlaps = (
-        np.einsum("npbc,nqbc->npq", yc, pt),
-        np.einsum("napc,naqc->npq", yc, pt),
-        np.einsum("nabp,nabq->npq", yc, pt),
-    )
-    half_diag = np.array([-0.5j, 0.5j])
+    yc, pt = y.conj().reshape(2, 2, 2, -1), phi.reshape(2, 2, 2, -1)
     grad = np.empty((params2d.shape[0], 9))
     for k in range(3):
-        ov = overlaps[k]
-        # left generators of the three Euler angles of qubit k
-        grad[:, 3 * k] = -2.0 * np.real(np.einsum("npq,pq->n", ov, _HALF_Z))
+        # ov[p, q] = <y| on qubit k's row p against |phi> on its row q, summed over the others
+        yk, pk = np.moveaxis(yc, k, 0).reshape(2, 4, -1), np.moveaxis(pt, k, 0).reshape(2, 4, -1)
+        ov = (yk[:, None] * pk[None]).sum(axis=2)
+        # -2 Re tr(ov G) for the left generators G of the three Euler angles of qubit k:
+        # -iZ/2, the Y/2 rotated by the first angle, and R (-iZ/2) R^dag
+        grad[:, 3 * k] = ov[1, 1].imag - ov[0, 0].imag
         eia = np.exp(-1j * params2d[:, 3 * k])
-        mid = ov[:, 0, 1] * (-0.5 * eia) + ov[:, 1, 0] * (0.5 * np.conj(eia))
-        grad[:, 3 * k + 1] = -2.0 * np.real(mid)
-        gen_c = np.einsum(
-            "nps,s,nqs->npq", rots[:, k], half_diag, rots[:, k].conj()
-        )
-        grad[:, 3 * k + 2] = -2.0 * np.real(np.einsum("npq,npq->n", ov, gen_c))
+        grad[:, 3 * k + 1] = np.real(ov[0, 1] * eia - ov[1, 0] * np.conj(eia))
+        r = rots[k]
+        branches = (ov[:, :, None] * r[:, None] * r.conj()[None]).sum(axis=(0, 1))
+        grad[:, 3 * k + 2] = (branches[1] - branches[0]).imag
     return value, grad
 
 
 def witness_gradient(rho, rotation_params) -> np.ndarray:
     """Analytic gradient of witness_value (same `rho` and angles) in the 9 rotation
-    angles: (9,) give (9,), a stack (n, 9) gives (n, 9) in one pass."""
+    angles: (9,) give (9,), a stack (n, 9) gives (n, 9) in passes of ROWS_PER_PASS rows."""
     m = _density8(rho)
     params, single = _angle_stack(rotation_params)
-    _, grad = _batch_value_grad(m, params)
+    grad = np.concatenate([_batch_value_grad(m, rows)[1] for rows in _passes(params)])
     return grad[0] if single else grad
 
 
 #: I, iX, iY, iZ: a qubit's rotation is U = q0 I + q1 iX + q2 iY + q3 iZ, q a unit quaternion
 _QUATERNION_BASIS = np.array([I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])
+#: Q[i, j] = Re sum conj(B_i[a, s]) M[a, s, a', t] B_j[a', t] / 2 for B the quaternion
+#: basis, as one (16, 16) matrix acting on the flattened M (transposed, for M stack-first)
+_QUADRATIC_FORM_T = 0.5 * np.einsum(
+    "ias,jbt->asbtij", _QUATERNION_BASIS.conj(), _QUATERNION_BASIS).reshape(16, 16)
 
 
-def _ascend_batch(m: np.ndarray, rots: np.ndarray):
+def _qubit_update(rho_k: np.ndarray, rots: np.ndarray, k: int) -> np.ndarray:
+    """Set qubit k of rotations (3, 2, 2, m, r) to the top eigenvector of its
+    quadratic form Q; return Q's top eigenvalues (m, r), the new overlaps.
+
+    rho_k (m, 16, 4) is each density with qubit k first, rows (a, bc, a') and
+    columns b'c'. The other two qubits' rotated branches w[bc, s] compress it to
+    M[a, s, a', t] = sum conj(w[bc, s]) rho[a bc, a' b'c'] w[b'c', t], and Q is
+    M read in the quaternion basis; no trial state is built.
+    """
+    j, l = (q for q in range(3) if q != k)
+    m, r = rots.shape[3:]
+    branches = (rots[j][:, None] * rots[l][None]).reshape(4, 2, m, r)  # [bc, s]
+    w = np.ascontiguousarray(branches.transpose(2, 0, 1, 3))
+    x = (rho_k @ w.reshape(m, 4, 2 * r)).reshape(m, 2, 4, 1, 2, 2, r)  # [a, bc, -, a', t]
+    wc = w.conj()[:, None, :, :, None, None]  # [-, bc, s, -, -]
+    compressed = wc[:, :, 0] * x[:, :, 0]  # [a, s, a', t], summed over bc below
+    for bc in (1, 2, 3):
+        compressed += wc[:, :, bc] * x[:, :, bc]
+    q = (np.swapaxes(compressed.reshape(m, 16, r), 1, 2) @ _QUADRATIC_FORM_T).real
+    eigenvalues, vectors = np.linalg.eigh(q.reshape(m, r, 4, 4))
+    # U = sum_j q_j B_j for q the top eigenvector
+    entries = vectors[..., -1] @ _QUATERNION_BASIS.reshape(4, 4)  # [m, r, (row, column)]
+    rots[k] = np.moveaxis(entries, -1, 0).reshape(2, 2, m, r)
+    return eigenvalues[..., -1]
+
+
+def _ascend_batch(ms: np.ndarray, rots: np.ndarray):
     """Block-coordinate ascent of <phi|rho|phi> over SU(2)^3 (the higher-order
-    power method), all restarts in lock step.
+    power method) for densities ms (m, 8, 8) from rotations (3, 2, 2, m, r):
+    all m x r rows in lock step.
 
     With the other two qubits fixed the overlap is q^T Q q, Q = Re(V^dag rho V)
     for V the witness states with I, iX, iY, iZ on qubit k, so the best update
-    is Q's top eigenvector. Sweeps stop once no restart's overlap rises by more
-    than 16 eps in a sweep, or after MAX_SWEEPS. Returns (rotations, sweeps run).
+    is Q's top eigenvector (`_qubit_update`). A density stops once none of its
+    restarts' overlap rises by more than 16 eps in a sweep, or after MAX_SWEEPS,
+    and leaves the stack, so each density's rows see exactly its own search.
+    Returns (rotations, sweeps (m,)).
     """
-    n = rots.shape[0]
+    m, r = rots.shape[3:]
     rots = rots.copy()
-    overlap = np.full(n, -np.inf)
+    sweeps = np.zeros(m, dtype=int)
+    # each density with qubit k first: axes (a, b, c, a', b', c') -> (a bc a', b'c')
+    rho6 = ms.reshape(m, 2, 2, 2, 2, 2, 2)
+    orders = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+    rho_ks = [rho6.transpose(0, *(1 + i for i in o), *(4 + i for i in o)).reshape(m, 16, 4)
+              for o in orders]
+    active, rows, overlap = np.arange(m), rots, np.full((m, r), -np.inf)
     for sweep in range(1, MAX_SWEEPS + 1):
         previous = overlap
         for k in range(3):
-            trial = np.repeat(rots[:, None], 4, axis=1)
-            trial[:, :, k] = _QUATERNION_BASIS
-            v = _batch_states(trial.reshape(-1, 3, 2, 2)).reshape(n, 4, 8)
-            q = (v.conj() @ m @ np.swapaxes(v, -1, -2)).real
-            eigenvalues, vectors = np.linalg.eigh(q)
-            rots[:, k] = np.einsum("nj,jab->nab", vectors[:, :, -1], _QUATERNION_BASIS)
-            overlap = eigenvalues[:, -1]
-        if np.all(overlap - previous <= 16 * np.finfo(float).eps):
-            break
-    return rots, sweep
+            overlap = _qubit_update(rho_ks[k], rows, k)
+        sweeps[active] = sweep
+        done = np.all(overlap - previous <= 16 * np.finfo(float).eps, axis=1)
+        if done.any():
+            rots[..., active[done], :] = rows[..., done, :]
+            active, rows, overlap = active[~done], rows[..., ~done, :], overlap[~done]
+            rho_ks = [rho_k[~done] for rho_k in rho_ks]
+            if not active.size:
+                break
+    else:
+        rots[..., active, :] = rows
+    return rots, sweeps
 
 
 def _euler_angles(rots: np.ndarray) -> np.ndarray:
     """Z-Y-Z Euler angles of SU(2) rotations, the inverse of `_euler_columns`:
-    (n, 3, 2, 2) -> (n, 9)."""
-    alpha, beta = np.angle(rots[..., 0, 0]), np.angle(rots[..., 1, 0])
-    b = 2.0 * np.arctan2(np.abs(rots[..., 1, 0]), np.abs(rots[..., 0, 0]))
-    return np.stack([beta - alpha, b, -alpha - beta], axis=-1).reshape(-1, 9)
+    (3, 2, 2, n) -> (n, 9)."""
+    alpha, beta = np.angle(rots[:, 0, 0]), np.angle(rots[:, 1, 0])
+    b = 2.0 * np.arctan2(np.abs(rots[:, 1, 0]), np.abs(rots[:, 0, 0]))
+    return np.stack([beta - alpha, b, -alpha - beta], axis=-1).transpose(1, 0, 2).reshape(-1, 9)
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """A Python or numpy integer (not a bool) in low..high, as an int."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f"{low}..{high}" if high is not None else f">= {low}"
+        raise ContractError(f"{name} must lie in {bounds}, got {value}")
+    return int(value)
+
+
+@functools.lru_cache(maxsize=8)
+def _starts(seed: int, restarts: int) -> np.ndarray:
+    """Starting angles (restarts, 9), read-only: restart i draws from its own
+    stream default_rng([seed, i]), so the starts depend on (seed, restarts) alone
+    and are drawn once for every search that shares them (64 draws take ~1 ms)."""
+    starts = np.stack([np.random.default_rng([seed, i]).uniform(0.0, 2.0 * np.pi, 9)
+                       for i in range(restarts)])
+    starts.setflags(write=False)
+    return starts
+
+
+def _search(ms: np.ndarray, restarts, seed):
+    """The witness search of checked densities (m, 8, 8), in chunks of at most
+    MAX_SEARCH_ROWS rows (densities x restarts)."""
+    restarts = _integer(restarts, "restarts", 1, MAX_RESTARTS)
+    seed = _integer(seed, "seed", 0)
+    chunk = max(1, MAX_SEARCH_ROWS // restarts)
+    if len(ms) > chunk:
+        parts = [_search(ms[i:i + chunk], restarts, seed) for i in range(0, len(ms), chunk)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    m = len(ms)
+    columns = _euler_columns(_starts(seed, restarts))
+    rots, sweeps = _ascend_batch(ms, np.broadcast_to(columns[..., None, :], (3, 2, 2, m, restarts)))
+    ends = _euler_angles(rots.reshape(3, 2, 2, -1))
+    finals = _states_values(ms, _euler_columns(ends).reshape(3, 2, 2, m, restarts))[2]
+    best = finals.argmin(axis=1)
+    converged = np.mean(finals <= finals[np.arange(m), best][:, None] + 1e-6, axis=1)
+    angles = ends.reshape(m, restarts, 9)[np.arange(m), best]
+    # each best row alone, exactly as `witness_value` evaluates the reported angles
+    minima = np.array([_batch_value(rho, angle[None])[0] for rho, angle in zip(ms, angles)])
+    return minima, angles, converged, sweeps
+
+
+def stacked_minimize_witness(rhos, restarts: int = 64, seed: int = 0):
+    """The witness search of m three-qubit densities `rhos` (m, 8, 8), each checked
+    as a density matrix, all m x restarts rows of the ascent in lock step.
+
+    Returns minima (m,), the reported angles (m, 9), converged fractions (m,)
+    (the share of restarts ending within 1e-6 of the minimum) and the sweeps each
+    density ran (m,). Each density stops by its own rule and every restart by
+    its own stream, so row d equals `minimize_witness(rhos[d], restarts, seed)`
+    bit for bit. `seed` is a non-negative integer; restarts lie in
+    1..MAX_RESTARTS; a stack of more than MAX_SEARCH_ROWS rows runs in chunks.
+    """
+    ms = _as_complex(rhos, "density stack")
+    if ms.ndim != 3 or ms.shape[1:] != (8, 8) or not len(ms):
+        raise ContractError(
+            "expected a non-empty stack (m, 8, 8) of three-qubit density matrices, "
+            f"got shape {ms.shape}"
+        )
+    _require_densities(ms)
+    return _search(ms, restarts, seed)
 
 
 def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchResult:
     """Multi-start block-coordinate ascent of the overlap over local rotations
-    (`_ascend_batch`), read out as 9 Euler angles.
+    (`_ascend_batch`), read out as 9 Euler angles: `stacked_minimize_witness`
+    of one density.
 
     `rho` is as for `witness_value`. Each restart draws its starting angles from
     its own stream derived from (seed, restart index), so results do not depend
     on execution order. The reported value is `witness_value` at the reported
     angles.
     """
-    if not 1 <= restarts <= MAX_RESTARTS:
-        raise ContractError(f"restarts must lie in 1..{MAX_RESTARTS}, got {restarts}")
-    m = _density8(rho)
-    starts = np.stack([np.random.default_rng([seed, i]).uniform(0.0, 2.0 * np.pi, 9)
-                       for i in range(restarts)])
-    ends = _euler_angles(_ascend_batch(m, _euler_columns(starts))[0])
-    finals = _batch_value(m, ends)
-    best = int(np.argmin(finals))
-    converged = float(np.mean(finals <= finals[best] + 1e-6))
-    # the best row alone, exactly as `witness_value` evaluates the reported angles
-    value = float(_batch_value(m, ends[best:best + 1])[0])
-    return WitnessSearchResult(value, tuple(ends[best].tolist()), int(restarts), converged)
+    minima, angles, converged, _ = _search(_density8(rho)[None], restarts, seed)
+    return WitnessSearchResult(float(minima[0]), tuple(angles[0].tolist()), int(restarts),
+                               float(converged[0]))

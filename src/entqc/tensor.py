@@ -33,7 +33,10 @@ class ContractError(ValueError):
 
 
 def _as_complex(a, what: str = "array") -> np.ndarray:
-    arr = np.asarray(a, dtype=complex)
+    try:
+        arr = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged nesting, non-numeric entries
+        raise ContractError(f"{what} is not a numeric array: {exc}") from None
     if not np.all(np.isfinite(arr)):
         raise ContractError(f"{what} contains non-finite entries")
     return arr

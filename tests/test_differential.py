@@ -15,7 +15,11 @@ reduced density, the per-pair PT and per-triad eigenspace analyses with the
 expanded hyperdeterminant, the per-operator operator-Schmidt SVD, the
 report's per-pair, per-triad and per-channel section bodies, the Armijo
 steepest descent the witness search ran before its exact block-coordinate
-ascent, and the `np.kron` chain that built each GHZ branch. They are kept
+ascent (its minima frozen in golden/descent_minima.json), the `np.kron` chain
+that built each GHZ branch, and the stack-first kernels that the stack-last
+ones replaced: the witness states, values and gradients as per-row einsums,
+the transfer blocks as one small product per block and the invariance
+transform as one product per transform. They are kept
 here, test-only, as the oracle. The batched code sums in a different order,
 so results are compared at a tolerance fixed beforehand from complex128
 roundoff on 16-amplitude contractions; the renderer, the Haar unitaries and
@@ -24,6 +28,7 @@ the GHZ branches must match exactly.
 import collections
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +57,7 @@ from entqc.entanglement import (
     PPT_VERDICT_TOL,
     minimize_witness,
     pair_analysis,
+    stacked_minimize_witness,
     stacked_pair_analysis,
     stacked_triad_analysis,
     symmetric_w_state,
@@ -118,6 +124,7 @@ SEEDS = range(50)
 UNKNOWN = ("U1", "U2")
 PERMUTED_ORDER = ("B1", "A2", "A1", "B2")
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "repro_seed7.json"
+DESCENT_MINIMA = Path(__file__).parent / "golden" / "descent_minima.json"
 
 
 # --- test-only references: the serial implementations ------------------------
@@ -221,6 +228,19 @@ def ref_invariance_pairs(kets, corrections, w_l, w_r):
     wl_t = np.swapaxes(w_l, -1, -2)[..., None, :, :]
     channels = wr_t @ kets[0] @ np.swapaxes(corrections, -1, -2) @ wl_t
     return wr_t @ kets @ wl_t, channels
+
+
+def ref_transfer_blocks(kets, channels):
+    """The stack-first transfer blocks: one small product per block."""
+    return np.swapaxes(channels, -1, -2) @ kets.conj()
+
+
+def ref_kron_invariance_pairs(kets, corrections, w_l, w_r):
+    """The stack-first invariance transform: one (32, 16) . (16, 16) product per transform."""
+    stacked = np.concatenate([kets, kets[0] @ np.swapaxes(corrections, -1, -2)]).reshape(32, 16)
+    kron_t = np.einsum("...ai,...jb->...abij", w_r, w_l).reshape(*np.shape(w_r)[:-2], 16, 16)
+    out = (stacked @ kron_t).reshape(*kron_t.shape[:-2], 2, 16, 4, 4)
+    return out[..., 0, :, :, :], out[..., 1, :, :, :]
 
 
 def ref_section_teleport(cfg):
@@ -607,6 +627,51 @@ def ref_witness_value(m, params):
     return float(0.75 - np.real(np.vdot(phi, m @ phi)))
 
 
+def ref_stack_first_rotations(params2d):
+    """Z-Y-Z Euler rotations with the stack first: (n, 9) -> (n, 3, 2, 2)."""
+    p = params2d.reshape(-1, 3, 3)
+    a, b, c = p[..., 0], p[..., 1], p[..., 2]
+    cb, sb = np.cos(0.5 * b), np.sin(0.5 * b)
+    ea, ec = np.exp(-0.5j * a), np.exp(-0.5j * c)
+    rots = np.empty(p.shape[:2] + (2, 2), dtype=complex)
+    rots[..., 0, 0] = ea * ec * cb
+    rots[..., 0, 1] = -ea * np.conj(ec) * sb
+    rots[..., 1, 0] = np.conj(ea) * ec * sb
+    rots[..., 1, 1] = np.conj(ea * ec) * cb
+    return rots
+
+
+def ref_stack_first_states(rots):
+    """Witness states (n, 8) from one three-way einsum over the rotation stack."""
+    phi = np.einsum("nas,nbs,ncs->nabc", rots[:, 0], rots[:, 1], rots[:, 2])
+    return phi.reshape(-1, 8) / np.sqrt(2.0)
+
+
+def ref_stack_first_value_grad(m, params2d):
+    """Witness values (n,) and gradients (n, 9) with the stack first, the
+    overlaps and generators as per-row einsums."""
+    rots = ref_stack_first_rotations(params2d)
+    phi = ref_stack_first_states(rots)
+    y = phi @ m.T
+    value = 0.75 - np.real(np.einsum("ni,ni->n", phi.conj(), y))
+    yc, pt = y.conj().reshape(-1, 2, 2, 2), phi.reshape(-1, 2, 2, 2)
+    overlaps = (
+        np.einsum("npbc,nqbc->npq", yc, pt),
+        np.einsum("napc,naqc->npq", yc, pt),
+        np.einsum("nabp,nabq->npq", yc, pt),
+    )
+    half_z, half_diag = -0.5j * PAULIS[3], np.array([-0.5j, 0.5j])
+    grad = np.empty((params2d.shape[0], 9))
+    for k, ov in enumerate(overlaps):
+        grad[:, 3 * k] = -2.0 * np.real(np.einsum("npq,pq->n", ov, half_z))
+        eia = np.exp(-1j * params2d[:, 3 * k])
+        mid = ov[:, 0, 1] * (-0.5 * eia) + ov[:, 1, 0] * (0.5 * np.conj(eia))
+        grad[:, 3 * k + 1] = -2.0 * np.real(mid)
+        gen_c = np.einsum("nps,s,nqs->npq", rots[:, k], half_diag, rots[:, k].conj())
+        grad[:, 3 * k + 2] = -2.0 * np.real(np.einsum("npq,npq->n", ov, gen_c))
+    return value, grad
+
+
 # the witness search's former descent, on the public stacked witness calls
 REF_MAX_ITERATIONS = 10_000
 REF_GRAD_NORM_TOL = 1e-8
@@ -907,18 +972,111 @@ def test_stacked_witness_matches_serial_calls():
                 assert np.abs(grad - witness_gradient(rho, p)).max() <= TOL
 
 
-def test_block_ascent_never_ends_above_the_steepest_descent():
-    # random rank-1 to rank-4 states; both searches start from the same angles
-    for seed in range(12):
-        rng = np.random.default_rng([seed, 80])
-        rank = 1 + seed % 4
-        g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
-        # a DensityMatrix is checked once, not on each of the oracle's calls
-        rho = DensityMatrix(QubitRegister(("a", "b", "c")), g @ g.conj().T / np.linalg.norm(g) ** 2)
-        starts = np.stack([np.random.default_rng([seed, i]).uniform(0.0, 2.0 * np.pi, 9)
-                           for i in range(4)])
-        old, _ = ref_descend_batch(rho, starts)
-        assert minimize_witness(rho, restarts=4, seed=seed).min_value <= old.min() + 1e-12
+def descent_case(seed):
+    """State `seed` of the descent comparison: a random rank-(1 + seed % 4) density
+    and the four starts the witness search draws for `seed`."""
+    rng = np.random.default_rng([seed, 80])
+    rank = 1 + seed % 4
+    g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+    # a DensityMatrix is checked once, not on each of the oracle's calls
+    rho = DensityMatrix(QubitRegister(("a", "b", "c")), g @ g.conj().T / np.linalg.norm(g) ** 2)
+    starts = np.stack([np.random.default_rng([seed, i]).uniform(0.0, 2.0 * np.pi, 9)
+                       for i in range(4)])
+    return rho, starts
+
+
+def test_block_ascent_never_ends_above_the_steepest_descent(monkeypatch):
+    # random rank-1 to rank-4 states; both searches start from the same angles.
+    # The descent's minima at its full iteration cap are frozen in DESCENT_MINIMA
+    # (tests/golden/make_descent_minima.py writes them). The eight states whose
+    # result settles soonest are re-run live, at the cap by which it had settled,
+    # so a drift of either the oracle or the file fails
+    doc = json.loads(DESCENT_MINIMA.read_text(encoding="utf-8"))
+    assert doc["max_iterations"] == REF_MAX_ITERATIONS
+    frozen = doc["states"]
+    assert [state["seed"] for state in frozen] == list(range(12))
+    live = sorted(frozen, key=lambda state: (state["settled_by"], state["seed"]))[:8]
+    assert all(state["settled_by"] < REF_MAX_ITERATIONS for state in live)
+    for state in frozen:
+        rho, starts = descent_case(state["seed"])
+        if state in live:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys.modules[__name__], "REF_MAX_ITERATIONS", state["settled_by"])
+                old, _ = ref_descend_batch(rho, starts)
+            assert abs(old.min() - state["minimum"]) <= 1e-12
+        ascent = minimize_witness(rho, restarts=4, seed=state["seed"]).min_value
+        assert ascent <= state["minimum"] + 1e-12
+
+
+# --- the stack-last witness and transfer-block kernels against the stack-first formulas
+
+def max_deviation(array, ref):
+    assert array.shape == ref.shape
+    return np.abs(array - ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 64, 1800])
+def test_witness_kernels_match_the_stack_first_formulas(n):
+    bell = builtin_channel("bell-transformed").state
+    rng = np.random.default_rng([n, 81])
+    params = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, (n, 9))
+    phi = ref_stack_first_states(ref_stack_first_rotations(params))
+    assert max_deviation(witness_state(params), phi) <= 1e-14
+    for rho in (haar_mixed_density(rng), reduced_density(bell, ("A1", "A2", "B1")).matrix):
+        values, grads = ref_stack_first_value_grad(rho, params)
+        assert max_deviation(witness_value(rho, params), values) <= 1e-14
+        assert max_deviation(witness_gradient(rho, params), grads) <= 1e-14
+
+
+def test_transfer_blocks_match_the_stack_first_product():
+    # the shapes the callers pass: one ket and channel, a basis against one
+    # channel, and per-trial blocks against (T, 1) and (T, 16) channel stacks
+    for seed in range(5):
+        unitaries, _ = haar_draws(2, [seed, 73], 100, 17)
+        kets = measurement_kets(unitaries[:, 0])
+        channels = epr_amplitudes(unitaries[:, 1:])
+        for k, c in [(kets[0, 0], channels[0, 0]), (kets[0], channels[0, 0]),
+                     (kets, channels[:, :1]), (kets, channels)]:
+            assert max_deviation(transfer_blocks(k, c), ref_transfer_blocks(k, c)) <= 1e-14
+            ref_recovery = np.swapaxes(4.0 * ref_transfer_blocks(k, c), -1, -2).conj()
+            assert max_deviation(recovery_ops(k, c), ref_recovery) <= 1e-14
+
+
+@pytest.mark.parametrize("trials", [None, 1, 100])
+def test_invariance_pairs_match_the_per_transform_product(trials):
+    for seed in range(5):
+        unitaries, _ = haar_draws(2, [seed, 74], trials or 1, 3)
+        kets = measurement_kets(unitaries[0, 0])
+        corrections = recovery_ops(kets, epr_amplitudes(unitaries[0, 0]))
+        w_l, w_r = unitaries[:, 1], unitaries[:, 2]
+        if trials is None:
+            w_l, w_r = w_l[0], w_r[0]
+        for array, ref in zip(invariance_pairs(kets, corrections, w_l, w_r),
+                              ref_kron_invariance_pairs(kets, corrections, w_l, w_r), strict=True):
+            assert max_deviation(array, ref) <= 1e-14
+
+
+def witness_search_inputs():
+    """The `repro` witness section's six densities at seed 7 (four triads, the
+    planted GHZ state, I/8) and the twelve rank-1 to rank-4 descent states."""
+    bell = builtin_channel("bell-transformed").state
+    phi = witness_state(np.random.default_rng([7, 4242]).uniform(0.0, 2.0 * np.pi, 9))
+    repro = [reduced_density(bell, triad).matrix for triad in CHANNEL_TRIADS]
+    repro += [np.outer(phi, phi.conj()), np.eye(8) / 8.0]
+    return np.array(repro + [descent_case(seed)[0].matrix for seed in range(12)])
+
+
+@pytest.mark.parametrize("restarts, seed", [(64, 7), (5, 3), (1, 0)])
+def test_stacked_witness_search_equals_the_looped_search(restarts, seed):
+    rhos = witness_search_inputs()
+    minima, angles, converged, sweeps = stacked_minimize_witness(rhos, restarts, seed)
+    assert minima.shape == converged.shape == sweeps.shape == (len(rhos),)
+    for rho, minimum, row, fraction in zip(rhos, minima, angles, converged):
+        result = minimize_witness(rho, restarts=restarts, seed=seed)
+        assert result.min_value == minimum
+        assert result.parameters == tuple(row.tolist())
+        assert result.converged_fraction == fraction
+        assert witness_value(rho, row) == minimum
 
 
 def test_gradient_section_matches_per_point_loop():

@@ -12,6 +12,7 @@ from entqc.entanglement import (
     WitnessSearchResult,
     minimize_witness,
     pair_analysis,
+    stacked_minimize_witness,
     stacked_pair_analysis,
     stacked_triad_analysis,
     symmetric_w_state,
@@ -405,9 +406,61 @@ def test_minimize_witness_reaches_the_certificate_below_the_sweep_cap(monkeypatc
 
 
 def test_minimize_witness_validates_restarts():
-    for restarts in (0, MAX_RESTARTS + 1):
+    for restarts in (0, MAX_RESTARTS + 1, 2.5, True):
         with pytest.raises(ContractError, match="restarts"):
             minimize_witness(np.eye(8) / 8.0, restarts=restarts, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.bool_(False), np.float64(2.0), "3", None])
+def test_witness_search_rejects_a_negative_non_integer_or_bool_seed(seed):
+    flat = np.eye(8) / 8.0
+    with pytest.raises(ContractError, match="seed"):
+        minimize_witness(flat, restarts=2, seed=seed)
+    with pytest.raises(ContractError, match="seed"):
+        stacked_minimize_witness(flat[None], restarts=2, seed=seed)
+
+
+def test_witness_search_takes_python_and_numpy_integer_seeds():
+    flat = np.eye(8) / 8.0
+    results = [minimize_witness(flat, restarts=2, seed=seed) for seed in (3, np.int64(3), np.uint8(3))]
+    assert len({result.parameters for result in results}) == 1
+
+
+@pytest.mark.parametrize("rhos", [
+    np.zeros((0, 8, 8)),  # empty
+    np.eye(8) / 8.0,  # one matrix, not a stack
+    np.full((2, 4, 4), 0.25),  # two-qubit matrices
+    (np.eye(8) / 8.0)[None, None],  # a stack of stacks
+    [np.eye(8) / 8.0, np.eye(4) / 4.0],  # ragged
+    [[["a"] * 8] * 8],  # not numeric
+    np.eye(8)[None],  # trace 8: not a density matrix
+])
+def test_stacked_witness_search_rejects_an_empty_or_mis_shaped_stack(rhos):
+    with pytest.raises(ContractError):
+        stacked_minimize_witness(rhos, restarts=2, seed=0)
+
+
+def test_stacked_witness_search_runs_a_long_stack_in_chunks(monkeypatch):
+    # at most MAX_SEARCH_ROWS rows (densities x restarts) per ascent: 16 // 5 = 3 densities
+    monkeypatch.setattr(entanglement, "MAX_SEARCH_ROWS", 16)
+    sizes, ascend = [], entanglement._ascend_batch
+
+    def counted(ms, rots):
+        sizes.append(rots.shape[3:])
+        return ascend(ms, rots)
+
+    monkeypatch.setattr(entanglement, "_ascend_batch", counted)
+    rhos = np.array(repro_witness_cases() * 2)
+    minima, angles, converged, sweeps = stacked_minimize_witness(rhos, restarts=5, seed=7)
+    assert sizes == [(3, 5)] * 4
+    assert minima.shape == converged.shape == sweeps.shape == (12,) and angles.shape == (12, 9)
+    for rho, minimum, row in zip(rhos, minima, angles):
+        result = minimize_witness(rho, restarts=5, seed=7)
+        assert (result.min_value, result.parameters) == (minimum, tuple(row.tolist()))
+    # one restart over the cap still runs, one density per ascent
+    sizes.clear()
+    stacked_minimize_witness(rhos[:2], restarts=20, seed=7)
+    assert sizes == [(1, 20)] * 2
 
 
 # --- PT criterion sweeps ---------------------------------------------------------

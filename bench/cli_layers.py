@@ -124,7 +124,9 @@ def protocol_kernels() -> dict:
     """The batched protocol kernels on the `repro` sections' input sizes:
     the teleport sweep (T = 1 002), one `teleport` call (T = 1) and the
     invariance section (n = 100 transforms, per-trial corrections, and the
-    transfer blocks of its 100 x 16 transformed pairs); and the object API
+    transfer blocks of its 100 x 16 transformed pairs); the transfer blocks of
+    one ket and of the 16 kets of a basis against one channel, as
+    `partial_inner_transfer` and `corrections_from` take them; and the object API
     on the sweep's first draw: `teleport_all_outcomes` (sixteen
     TeleportOutcomes) and the checked basis `measurement_basis` builds."""
     dressings, unknowns = haar_draws(2, [int(SEED), 1], 1002, 1)
@@ -140,6 +142,10 @@ def protocol_kernels() -> dict:
     return {
         "teleport.transfer_blocks.T100x16.us":
             _per_call(lambda: teleport.transfer_blocks(t_kets, t_channels)) * 1e6,
+        "teleport.transfer_blocks.one.us":
+            _per_call(lambda: teleport.transfer_blocks(kets[0], physical[0])) * 1e6,
+        "teleport.transfer_blocks.basis16.us":
+            _per_call(lambda: teleport.transfer_blocks(kets, physical[0])) * 1e6,
         "teleport.standard_protocol_batch.T1.us":
             _per_call(lambda: batch(unknowns[:1], dressings[:1])) * 1e6,
         "teleport.standard_protocol_batch.T1002.us":

@@ -8,7 +8,6 @@ on SU(2)^3). Pair and triad analyses and the witness search run on stacks;
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +50,9 @@ CHANNEL_PAIRS = (
 )
 CHANNEL_TRIADS = tuple(TRIAD_COMPONENT_SIGNS)
 
-#: most witness-search restarts per call; the batch allocation grows with it
+#: most witness-search restarts per call, and most rows (densities x restarts)
+#: one ascent holds: the batch allocation grows with them, so a longer stack runs in chunks
 MAX_RESTARTS = 4096
-#: most rows (densities x restarts) one ascent holds; a longer stack runs in chunks
-MAX_SEARCH_ROWS = MAX_RESTARTS
 #: most angle rows one pass of the witness kernels takes: a pass's temporaries then stay
 #: small enough (under 128 KiB each) for the allocator to recycle, not map afresh
 ROWS_PER_PASS = 512
@@ -241,13 +239,13 @@ def witness_state(rotation_params) -> np.ndarray:
     return states[0] if single else states
 
 
-def _density8(rho) -> np.ndarray:
-    """A three-qubit DensityMatrix's matrix as it is; any other input is checked as one."""
+def _witness_density(rho) -> DensityMatrix:
+    """A three-qubit DensityMatrix as it is; any other input is checked as one."""
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(QubitRegister(("q1", "q2", "q3")), rho)
     if rho.register.size != 3:
         raise ContractError("the witness acts on three-qubit density matrices")
-    return rho.matrix
+    return rho
 
 
 def witness_value(rho, rotation_params):
@@ -255,7 +253,7 @@ def witness_value(rho, rotation_params):
     angles (9,) give a float, a stack (n, 9) an (n,) array in passes of
     ROWS_PER_PASS rows. `rho` is a three-qubit DensityMatrix or an (8, 8) array
     checked as a density matrix (Hermitian, unit trace, positive semidefinite)."""
-    m = _density8(rho)
+    m = _witness_density(rho).matrix
     params, single = _angle_stack(rotation_params)
     values = np.concatenate([_batch_value(m, rows) for rows in _passes(params)])
     return float(values[0]) if single else values
@@ -339,7 +337,7 @@ def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
 def witness_gradient(rho, rotation_params) -> np.ndarray:
     """Analytic gradient of witness_value (same `rho` and angles) in the 9 rotation
     angles: (9,) give (9,), a stack (n, 9) gives (n, 9) in passes of ROWS_PER_PASS rows."""
-    m = _density8(rho)
+    m = _witness_density(rho).matrix
     params, single = _angle_stack(rotation_params)
     grad = np.concatenate([_batch_value_grad(m, rows)[1] for rows in _passes(params)])
     return grad[0] if single else grad
@@ -435,50 +433,12 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-@functools.lru_cache(maxsize=8)
-def _starts(seed: int, restarts: int) -> np.ndarray:
-    """Starting angles (restarts, 9), read-only: restart i draws from its own
-    stream default_rng([seed, i]), so the starts depend on (seed, restarts) alone
-    and are drawn once for every search that shares them (64 draws take ~1 ms)."""
-    starts = np.stack([np.random.default_rng([seed, i]).uniform(0.0, 2.0 * np.pi, 9)
-                       for i in range(restarts)])
-    starts.setflags(write=False)
-    return starts
-
-
-def _search(ms: np.ndarray, restarts, seed):
-    """The witness search of checked densities (m, 8, 8), in chunks of at most
-    MAX_SEARCH_ROWS rows (densities x restarts)."""
-    restarts = _integer(restarts, "restarts", 1, MAX_RESTARTS)
-    seed = _integer(seed, "seed", 0)
-    chunk = max(1, MAX_SEARCH_ROWS // restarts)
-    if len(ms) > chunk:
-        parts = [_search(ms[i:i + chunk], restarts, seed) for i in range(0, len(ms), chunk)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
-    m = len(ms)
-    columns = _euler_columns(_starts(seed, restarts))
-    rots, sweeps = _ascend_batch(ms, np.broadcast_to(columns[..., None, :], (3, 2, 2, m, restarts)))
-    ends = _euler_angles(rots.reshape(3, 2, 2, -1))
-    finals = _states_values(ms, _euler_columns(ends).reshape(3, 2, 2, m, restarts))[2]
-    best = finals.argmin(axis=1)
-    converged = np.mean(finals <= finals[np.arange(m), best][:, None] + 1e-6, axis=1)
-    angles = ends.reshape(m, restarts, 9)[np.arange(m), best]
-    # each best row alone, exactly as `witness_value` evaluates the reported angles
-    minima = np.array([_batch_value(rho, angle[None])[0] for rho, angle in zip(ms, angles)])
-    return minima, angles, converged, sweeps
-
-
-def stacked_minimize_witness(rhos, restarts: int = 64, seed: int = 0):
-    """The witness search of m three-qubit densities `rhos` (m, 8, 8), each checked
-    as a density matrix, all m x restarts rows of the ascent in lock step.
-
-    Returns minima (m,), the reported angles (m, 9), converged fractions (m,)
-    (the share of restarts ending within 1e-6 of the minimum) and the sweeps each
-    density ran (m,). Each density stops by its own rule and every restart by
-    its own stream, so row d equals `minimize_witness(rhos[d], restarts, seed)`
-    bit for bit. `seed` is a non-negative integer; restarts lie in
-    1..MAX_RESTARTS; a stack of more than MAX_SEARCH_ROWS rows runs in chunks.
-    """
+def _density_stack(rhos) -> np.ndarray:
+    """The matrices (m, 8, 8) of a non-empty list or tuple of three-qubit
+    DensityMatrix objects, used as they are, or of an array stack, each checked
+    as a density matrix."""
+    if isinstance(rhos, (list, tuple)) and rhos and all(isinstance(r, DensityMatrix) for r in rhos):
+        return np.stack([_witness_density(rho).matrix for rho in rhos])
     ms = _as_complex(rhos, "density stack")
     if ms.ndim != 3 or ms.shape[1:] != (8, 8) or not len(ms):
         raise ContractError(
@@ -486,7 +446,48 @@ def stacked_minimize_witness(rhos, restarts: int = 64, seed: int = 0):
             f"got shape {ms.shape}"
         )
     _require_densities(ms)
-    return _search(ms, restarts, seed)
+    return ms
+
+
+def _search(ms: np.ndarray, starts: np.ndarray):
+    """The ascent of densities ms (m, 8, 8) from every start (3, 2, 2, r) at once,
+    read out per density: (minima, angles, converged fractions, sweeps)."""
+    (m, r), one = (len(ms), starts.shape[-1]), np.arange(len(ms))
+    rots, sweeps = _ascend_batch(ms, np.broadcast_to(starts[..., None, :], (3, 2, 2, m, r)))
+    ends = _euler_angles(rots.reshape(3, 2, 2, -1))
+    finals = _states_values(ms, _euler_columns(ends).reshape(3, 2, 2, m, r))[2]
+    best = finals.argmin(axis=1)
+    converged = np.mean(finals <= finals[one, best][:, None] + 1e-6, axis=1)
+    angles = ends.reshape(m, r, 9)[one, best]
+    # each best row alone, exactly as `witness_value` evaluates the reported angles
+    minima = np.array([_batch_value(rho, angle[None])[0] for rho, angle in zip(ms, angles)])
+    return minima, angles, converged, sweeps
+
+
+def stacked_minimize_witness(rhos, restarts: int = 64, seed: int = 0):
+    """The witness search of m three-qubit densities, all m x restarts rows of
+    the ascent in lock step. `rhos` is a list or tuple of DensityMatrix objects,
+    used as they are, or an (m, 8, 8) array, each matrix checked as a density
+    matrix.
+
+    Returns minima (m,), the reported angles (m, 9), converged fractions (m,)
+    (the share of restarts ending within 1e-6 of the minimum) and the sweeps each
+    density ran (m,). Each density stops by its own rule and every restart by
+    its own stream, so row d equals `minimize_witness(rhos[d], restarts, seed)`
+    bit for bit. `seed` is a non-negative integer; restarts lie in
+    1..MAX_RESTARTS; a stack of more than MAX_RESTARTS rows runs in chunks of
+    whole densities.
+    """
+    ms = _density_stack(rhos)
+    restarts = _integer(restarts, "restarts", 1, MAX_RESTARTS)
+    seed = _integer(seed, "seed", 0)
+    # restart i draws from its own stream default_rng([seed, i]), so the starts
+    # depend on (seed, restarts) alone; drawn once, shared by every chunk
+    starts = _euler_columns(np.stack([np.random.default_rng([seed, i]).uniform(0.0, 2.0 * np.pi, 9)
+                                      for i in range(restarts)]))
+    chunk = MAX_RESTARTS // restarts
+    parts = [_search(ms[i:i + chunk], starts) for i in range(0, len(ms), chunk)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchResult:
@@ -499,6 +500,6 @@ def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchRes
     on execution order. The reported value is `witness_value` at the reported
     angles.
     """
-    minima, angles, converged, _ = _search(_density8(rho)[None], restarts, seed)
+    minima, angles, converged, _ = stacked_minimize_witness([_witness_density(rho)], restarts, seed)
     return WitnessSearchResult(float(minima[0]), tuple(angles[0].tolist()), int(restarts),
                                float(converged[0]))

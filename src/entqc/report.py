@@ -37,6 +37,8 @@ from .entanglement import (
 )
 from .tensor import (
     ContractError,
+    DensityMatrix,
+    QubitRegister,
     haar_draws,
     haar_random_state,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -315,8 +317,10 @@ def section_witness(cfg: SuiteConfig):
     state = builtin_channel("bell-transformed").state
     plant_rng = np.random.default_rng([cfg.seed, 4242])
     phi = witness_state(plant_rng.uniform(0.0, 2.0 * np.pi, 9))
-    rhos = np.concatenate([reduced_densities(state, CHANNEL_TRIADS),
-                           [np.outer(phi, phi.conj()), np.eye(8) / 8.0]])
+    # the marginals of the checked state are used as they are, the two built matrices are checked
+    register = QubitRegister(("q1", "q2", "q3"))
+    rhos = [reduced_density(state, triad) for triad in CHANNEL_TRIADS] + [
+        DensityMatrix(register, np.outer(phi, phi.conj())), DensityMatrix(register, np.eye(8) / 8.0)]
     minima, _, converged, _ = stacked_minimize_witness(rhos, restarts=cfg.restarts, seed=cfg.seed)
     checks = [check(f"triad ({','.join(triad)}) witness minimum", value, 0.25, cfg.tol)
               for triad, value in zip(CHANNEL_TRIADS, minima[:4].tolist())]

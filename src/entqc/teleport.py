@@ -186,20 +186,27 @@ def measurement_kets(dressings) -> np.ndarray:
     return epr_amplitudes(products.reshape(*products.shape[:-2], 16, 4, 4))
 
 
+def _stack_last(a, ndim: int) -> np.ndarray:
+    """A (..., 4, 4) stack padded to ndim axes, viewed as (4, 4, ...)."""
+    a = np.asarray(a)
+    return a.reshape((1,) * (ndim - a.ndim) + a.shape).transpose(ndim - 2, ndim - 1, *range(ndim - 2))
+
+
 def transfer_blocks(kets, channels) -> np.ndarray:
     """Contract kets and channels over (A1,A2): blocks mapping U to the receiver,
     out[..., r, u] = sum_a channels[..., a, r] conj(kets[..., a, u]). Both are
     (..., 4, 4) stacks that broadcast against each other; the sum runs on
     C-contiguous stack-last (4, 4, N) copies, four products over rows of length N."""
-    shape = np.broadcast_shapes(np.shape(kets), np.shape(channels))
-    last = (-2, -1, *range(len(shape) - 2))
-    k, c = np.empty((2, 4, 4, *shape[:-2]), dtype=complex)
-    np.conjugate(np.broadcast_to(kets, shape).transpose(last), out=k)
-    c[...] = np.broadcast_to(channels, shape).transpose(last)
-    out, term = c[0, :, None] * k[0, None], np.empty((4, 4, *shape[:-2]), dtype=complex)
+    ndim = max(np.ndim(kets), np.ndim(channels))
+    k_view, c_view = _stack_last(kets, ndim), _stack_last(channels, ndim)
+    shape = np.broadcast(k_view, c_view).shape
+    k, c = np.empty((2, *shape), dtype=complex)
+    np.conjugate(k_view, out=k)
+    np.copyto(c, c_view)
+    out, term = c[0, :, None] * k[0, None], np.empty(shape, dtype=complex)
     for a in (1, 2, 3):
         out += np.multiply(c[a, :, None], k[a, None], out=term)
-    return out.transpose(*range(2, len(shape)), 0, 1)
+    return out.transpose(*range(2, ndim), 0, 1)
 
 
 def recovery_ops(kets, channels) -> np.ndarray:
@@ -214,18 +221,17 @@ def invariance_pairs(kets, corrections, w_l, w_r):
 
     Channel g is (1 (x) C_g) on the bare channel, the (1,1) ket; X on the first
     pair and Y on the second map an amplitude matrix K to X K Y^T, that is
-    vec K to (X (x) Y) vec K: one (32, 16) . (16, 16 T) product for all T
-    transforms, their (X (x) Y)^T side by side.
+    vec K to (X (x) Y) vec K: one (32, 16) . (16, 16) product per transform.
+    Each stays below OpenBLAS's threading threshold, so the time does not depend
+    on the BLAS thread count; one (32, 16) . (16, 16 T) product would cross it.
     """
     stacked = np.concatenate([kets, kets[0] @ np.swapaxes(corrections, -1, -2)]).reshape(32, 16)
     w_l, w_r = np.broadcast_arrays(w_l, w_r)
     lead = w_r.shape[:-2]
-    # (X (x) Y)^T [ab, ij] = X[i, a] Y[j, b] = w_r[a, i] w_l^T[b, j], from stack-last copies
-    wr, wlt = (np.ascontiguousarray(w.reshape(-1, 16).T).reshape(4, 4, -1)
-               for w in (w_r, np.swapaxes(w_l, -1, -2)))
-    kron_t = wr[:, None, :, None] * wlt[None, :, None, :]
-    out = (stacked @ kron_t.reshape(16, -1)).reshape(32, 16, -1).transpose(2, 0, 1)
-    return tuple(np.moveaxis(out.reshape(*lead, 2, 16, 4, 4), len(lead), 0))
+    # (X (x) Y)^T [ab, ij] = X[i, a] Y[j, b] = w_r[a, i] w_l^T[b, j], one broadcast product
+    kron_t = w_r[..., :, None, :, None] * np.swapaxes(w_l, -1, -2)[..., None, :, None, :]
+    out = (stacked @ kron_t.reshape(*lead, 16, 16)).reshape(*lead, 2, 16, 4, 4)
+    return out[..., 0, :, :, :], out[..., 1, :, :, :]
 
 
 def run_protocol_batch(unknowns, kets, channels, corrections):

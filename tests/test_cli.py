@@ -226,6 +226,27 @@ def test_analyze_ghz_channel_is_informational(capsys):
     assert channel_rows["valid teleportation resource"] is False
 
 
+def test_analyze_searches_the_marginals_of_an_edge_normalized_state(capsys, monkeypatch):
+    # |psi| = 1 + 0.9e-12 passes the state's norm check; its triad marginals
+    # (trace 1 + 1.8e-12) reach the witness search unchecked
+    from types import SimpleNamespace
+
+    from entqc import cli
+    from entqc.channel import CHANNEL_LABELS
+    from entqc.entanglement import CHANNEL_TRIADS, minimize_witness
+    from entqc.tensor import QubitRegister, StateVector, haar_random_state, reduced_density
+
+    amps = haar_random_state(4, np.random.default_rng(11)) * (1.0 + 0.9e-12)
+    s = StateVector(QubitRegister(CHANNEL_LABELS), amps)
+    monkeypatch.setattr(cli, "resolve_channel", lambda arg: SimpleNamespace(name=arg, state=s))
+    code, out, err = run(capsys, ["analyze", "--channel", "edge", "--restarts", "3", "--seed", "5"])
+    assert code in (0, 1) and not err
+    rows = {c["name"]: c["value"] for c in json.loads(out)["sections"][4]["checks"]}
+    for triad in CHANNEL_TRIADS:
+        result = minimize_witness(reduced_density(s, triad), restarts=3, seed=5)
+        assert rows[f"triad ({','.join(triad)}) witness minimum"] == result.min_value
+
+
 def test_analyze_unknown_channel(capsys):
     code, out, err = run(capsys, ["analyze", "--channel", "zzz"])
     assert code == 2

@@ -434,6 +434,7 @@ def test_witness_search_takes_python_and_numpy_integer_seeds():
     [np.eye(8) / 8.0, np.eye(4) / 4.0],  # ragged
     [[["a"] * 8] * 8],  # not numeric
     np.eye(8)[None],  # trace 8: not a density matrix
+    [DensityMatrix(QubitRegister(("a", "b")), np.eye(4) / 4.0)],  # a two-qubit DensityMatrix
 ])
 def test_stacked_witness_search_rejects_an_empty_or_mis_shaped_stack(rhos):
     with pytest.raises(ContractError):
@@ -441,26 +442,30 @@ def test_stacked_witness_search_rejects_an_empty_or_mis_shaped_stack(rhos):
 
 
 def test_stacked_witness_search_runs_a_long_stack_in_chunks(monkeypatch):
-    # at most MAX_SEARCH_ROWS rows (densities x restarts) per ascent: 16 // 5 = 3 densities
-    monkeypatch.setattr(entanglement, "MAX_SEARCH_ROWS", 16)
+    # at most MAX_RESTARTS rows (densities x restarts) per ascent: 16 // 5 = 3 densities
+    monkeypatch.setattr(entanglement, "MAX_RESTARTS", 16)
     sizes, ascend = [], entanglement._ascend_batch
 
     def counted(ms, rots):
         sizes.append(rots.shape[3:])
         return ascend(ms, rots)
 
-    monkeypatch.setattr(entanglement, "_ascend_batch", counted)
+    draws, default_rng = [], np.random.default_rng
+
+    def counted_rng(seed):
+        draws.append(seed)
+        return default_rng(seed)
+
     rhos = np.array(repro_witness_cases() * 2)
+    monkeypatch.setattr(entanglement, "_ascend_batch", counted)
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
     minima, angles, converged, sweeps = stacked_minimize_witness(rhos, restarts=5, seed=7)
     assert sizes == [(3, 5)] * 4
+    assert draws == [[7, i] for i in range(5)]  # the starts are drawn once for all chunks
     assert minima.shape == converged.shape == sweeps.shape == (12,) and angles.shape == (12, 9)
     for rho, minimum, row in zip(rhos, minima, angles):
         result = minimize_witness(rho, restarts=5, seed=7)
         assert (result.min_value, result.parameters) == (minimum, tuple(row.tolist()))
-    # one restart over the cap still runs, one density per ascent
-    sizes.clear()
-    stacked_minimize_witness(rhos[:2], restarts=20, seed=7)
-    assert sizes == [(1, 20)] * 2
 
 
 # --- PT criterion sweeps ---------------------------------------------------------

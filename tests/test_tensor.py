@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entqc.entanglement import pair_analysis
+from entqc.entanglement import minimize_witness, pair_analysis, stacked_minimize_witness
 from entqc.tensor import (
     ATOL,
     ContractError,
@@ -175,6 +175,12 @@ def test_marginals_of_an_edge_normalized_state_are_accepted():
     assert np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0).max() > ATOL
     assert np.array_equal(reduced_density(s, ("c", "d")).matrix, stack[1])
     assert pair_analysis(s, ("a", "b")).reduced.register.labels == ("a", "b")
+    # the witness search takes the triad marginals as DensityMatrix objects, as they are
+    triads = [reduced_density(s, triad) for triad in [("a", "b", "c"), ("b", "c", "d")]]
+    minima, angles, _, _ = stacked_minimize_witness(triads, restarts=4, seed=3)
+    for rho, minimum, row in zip(triads, minima, angles):
+        result = minimize_witness(rho, restarts=4, seed=3)
+        assert (result.min_value, result.parameters) == (minimum, tuple(row.tolist()))
 
 
 def test_partial_trace_is_trace_preserving():

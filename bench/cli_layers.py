@@ -1,11 +1,12 @@
 """Time the command line's layers in process: parser, renderers (on the
-documents `entqc teleport` builds) and channel resolution (built-in channel
-and channel file), `cli.main` (`teleport`, `analyze` and each `repro`
-section), the batched protocol kernels and the protocol's object API, the
-stacked analysis calls and witness kernels (with their n = 1 wrappers looped
-over the same items) and the `repro` section builders; and, as one-shot use
-pays them, a first `cli.main` call (parser built anew) and a whole
-`python -m entqc.cli` process.
+documents `entqc teleport` builds), the checks at its boundary (a 4x4
+unitarity check, a channel file read and checked, a seeded input state) and
+channel resolution (built-in channel and channel file), `cli.main`
+(`teleport`, `analyze` and each `repro` section), the batched protocol
+kernels and the protocol's object API, the stacked analysis calls and witness
+kernels (with their n = 1 wrappers looped over the same items) and the
+`repro` section builders; and, as one-shot use pays them, a first `cli.main`
+call (parser built anew) and a whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -58,8 +59,10 @@ sys.path.insert(0, SRC)
 import numpy as np  # noqa: E402
 
 from entqc import cli, entanglement, report, teleport  # noqa: E402
-from entqc.channel import ChannelSpec, bell_transform_matrix, builtin_channel, resolve_channel  # noqa: E402
-from entqc.tensor import haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities, reduced_density  # noqa: E402
+from entqc.channel import (  # noqa: E402
+    ChannelSpec, bell_transform_matrix, builtin_channel, load_channel_json, resolve_channel)
+from entqc.tensor import (  # noqa: E402
+    haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities, reduced_density, require_unitary)
 
 REPEATS = 7
 SEED = "7"
@@ -231,6 +234,7 @@ def measure(directory: str) -> dict:
     doc = _live_document(TELEPORT_ARGV)
     file_doc = _live_document(file_argv)
     cfg = report.SuiteConfig()
+    unitary = haar_random_unitary(2, [int(SEED), 3])  # the channel file's dressing
     layers = {
         "cli.build_parser.us": _per_call(build) * 1e6,
         "cli.parse_args.us": _per_call(lambda: parser.parse_args(TELEPORT_ARGV)) * 1e6,
@@ -239,6 +243,10 @@ def measure(directory: str) -> dict:
         "cli.render_json.teleport_file.us": _per_call(lambda: cli.render_json(file_doc)) * 1e6,
         "cli.render_text.teleport_file.us": _per_call(lambda: cli.render_text(file_doc)) * 1e6,
         "channel.resolve_channel.file.us": _per_call(lambda: resolve_channel(channel_file)) * 1e6,
+        "channel.resolve_channel.builtin.us": _per_call(lambda: resolve_channel("bell-transformed")) * 1e6,
+        "channel.load_channel_json.us": _per_call(lambda: load_channel_json(channel_file)) * 1e6,
+        "tensor.require_unitary.4x4.us": _per_call(lambda: require_unitary(unitary)) * 1e6,
+        "teleport.UnknownState.random.us": _per_call(lambda: teleport.UnknownState.random(int(SEED))) * 1e6,
     }
     layers.update(protocol_kernels())
     layers.update(analysis_layers())

@@ -20,6 +20,7 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
+    _trusted,
     _unitary_stack,
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -27,8 +28,10 @@ from .tensor import (
 )
 
 CHANNEL_LABELS = ("A1", "A2", "B1", "B2")
+_CHANNEL_REGISTER = QubitRegister(CHANNEL_LABELS)
 SENDER_LABELS = ("A1", "A2")
 RECEIVER_LABELS = ("B1", "B2")
+_NUMBERS = (int, float)  # the JSON number types; bool is neither type
 
 # Looser than construction tolerance so accumulated products still validate.
 VALID_CHANNEL_ATOL = 1e-10
@@ -56,7 +59,7 @@ class ChannelSpec:
 
 def epr_pair_channel() -> StateVector:
     """Two EPR pairs, (A1,B1) and (A2,B2): amplitude matrix I/2 (see `epr_amplitudes`)."""
-    return StateVector(QubitRegister(CHANNEL_LABELS), np.eye(4) / 2.0)
+    return StateVector(_CHANNEL_REGISTER, np.eye(4) / 2.0)
 
 
 def epr_amplitudes(ops) -> np.ndarray:
@@ -66,8 +69,9 @@ def epr_amplitudes(ops) -> np.ndarray:
 
 
 def dressed_channel(spec: ChannelSpec) -> StateVector:
-    """The EPR-pair channel with `spec.dressing` D applied to the receiver pair."""
-    return StateVector(QubitRegister(CHANNEL_LABELS), epr_amplitudes(spec.dressing))
+    """The EPR-pair channel with `spec.dressing` D on the receiver pair, normalized as D is unitary."""
+    amplitudes = epr_amplitudes(spec.dressing).reshape(-1)
+    return _trusted(StateVector, register=_CHANNEL_REGISTER, amplitudes=amplitudes)
 
 
 def bell_transform_matrix() -> np.ndarray:
@@ -125,7 +129,7 @@ def generalized_ghz(spec: GhzSpec = GhzSpec()) -> StateVector:
         return functools.reduce(np.multiply.outer, [b[:, k] for b in spec.local_bases]).reshape(-1)
 
     amps = spec.amplitudes[0] * branch(0) + spec.amplitudes[1] * branch(1)
-    return StateVector(QubitRegister(CHANNEL_LABELS), amps)
+    return StateVector(_CHANNEL_REGISTER, amps)
 
 
 def is_valid_channel(state: StateVector) -> tuple[bool, float]:
@@ -155,18 +159,15 @@ class ResolvedChannel:
         return generalized_ghz() if self.spec is None else dressed_channel(self.spec)
 
 
+#: the built-in channels' specs, each checked once (ghz is undressed)
+_BUILTIN_SPECS = {"epr": ChannelSpec(np.eye(4, dtype=complex), name="epr"), "ghz": None,
+                  "bell-transformed": ChannelSpec(bell_transform_matrix(), name="bell-transformed")}
+
+
 def builtin_channel(name: str) -> ResolvedChannel:
-    if name == "epr":
-        spec = ChannelSpec(np.eye(4, dtype=complex), name="epr")
-    elif name == "bell-transformed":
-        spec = ChannelSpec(bell_transform_matrix(), name="bell-transformed")
-    elif name == "ghz":
-        spec = None
-    else:
-        raise ContractError(
-            f"unknown channel {name!r}; built-ins: {', '.join(BUILTIN_CHANNELS)}"
-        )
-    return ResolvedChannel(name, spec)
+    if name not in _BUILTIN_SPECS:
+        raise ContractError(f"unknown channel {name!r}; built-ins: {', '.join(BUILTIN_CHANNELS)}")
+    return ResolvedChannel(name, _BUILTIN_SPECS[name])
 
 
 def _complex_from_pair(node, what: str) -> complex:
@@ -183,18 +184,25 @@ def _complex_from_pair(node, what: str) -> complex:
 
 
 def _matrix_from_json(node, what: str) -> np.ndarray:
-    """Accept 16 [re,im] pairs row-major, or four rows of four pairs."""
+    """Accept 16 [re,im] pairs row-major, or four rows of four pairs: in one conversion (which
+    keeps a -0.0 real part) when all are ints and floats, else pair by pair, naming the fault."""
     if not isinstance(node, list):
         raise ContractError(f"{what} must be a JSON array")
     if len(node) == 16:
-        flat = [_complex_from_pair(x, what) for x in node]
+        pairs = node
     elif len(node) == 4 and all(isinstance(r, list) and len(r) == 4 for r in node):
-        flat = [_complex_from_pair(x, what) for row in node for x in row]
+        pairs = [x for row in node for x in row]
     else:
         raise ContractError(
             f"{what} must be 16 [re, im] pairs (row-major) or a 4x4 nesting of them"
         )
-    return _as_complex(flat, what).reshape(4, 4)
+    if all(type(p) is list and len(p) == 2 and type(p[0]) in _NUMBERS and type(p[1]) in _NUMBERS
+           for p in pairs):
+        try:
+            return _as_complex(np.array(pairs, dtype=float).view(complex), what).reshape(4, 4)
+        except OverflowError:  # an integer beyond float range, named below
+            pass
+    return _as_complex([_complex_from_pair(x, what) for x in pairs], what).reshape(4, 4)
 
 
 def load_channel_json(path: str) -> ChannelSpec:

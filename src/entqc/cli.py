@@ -37,7 +37,7 @@ from .report import (
     check,
     section,
 )
-from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, reduced_densities
+from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, _trusted, reduced_densities
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
 
@@ -381,7 +381,7 @@ def cmd_analyze(args) -> int:
 
     triad_checks, witness_checks = [], []
     reduced, *rows = stacked_triad_analysis(state, CHANNEL_TRIADS)
-    marginals = [DensityMatrix._checked(QubitRegister(triad), rho)  # of a checked state
+    marginals = [_trusted(DensityMatrix, register=QubitRegister(triad), matrix=rho)  # of a checked state
                  for triad, rho in zip(CHANNEL_TRIADS, reduced)]
     minima, angles, converged, _ = stacked_minimize_witness(marginals, restarts=args.restarts, seed=seed)
     for triad, eigs, fids, tangles, minimum, best, fraction in zip(

@@ -26,6 +26,7 @@ from .tensor import (
     StateVector,
     _as_complex,
     _require_densities,
+    _trusted,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -119,7 +120,7 @@ def pair_analysis(state: StateVector, pair) -> PairReport:
     """Reduce to the named pair and apply the PT separability test."""
     pair = tuple(pair)
     reduced, spectra, entangled = stacked_pair_analysis(state, [pair])
-    return PairReport(pair, DensityMatrix._checked(QubitRegister(pair), reduced[0]),
+    return PairReport(pair, _trusted(DensityMatrix, register=QubitRegister(pair), matrix=reduced[0]),
                       float(spectra[0, 0]), bool(entangled[0]))
 
 
@@ -173,7 +174,7 @@ def triad_analysis(state: StateVector, triad) -> TriadReport:
     reference GHZ components (`stacked_triad_analysis` of one triad)."""
     triad = tuple(triad)
     reduced, _, fidelities, tangles = stacked_triad_analysis(state, [triad])
-    return TriadReport(triad, DensityMatrix._checked(QubitRegister(triad), reduced[0]),
+    return TriadReport(triad, _trusted(DensityMatrix, register=QubitRegister(triad), matrix=reduced[0]),
                        tuple(fidelities[0].tolist()), tuple(tangles[0].tolist()))
 
 

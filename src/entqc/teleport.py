@@ -25,6 +25,7 @@ from .tensor import (
     StateVector,
     _as_complex,
     _require,
+    _trusted,
     _unitary_stack,
     haar_random_state,
     kron,
@@ -72,7 +73,7 @@ class UnknownState:
 
     @staticmethod
     def random(seed) -> "UnknownState":
-        return UnknownState(haar_random_state(2, seed))
+        return _trusted(UnknownState, coefficients=haar_random_state(2, seed))
 
     def as_state(self, labels=UNKNOWN_LABELS) -> StateVector:
         return StateVector(QubitRegister(tuple(labels)), self.coefficients)
@@ -257,8 +258,8 @@ def standard_protocol_batch(unknowns, dressings):
 
 
 def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
-    """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U)."""
-    return MeasurementBasis(measurement_kets(channel.dressing).reshape(16, 16))
+    """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U): a basis as D is unitary."""
+    return _trusted(MeasurementBasis, amplitudes=measurement_kets(channel.dressing).reshape(16, 16))
 
 
 def standard_corrections() -> CorrectionTable:
@@ -345,7 +346,7 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
     channel, the protocol still achieves unit fidelity. By the EPR-pair
     identity the kets are sigma-pair^T / 2, the corrections sigma-pair . D†.
     """
-    return _SERIES_BASIS, CorrectionTable(_SIGMA_PAIRS @ channel.dressing.conj().T)
+    return _SERIES_BASIS, _trusted(CorrectionTable, ops=_SIGMA_PAIRS @ channel.dressing.conj().T)
 
 
 def split_schmidt_coefficients(basis: MeasurementBasis) -> dict:

@@ -57,6 +57,17 @@ def _require(m: np.ndarray, of: str, tol: float, fault: str) -> None:
         raise ContractError(f"{fault}: deviation {dev:.3e} > {tol:g}")
 
 
+def _trusted(cls, **fields):
+    """A `cls` instance holding values derived from checked inputs, built without
+    its constructor's checks; every array field is made read-only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def kron(*factors) -> np.ndarray:
     """Kronecker product of one or more vectors/matrices, left to right."""
     if not factors:
@@ -65,7 +76,23 @@ def kron(*factors) -> np.ndarray:
 
 
 def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray:
-    """Validate U†U = 1 within `tol`, for a matrix or a stack (..., n, n); return a read-only copy."""
+    """Validate U†U = 1 within `tol`, for a matrix or a stack (..., n, n); return a read-only copy.
+    No entry of a unitary within `tol` exceeds sqrt(1 + tol) in modulus, so an input with none above
+    min(1 + tol, 2), where U†U cannot overflow, is accepted on its deviation alone (the full check's,
+    bit for bit); any other input, and any it does not accept, gets the full check and its message."""
+    try:
+        u = np.array(m, dtype=complex)
+        lean = (u.ndim >= 2 and u.shape[-1] == u.shape[-2]
+                and np.abs(u).max(initial=0.0) <= min(1.0 + tol, 2.0))
+    except (TypeError, ValueError):
+        lean = False
+    if lean:
+        n = u.shape[-1]
+        gram = np.swapaxes(u, -1, -2).conj() @ u
+        gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1] -= 1.0  # U†U - 1, on a diagonal view
+        if np.abs(gram).max(initial=0.0) <= tol:
+            u.setflags(write=False)
+            return u
     u = _as_complex(m, what).copy()
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ContractError(f"{what} is not square: shape {u.shape}")
@@ -172,7 +199,7 @@ class StateVector:
     def relabeled(self, mapping) -> "StateVector":
         """Rename labels without touching amplitudes."""
         labels = tuple(mapping.get(lab, lab) for lab in self.register.labels)
-        return StateVector(QubitRegister(labels), self.amplitudes)
+        return _trusted(StateVector, register=QubitRegister(labels), amplitudes=self.amplitudes)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -254,14 +281,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def _checked(cls, register: QubitRegister, matrix: np.ndarray) -> "DensityMatrix":
-        """Wrap a read-only marginal of a checked state without checking it again."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "register", register)
-        object.__setattr__(rho, "matrix", matrix)
-        return rho
-
     @staticmethod
     def from_state(state: StateVector) -> "DensityMatrix":
         return DensityMatrix(
@@ -303,7 +322,7 @@ def reduced_densities(state: StateVector, keeps) -> np.ndarray:
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state: `reduced_densities` of one keep."""
     register = QubitRegister(tuple(keep))
-    return DensityMatrix._checked(register, reduced_densities(state, [register.labels])[0])
+    return _trusted(DensityMatrix, register=register, matrix=reduced_densities(state, [register.labels])[0])
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:

@@ -31,7 +31,6 @@ CHANNEL_LABELS = ("A1", "A2", "B1", "B2")
 _CHANNEL_REGISTER = QubitRegister(CHANNEL_LABELS)
 SENDER_LABELS = ("A1", "A2")
 RECEIVER_LABELS = ("B1", "B2")
-_NUMBERS = (int, float)  # the JSON number types; bool is neither type
 
 # Looser than construction tolerance so accumulated products still validate.
 VALID_CHANNEL_ATOL = 1e-10
@@ -165,7 +164,7 @@ _BUILTIN_SPECS = {"epr": ChannelSpec(np.eye(4, dtype=complex), name="epr"), "ghz
 
 
 def builtin_channel(name: str) -> ResolvedChannel:
-    if name not in _BUILTIN_SPECS:
+    if name not in BUILTIN_CHANNELS:  # by ==, so an unhashable name is unknown too
         raise ContractError(f"unknown channel {name!r}; built-ins: {', '.join(BUILTIN_CHANNELS)}")
     return ResolvedChannel(name, _BUILTIN_SPECS[name])
 
@@ -184,25 +183,18 @@ def _complex_from_pair(node, what: str) -> complex:
 
 
 def _matrix_from_json(node, what: str) -> np.ndarray:
-    """Accept 16 [re,im] pairs row-major, or four rows of four pairs: in one conversion (which
-    keeps a -0.0 real part) when all are ints and floats, else pair by pair, naming the fault."""
+    """Accept 16 [re,im] pairs row-major, or four rows of four pairs."""
     if not isinstance(node, list):
         raise ContractError(f"{what} must be a JSON array")
     if len(node) == 16:
-        pairs = node
+        flat = [_complex_from_pair(x, what) for x in node]
     elif len(node) == 4 and all(isinstance(r, list) and len(r) == 4 for r in node):
-        pairs = [x for row in node for x in row]
+        flat = [_complex_from_pair(x, what) for row in node for x in row]
     else:
         raise ContractError(
             f"{what} must be 16 [re, im] pairs (row-major) or a 4x4 nesting of them"
         )
-    if all(type(p) is list and len(p) == 2 and type(p[0]) in _NUMBERS and type(p[1]) in _NUMBERS
-           for p in pairs):
-        try:
-            return _as_complex(np.array(pairs, dtype=float).view(complex), what).reshape(4, 4)
-        except OverflowError:  # an integer beyond float range, named below
-            pass
-    return _as_complex([_complex_from_pair(x, what) for x in pairs], what).reshape(4, 4)
+    return _as_complex(flat, what).reshape(4, 4)
 
 
 def load_channel_json(path: str) -> ChannelSpec:

@@ -65,8 +65,6 @@ DEFAULT_RESTARTS = 64
 DEFAULT_WITNESS_TOL = 1e-3
 TELEPORT_TRIALS = 1000
 INVARIANCE_TRIALS = 100
-#: transforms per invariance pass: passes of 20 reuse heap memory, one of 100 faults it in anew
-INVARIANCE_PASS = 20
 GRADIENT_POINTS = 100
 
 # Expected pair marginals of the Bell-transformed reference channel. The
@@ -330,24 +328,22 @@ def section_witness(cfg: SuiteConfig):
 
 def section_invariance(cfg: SuiteConfig):
     # each transformed protocol runs on its physical channel, the (1,1) one,
-    # with the corrections that channel implies, in passes of INVARIANCE_PASS transforms
+    # with the corrections that channel implies
     kets = measurement_kets(bell_transform_matrix())
     sigma = standard_corrections().ops
     pairs, unknowns = haar_draws(2, [cfg.seed, 2], INVARIANCE_TRIALS, 2)
     base_blocks = transfer_blocks(*invariance_pairs(kets, sigma, np.eye(4), np.eye(4)))
-    changes, infidelities = [], []
-    for start in range(0, INVARIANCE_TRIALS, INVARIANCE_PASS):
-        part = slice(start, start + INVARIANCE_PASS)
-        t_kets, t_channels = invariance_pairs(kets, sigma, pairs[part, 0], pairs[part, 1])
-        physical = t_channels[:, 0]
-        recovery = recovery_ops(t_kets, physical[:, None])
-        _, _, corrected = run_protocol_batch(unknowns[part], t_kets, physical, recovery)
-        changes.append(np.abs(transfer_blocks(t_kets, t_channels) - base_blocks).max())
-        infidelities.append(_infidelities(corrected, unknowns[part]).max())
+    t_kets, t_channels = invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])
+    physical = t_channels[:, 0]
+    _, _, corrected = run_protocol_batch(
+        unknowns, t_kets, physical, recovery_ops(t_kets, physical[:, None])
+    )
     n = INVARIANCE_TRIALS
     checks = [
-        check(f"max transfer-block change over {n} random transforms", np.max(changes), 0.0, 1e-12),
-        check(f"max corrected infidelity over {n} transformed runs", np.max(infidelities), 0.0, 1e-10),
+        check(f"max transfer-block change over {n} random transforms",
+              np.abs(transfer_blocks(t_kets, t_channels) - base_blocks).max(), 0.0, 1e-12),
+        check(f"max corrected infidelity over {n} transformed runs",
+              _infidelities(corrected, unknowns).max(), 0.0, 1e-10),
     ]
     return section("invariance", checks)
 

@@ -1,11 +1,10 @@
 """Checks made once, at the boundary.
 
-The unitarity check and the channel-file matrix reader each have a fast
-path; the code they replaced is kept here, test-only, as the oracle, and
-both must give its decisions, values and messages. Values the library
-derives from checked inputs are wrapped without a second check: they must be
-read-only and still pass the checks they skip. The report's float rows and
-its invariance passes must equal the rows of the code they replaced.
+The unitarity check has a fast path; the code it replaced is kept here,
+test-only, as the oracle, and it must give its decisions, deviations and
+messages. Values the library derives from checked inputs are wrapped without a
+second check: they must be read-only and still pass the checks they skip. The
+report's float rows must equal the rows of the code they replaced.
 Hypothesis settings are fixed and derandomized, with no example database.
 """
 import numpy as np
@@ -18,8 +17,6 @@ from entqc.channel import (
     BUILTIN_CHANNELS,
     CHANNEL_LABELS,
     ChannelSpec,
-    _complex_from_pair,
-    _matrix_from_json,
     builtin_channel,
     dressed_channel,
 )
@@ -60,20 +57,6 @@ def ref_deviation(u):
     """max |U†U - 1|, as the full check forms it."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(u.shape[-1])).max(initial=0.0)
-
-
-def ref_matrix_from_json(node, what):
-    if not isinstance(node, list):
-        raise ContractError(f"{what} must be a JSON array")
-    if len(node) == 16:
-        flat = [_complex_from_pair(x, what) for x in node]
-    elif len(node) == 4 and all(isinstance(r, list) and len(r) == 4 for r in node):
-        flat = [_complex_from_pair(x, what) for row in node for x in row]
-    else:
-        raise ContractError(
-            f"{what} must be 16 [re, im] pairs (row-major) or a 4x4 nesting of them"
-        )
-    return _as_complex(flat, what).reshape(4, 4)
 
 
 def ref_check(name, value, target=None, tolerance=None):
@@ -173,66 +156,6 @@ def test_unitary_check_rejects_what_the_full_check_rejects(tol):
         assert_same_decision(m, tol)
 
 
-# --- the channel-file matrix reader -------------------------------------------
-NUMBERS = (st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False)
-           | st.sampled_from([0.0, -0.0, -0.0, 0.5, -1e-300, 5e-324])
-           | st.integers(2**53 - 3, 2**53 + 3) | st.integers(-2**53 - 3, -2**53 + 3)
-           | st.integers(2**63 - 3, 2**63 + 3) | st.integers(-2**63 - 3, -2**63 + 3)
-           | st.integers(2**64 - 3, 2**64 + 3))
-PAIRS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=16, max_size=16)
-
-
-def nested(pairs):
-    return [pairs[4 * i:4 * i + 4] for i in range(4)]
-
-
-def assert_same_matrix(node):
-    got, ref = _matrix_from_json(node, "dressing"), ref_matrix_from_json(node, "dressing")
-    assert got.dtype == ref.dtype and got.shape == ref.shape == (4, 4)
-    assert np.array_equal(got, ref)
-    assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
-    assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(PAIRS)
-def test_one_pass_reader_matches_the_per_pair_reader(pairs):
-    assert_same_matrix(pairs)
-    assert_same_matrix(nested(pairs))
-
-
-BAD_ENTRIES = [True, False, "1", None, 10**400, -(10**400), float("nan"), float("-inf"),
-               [1.0, 2.0], {"re": 1.0}]
-BAD_PAIRS = [[1.0], [1.0, 0.0, 0.0], [], (1.0, 0.0), "ab", 1.0, None, [[1.0, 0.0]]]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(PAIRS, st.integers(0, 15), st.integers(0, 1), st.sampled_from(BAD_ENTRIES),
-       st.sampled_from(BAD_PAIRS), st.booleans())
-def test_one_pass_reader_fails_as_the_per_pair_reader_does(pairs, at, part, entry, pair, whole):
-    pairs = [list(p) for p in pairs]
-    if whole:
-        pairs[at] = pair
-    else:
-        pairs[at][part] = entry
-    for node in (pairs, nested(pairs)):
-        got, ref = outcome(_matrix_from_json, node, "u"), outcome(ref_matrix_from_json, node, "u")
-        assert got[0] == ref[0]
-        if got[0] == "error":
-            assert got[1] == ref[1]
-        else:  # a (re, im) tuple is a pair too
-            assert np.array_equal(got[1], ref[1])
-
-
-@pytest.mark.parametrize("node", [
-    [[1.0, 0.0]] * 15, [[1.0, 0.0]] * 17, [], {"a": 1}, "text",
-    [[[1.0, 0.0]] * 4] * 3, [[[1.0, 0.0]] * 3] * 4, [[[1.0, 0.0]] * 4] * 3 + [5],
-])
-def test_one_pass_reader_rejects_misshapen_documents_as_before(node):
-    got, ref = outcome(_matrix_from_json, node, "v"), outcome(ref_matrix_from_json, node, "v")
-    assert got == ref and got[0] == "error"
-
-
 # --- values derived from checked inputs ----------------------------------------
 def test_builtin_specs_are_checked_once_and_shared():
     for name in BUILTIN_CHANNELS:
@@ -305,11 +228,3 @@ def test_check_rows_equal_the_isinstance_chain(value, target, tolerance):
     assert got == ref
     assert [type(v) for v in got.values()] == [type(v) for v in ref.values()]
 
-
-def test_invariance_passes_give_the_one_pass_rows(monkeypatch):
-    for seed in (7, 11):
-        cfg = report.SuiteConfig(seed=seed)
-        rows = report.section_invariance(cfg)
-        monkeypatch.setattr(report, "INVARIANCE_PASS", report.INVARIANCE_TRIALS)
-        assert report.section_invariance(cfg) == rows
-        monkeypatch.undo()

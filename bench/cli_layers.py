@@ -1,6 +1,7 @@
 """Time the command line's layers in process: parser, renderers (on the
-documents `entqc teleport` builds), the checks at its boundary (a 4x4
-unitarity check, a channel file read and checked, a seeded input state) and
+documents `entqc teleport` builds), a report row of exact floats, the checks at
+its boundary (a 4x4 unitarity check, a channel file read and checked, a seeded
+input state, a checked four-amplitude state) and
 channel resolution (built-in channel and channel file), `cli.main`
 (`teleport`, `analyze` and each `repro` section), the batched protocol
 kernels and the protocol's object API, the stacked analysis calls and witness
@@ -62,7 +63,8 @@ from entqc import cli, entanglement, report, teleport  # noqa: E402
 from entqc.channel import (  # noqa: E402
     ChannelSpec, bell_transform_matrix, builtin_channel, load_channel_json, resolve_channel)
 from entqc.tensor import (  # noqa: E402
-    haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities, reduced_density, require_unitary)
+    QubitRegister, StateVector, haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities,
+    reduced_density, require_unitary)
 
 REPEATS = 7
 SEED = "7"
@@ -191,7 +193,8 @@ def analysis_layers() -> dict:
 
 def witness_layers() -> dict:
     """The witness kernels on the `gradient` section's stack sizes (values at
-    1 800 shifted points, gradients at 100 points, on a triad marginal), and
+    1 800 shifted points, gradients at 100 points, on a triad marginal), the
+    value at one point on that marginal as a `DensityMatrix`, and
     the witness search on the `witness` section's six densities and
     `analyze`'s four triads (64 restarts, seed 7): one stacked call, and its
     n = 1 wrapper looped over the same densities."""
@@ -202,9 +205,11 @@ def witness_layers() -> dict:
     planted = np.random.default_rng([int(SEED), 4242]).uniform(0.0, 2.0 * np.pi, 9)
     phi = entanglement.witness_state(planted)
     section = np.concatenate([triads, [np.outer(phi, phi.conj()), np.eye(8) / 8.0]])
+    marginal = reduced_density(state, entanglement.CHANNEL_TRIADS[0])
     search, serial = entanglement.stacked_minimize_witness, entanglement.minimize_witness
     calls = {
         "entanglement.witness_value.n1800": lambda: entanglement.witness_value(rho, angles),
+        "entanglement.witness_value.one": lambda: entanglement.witness_value(marginal, angles[0]),
         "entanglement.witness_gradient.n100": lambda: entanglement.witness_gradient(rho, angles[:100]),
         "entanglement.stacked_minimize_witness.m6": lambda: search(section, 64, int(SEED)),
         "entanglement.minimize_witness.m6_serial": lambda: [serial(m, 64, int(SEED)) for m in section],
@@ -235,6 +240,7 @@ def measure(directory: str) -> dict:
     file_doc = _live_document(file_argv)
     cfg = report.SuiteConfig()
     unitary = haar_random_unitary(2, [int(SEED), 3])  # the channel file's dressing
+    register, amplitudes = QubitRegister(("a", "b")), teleport.UnknownState.random(int(SEED)).coefficients
     layers = {
         "cli.build_parser.us": _per_call(build) * 1e6,
         "cli.parse_args.us": _per_call(lambda: parser.parse_args(TELEPORT_ARGV)) * 1e6,
@@ -247,6 +253,9 @@ def measure(directory: str) -> dict:
         "channel.load_channel_json.us": _per_call(lambda: load_channel_json(channel_file)) * 1e6,
         "tensor.require_unitary.4x4.us": _per_call(lambda: require_unitary(unitary)) * 1e6,
         "teleport.UnknownState.random.us": _per_call(lambda: teleport.UnknownState.random(int(SEED))) * 1e6,
+        "tensor.StateVector.us": _per_call(lambda: StateVector(register, amplitudes)) * 1e6,
+        "report.check.float_row.us":
+            _per_call(lambda: report.check("outcome (1,1) probability", 0.0625, 0.0625, 1e-10)) * 1e6,
     }
     layers.update(protocol_kernels())
     layers.update(analysis_layers())

@@ -148,19 +148,22 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
 @dataclass(frozen=True, eq=False)
 class ResolvedChannel:
     """A named channel ready for use: its spec when dressed (None for the
-    undressed GHZ channel) and its state, built on first read of `state`."""
+    undressed GHZ channel, whose state is built once) and its state, built on
+    first read of `state`."""
 
     name: str
     spec: ChannelSpec | None
 
     @functools.cached_property
     def state(self) -> StateVector:
-        return generalized_ghz() if self.spec is None else dressed_channel(self.spec)
+        return _GHZ_STATE if self.spec is None else dressed_channel(self.spec)
 
 
-#: the built-in channels' specs, each checked once (ghz is undressed)
+#: the built-in channels' specs, each checked once (ghz is undressed), and the
+#: undressed channel's state, built once
 _BUILTIN_SPECS = {"epr": ChannelSpec(np.eye(4, dtype=complex), name="epr"), "ghz": None,
                   "bell-transformed": ChannelSpec(bell_transform_matrix(), name="bell-transformed")}
+_GHZ_STATE = generalized_ghz()
 
 
 def builtin_channel(name: str) -> ResolvedChannel:

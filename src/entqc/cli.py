@@ -35,6 +35,7 @@ from .report import (
     SuiteConfig,
     build_report,
     check,
+    document,
     section,
 )
 from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, _trusted, reduced_densities
@@ -330,15 +331,13 @@ def cmd_teleport(args) -> int:
         )
         return 1
 
-    doc = {"report": "teleport", "channel": resolved.name}
+    meta = {"channel": resolved.name}
     if args.state is not None:
         unknown = _parse_state_arg(args.state)
     else:
-        seed = _resolve_seed(args)
-        doc["seed"] = seed
-        unknown = UnknownState.random(seed)
+        meta["seed"] = _resolve_seed(args)
+        unknown = UnknownState.random(meta["seed"])
     c = unknown.coefficients
-    doc["unknown_state"] = _pairs(c)
     probs, bob, corrected = standard_protocol_batch(c[None], resolved.spec.dressing[None])
     fids = (np.abs(corrected[0].conj() @ c) ** 2).tolist()
     checks = []
@@ -347,9 +346,7 @@ def cmd_teleport(args) -> int:
         checks.append(check(f"{tag} probability", prob, 1.0 / 16.0, FIDELITY_ATOL))
         checks.append(check(f"{tag} corrected fidelity", fid, 1.0, FIDELITY_ATOL))
         checks.append(check(f"{tag} receiver state", receiver))
-    outcomes = section("outcomes", checks)
-    doc["sections"] = [outcomes]
-    doc["pass"] = outcomes["pass"]
+    doc = document("teleport", [section("outcomes", checks)], **meta, unknown_state=_pairs(c))
     _write_document(doc, args)
     return 0 if doc["pass"] else 1
 
@@ -398,21 +395,14 @@ def cmd_analyze(args) -> int:
             check(f"triad {tag} witness converged fraction", fraction),
         ]
 
-    doc = {
-        "report": "analyze",
-        "channel": resolved.name,
-        "seed": seed,
-        "restarts": args.restarts,
-        "sections": [
-            section("channel", channel_checks),
-            section("marginals", marginal_checks),
-            section("pairs", pair_checks),
-            section("triads", triad_checks),
-            section("witness", witness_checks),
-        ],
-    }
-    doc["pass"] = all(s["pass"] for s in doc["sections"])
-    _write_document(doc, args)
+    sections = [
+        section("channel", channel_checks),
+        section("marginals", marginal_checks),
+        section("pairs", pair_checks),
+        section("triads", triad_checks),
+        section("witness", witness_checks),
+    ]
+    _write_document(document("analyze", sections, channel=resolved.name, seed=seed, restarts=args.restarts), args)
     return 0
 
 

@@ -213,14 +213,14 @@ def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
 #
 # The kernels keep the stack on the last axis: rotations (3, 2, 2, *stack),
 # indexed [qubit, row, column], and states (8, *stack). Every elementwise step
-# then runs over rows as long as the stack, and rho . phi is one (8, 8) . (8, n)
-# product. The stack is (n,) for one density and (m, r) for m densities of r
-# restarts each; public shapes stay stack-first.
+# then runs over rows as long as the stack, and rho . phi is one (m, 8, 8) . (m, 8, r)
+# product. The stack is (m, r) for m densities of r restarts or angle rows each (one
+# density is a stack of one); public shapes stay stack-first.
 
 def _angle_stack(rotation_params) -> tuple[np.ndarray, bool]:
     """Angles as an (n, 9) stack, and whether one point of shape (9,) was given."""
     params = np.asarray(rotation_params, dtype=float)
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ContractError("rotation parameters contain non-finite entries")
     if params.shape == (9,):
         return params[None, :], True
@@ -240,23 +240,14 @@ def witness_state(rotation_params) -> np.ndarray:
     return states[0] if single else states
 
 
-def _witness_density(rho) -> DensityMatrix:
-    """A three-qubit DensityMatrix as it is; any other input is checked as one."""
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(QubitRegister(("q1", "q2", "q3")), rho)
-    if rho.register.size != 3:
-        raise ContractError("the witness acts on three-qubit density matrices")
-    return rho
-
-
 def witness_value(rho, rotation_params):
     """Witness expectation 3/4 - <phi|rho|phi> at the given finite rotation angles;
     angles (9,) give a float, a stack (n, 9) an (n,) array in passes of
     ROWS_PER_PASS rows. `rho` is a three-qubit DensityMatrix or an (8, 8) array
     checked as a density matrix (Hermitian, unit trace, positive semidefinite)."""
-    m = _witness_density(rho).matrix
+    ms = _density_stack([rho])
     params, single = _angle_stack(rotation_params)
-    values = np.concatenate([_batch_value(m, rows) for rows in _passes(params)])
+    values = np.concatenate([_batch_value(ms, rows) for rows in _passes(params)])
     return float(values[0]) if single else values
 
 
@@ -297,10 +288,7 @@ def _batch_states(rots: np.ndarray) -> np.ndarray:
 
 
 def _rho_dot(ms: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """rho . phi: one density (8, 8) on states (8, n), or each of m densities
-    (m, 8, 8) on its own columns of states (8, m, r)."""
-    if ms.ndim == 2:
-        return ms @ phi
+    """rho . phi: each of m densities (m, 8, 8) on its own columns of states (8, m, r)."""
     return np.swapaxes(ms @ np.swapaxes(phi, 0, 1), 0, 1)
 
 
@@ -311,13 +299,15 @@ def _states_values(ms: np.ndarray, rots: np.ndarray):
     return phi, y, 0.75 - (phi.conj() * y).real.sum(axis=0)
 
 
-def _batch_value(m: np.ndarray, params2d: np.ndarray) -> np.ndarray:
-    return _states_values(m, _euler_columns(params2d))[2]
+def _batch_value(ms: np.ndarray, params2d: np.ndarray) -> np.ndarray:
+    """Witness values (n,) of one density, a stack ms (1, 8, 8), at angles (n, 9)."""
+    return _states_values(ms, _euler_columns(params2d)[..., None, :])[2][0]
 
 
-def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
+def _batch_gradient(ms: np.ndarray, params2d: np.ndarray) -> np.ndarray:
+    """Witness gradients (n, 9) of one density, a stack ms (1, 8, 8), at angles (n, 9)."""
     rots = _euler_columns(params2d)
-    phi, y, value = _states_values(m, rots)
+    phi, y, _ = _states_values(ms, rots[..., None, :])
     yc, pt = y.conj().reshape(2, 2, 2, -1), phi.reshape(2, 2, 2, -1)
     grad = np.empty((params2d.shape[0], 9))
     for k in range(3):
@@ -332,15 +322,15 @@ def _batch_value_grad(m: np.ndarray, params2d: np.ndarray):
         r = rots[k]
         branches = (ov[:, :, None] * r[:, None] * r.conj()[None]).sum(axis=(0, 1))
         grad[:, 3 * k + 2] = (branches[1] - branches[0]).imag
-    return value, grad
+    return grad
 
 
 def witness_gradient(rho, rotation_params) -> np.ndarray:
     """Analytic gradient of witness_value (same `rho` and angles) in the 9 rotation
     angles: (9,) give (9,), a stack (n, 9) gives (n, 9) in passes of ROWS_PER_PASS rows."""
-    m = _witness_density(rho).matrix
+    ms = _density_stack([rho])
     params, single = _angle_stack(rotation_params)
-    grad = np.concatenate([_batch_value_grad(m, rows)[1] for rows in _passes(params)])
+    grad = np.concatenate([_batch_gradient(ms, rows) for rows in _passes(params)])
     return grad[0] if single else grad
 
 
@@ -437,15 +427,17 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
 def _density_stack(rhos) -> np.ndarray:
     """The matrices (m, 8, 8) of a non-empty list or tuple of three-qubit
     DensityMatrix objects, used as they are, or of an array stack, each checked
-    as a density matrix."""
-    if isinstance(rhos, (list, tuple)) and rhos and all(isinstance(r, DensityMatrix) for r in rhos):
-        return np.stack([_witness_density(rho).matrix for rho in rhos])
+    as a density matrix: the one reader of witness inputs (a single density comes
+    as a list of one). Errors name the shape of the input, or of its members, as passed."""
+    listed = isinstance(rhos, (list, tuple))
+    if listed and rhos and all(isinstance(r, DensityMatrix) for r in rhos):
+        if all(rho.register.size == 3 for rho in rhos):
+            return np.array([rho.matrix for rho in rhos])
+        rhos = [rho.matrix for rho in rhos]  # rejected by its shapes below
     ms = _as_complex(rhos, "density stack")
-    if ms.ndim != 3 or ms.shape[1:] != (8, 8) or not len(ms):
-        raise ContractError(
-            "expected a non-empty stack (m, 8, 8) of three-qubit density matrices, "
-            f"got shape {ms.shape}"
-        )
+    if ms.shape[1:] != (8, 8) or not len(ms):
+        got = f"{len(rhos)} input(s) of shape {ms.shape[1:]}" if listed else f"shape {ms.shape}"
+        raise ContractError(f"expected three-qubit density matrices (8, 8), one or a non-empty stack, got {got}")
     _require_densities(ms)
     return ms
 
@@ -461,7 +453,7 @@ def _search(ms: np.ndarray, starts: np.ndarray):
     converged = np.mean(finals <= finals[one, best][:, None] + 1e-6, axis=1)
     angles = ends.reshape(m, r, 9)[one, best]
     # each best row alone, exactly as `witness_value` evaluates the reported angles
-    minima = np.array([_batch_value(rho, angle[None])[0] for rho, angle in zip(ms, angles)])
+    minima = np.array([_batch_value(rho, angle[None])[0] for rho, angle in zip(ms[:, None], angles)])
     return minima, angles, converged, sweeps
 
 
@@ -501,6 +493,6 @@ def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchRes
     on execution order. The reported value is `witness_value` at the reported
     angles.
     """
-    minima, angles, converged, _ = stacked_minimize_witness([_witness_density(rho)], restarts, seed)
+    minima, angles, converged, _ = stacked_minimize_witness([rho], restarts, seed)
     return WitnessSearchResult(float(minima[0]), tuple(angles[0].tolist()), int(restarts),
                                float(converged[0]))

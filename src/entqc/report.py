@@ -15,7 +15,6 @@ from .channel import (
     builtin_channel,
     epr_amplitudes,
     epr_pair_channel,
-    generalized_ghz,
     is_valid_channel,
 )
 from .entanglement import (
@@ -93,22 +92,20 @@ class SuiteConfig:
 
 def check(name, value, target=None, tolerance=None):
     """One report row; numeric rows compare |value - target| to tolerance."""
-    if type(value) is float and type(target) is float and type(tolerance) is float:
-        return {"name": name, "value": value, "target": target,
-                "tolerance": tolerance, "pass": abs(value - target) <= tolerance}
-    if isinstance(value, (bool, np.bool_)):
-        value = bool(value)
-        passed = None if target is None else value == bool(target)
-        return {"name": name, "value": value, "target": target,
-                "tolerance": None, "pass": passed}
-    if isinstance(value, (int, np.integer)) and tolerance is None and target is not None:
-        value = int(value)
-        return {"name": name, "value": value, "target": int(target),
-                "tolerance": 0, "pass": value == int(target)}
-    if isinstance(value, (list, tuple)):
-        return {"name": name, "value": list(value), "target": target,
-                "tolerance": tolerance, "pass": None}
-    value = float(value)
+    if type(value) is not float:
+        if isinstance(value, (bool, np.bool_)):
+            value = bool(value)
+            passed = None if target is None else value == bool(target)
+            return {"name": name, "value": value, "target": target,
+                    "tolerance": None, "pass": passed}
+        if isinstance(value, (int, np.integer)) and tolerance is None and target is not None:
+            value = int(value)
+            return {"name": name, "value": value, "target": int(target),
+                    "tolerance": 0, "pass": value == int(target)}
+        if isinstance(value, (list, tuple)):
+            return {"name": name, "value": list(value), "target": target,
+                    "tolerance": tolerance, "pass": None}
+        value = float(value)
     passed = None
     if target is not None and tolerance is not None:
         passed = abs(value - float(target)) <= tolerance
@@ -118,7 +115,13 @@ def check(name, value, target=None, tolerance=None):
 
 def section(name, checks):
     gates = [c["pass"] for c in checks if c["pass"] is not None]
-    return {"name": name, "checks": checks, "pass": all(gates) if gates else True}
+    return {"name": name, "checks": checks, "pass": all(gates)}
+
+
+def document(kind, sections, **meta):
+    """A report document: its kind, `meta` in the order given, its sections and
+    the overall verdict, which holds iff every section passes."""
+    return {"report": kind, **meta, "sections": sections, "pass": all(s["pass"] for s in sections)}
 
 
 def _bitstring(index, width=4):
@@ -239,7 +242,7 @@ def section_teleport(cfg: SuiteConfig):
 
 def section_ghz(cfg: SuiteConfig):
     checks = []
-    state = generalized_ghz()
+    state = builtin_channel("ghz").state
     ok, dev = is_valid_channel(state)
     checks.append(check("canonical GHZ accepted as channel", ok, False))
     checks.append(check("GHZ marginal deviation from I/4", dev, 0.25, 1e-12))
@@ -422,11 +425,4 @@ def build_report(cfg: SuiteConfig, only=None) -> dict:
     else:
         selected = list(SECTION_BUILDERS)
     sections = [SECTION_BUILDERS[name](cfg) for name in selected]
-    return {
-        "report": "verification",
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-        "tol": cfg.tol,
-        "sections": sections,
-        "pass": all(s["pass"] for s in sections),
-    }
+    return document("verification", sections, seed=cfg.seed, restarts=cfg.restarts, tol=cfg.tol)

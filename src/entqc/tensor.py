@@ -37,7 +37,7 @@ def _as_complex(a, what: str = "array") -> np.ndarray:
         arr = np.asarray(a, dtype=complex)
     except (TypeError, ValueError) as exc:  # ragged nesting, non-numeric entries
         raise ContractError(f"{what} is not a numeric array: {exc}") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractError(f"{what} contains non-finite entries")
     return arr
 
@@ -170,8 +170,8 @@ class StateVector:
                 f"register {self.register.labels} needs {self.register.dim} "
                 f"amplitudes, got {amps.size}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        norm = np.sqrt(np.vdot(amps, amps).real)  # an overflowing norm is inf, without a warning
+        if not abs(norm - 1.0) <= ATOL:
             raise ContractError(f"state is not normalized: |psi| = {norm!r}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

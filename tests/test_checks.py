@@ -19,6 +19,7 @@ from entqc.channel import (
     ChannelSpec,
     builtin_channel,
     dressed_channel,
+    generalized_ghz,
 )
 from entqc.entanglement import pair_analysis, triad_analysis
 from entqc.teleport import (
@@ -166,6 +167,10 @@ def test_builtin_specs_are_checked_once_and_shared():
             assert a.spec.name == name
             # the shared spec passes the checks it was built with
             assert np.array_equal(ChannelSpec(a.spec.dressing).dressing, a.spec.dressing)
+    # the undressed ghz channel shares one read-only state, the default generalized GHZ state
+    a, b = builtin_channel("ghz"), builtin_channel("ghz")
+    assert a.state is b.state and not a.state.amplitudes.flags.writeable
+    assert a.state.amplitudes.tobytes() == generalized_ghz().amplitudes.tobytes()
 
 
 def trusted_values(spec):

@@ -40,6 +40,18 @@ def test_teleport_epr_seeded_run_passes(capsys):
     assert all(abs(c["value"] - 1 / 16) <= 1e-10 for c in probabilities)
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["teleport", "--seed", "3"], ["report", "channel", "seed", "unknown_state", "sections", "pass"]),
+    (["teleport", "--state", "1,0,0,0,0,0,0,0"], ["report", "channel", "unknown_state", "sections", "pass"]),
+    (["analyze", "--seed", "3", "--restarts", "2"], ["report", "channel", "seed", "restarts", "sections", "pass"]),
+    (["repro", "--section", "ghz"], ["report", "seed", "restarts", "tol", "sections", "pass"]),
+])
+def test_documents_keep_their_top_level_key_order(capsys, argv, keys):
+    code, out, err = run(capsys, argv)
+    assert code == 0
+    assert list(json.loads(out)) == keys
+
+
 def test_teleport_ghz_rejected_with_explanation(capsys):
     code, out, err = run(capsys, ["teleport", "--channel", "ghz"])
     assert code == 1

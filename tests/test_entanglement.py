@@ -302,6 +302,14 @@ def test_witness_rejects_bad_inputs():
             witness_value(rho, np.zeros(9))
         with pytest.raises(ContractError, match="trace is not 1|negative eigenvalue"):
             minimize_witness(rho, restarts=1)
+    # one density is read as a stack of one, so these fail as for the stacked search
+    two_qubit = DensityMatrix(QubitRegister(("a", "b")), np.eye(4) / 4.0)
+    for rho, message in ((two_qubit, r"shape \(4, 4\)"), (np.zeros((2, 8, 8)), r"shape \(2, 8, 8\)"),
+                         ([[0.5, 0.0], [0.5]], "not a numeric array")):
+        for call in (lambda r: witness_value(r, np.zeros(9)), lambda r: witness_gradient(r, np.zeros(9)),
+                     lambda r: minimize_witness(r, restarts=1)):
+            with pytest.raises(ContractError, match=message):
+                call(rho)
     # non-finite angles fail as amplitudes do, without a numpy warning
     flat = np.eye(8) / 8.0
     calls = (lambda p: witness_value(flat, p), lambda p: witness_gradient(flat, p), witness_state)

@@ -64,6 +64,11 @@ def test_register_axes_lookup():
 def test_state_vector_requires_normalization():
     with pytest.raises(ContractError):
         state("ab", [1, 1, 0, 0])
+    # an overflowing norm is rejected as not normalized, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="not normalized"):
+            StateVector(QubitRegister(("a",)), [1e200, 0])
 
 
 def test_state_from_raw_normalizes():

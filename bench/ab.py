@@ -9,7 +9,12 @@ the host does not fall on one side only. Each run's last stdout line is its
 JSON result. Every run is printed as it ends; then, per end-to-end metric, both
 medians and interquartile ranges, the change in the median, how many pairs the
 change won, and the median change against the metric's bound in CHANGE's
-`BENCHMARK.json`. Failed ops are printed per run and summed.
+`BENCHMARK.json`. Failed ops are printed per run and summed. Last, the
+least-squares slope of `peak_rss_mb` against the ops a run attempted, over the
+runs of both sides, in MB per 10k ops, and the share of the median
+`peak_rss_mb` change that this slope gives the change in median ops: the
+harness keeps a record per op, so a faster library completes more ops and
+reads as using more memory.
 
 Standard library only; nothing under either checkout is changed, apart from
 what `perfbench/run.py` itself writes there.
@@ -45,6 +50,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def end_to_end(checkout: Path) -> list[dict]:
     """The end-to-end metrics {name, better, bound} that `BENCHMARK.json` declares."""
     return json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
+def rss_per_op(parent: list[dict], change: list[dict]) -> None:
+    """Print the least-squares slope of `peak_rss_mb` against `attempted` over all runs."""
+    runs = parent + change
+    ops = [r["attempted"] for r in runs]
+    rss = [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
+    if len(set(ops)) < 2:
+        print("  peak_rss_mb against ops: too few distinct op counts for a slope")
+        return
+    slope = statistics.linear_regression(ops, rss).slope
+    d_ops = statistics.median(r["attempted"] for r in change) - statistics.median(r["attempted"] for r in parent)
+    d_rss = (statistics.median(r["metrics"]["peak_rss_mb"]["value"] for r in change)
+             - statistics.median(r["metrics"]["peak_rss_mb"]["value"] for r in parent))
+    print(f"  peak_rss_mb against ops, all {len(runs)} runs: {slope * 1e4:+.3g} MB per 10k ops; "
+          f"median ops {d_ops:+.0f} -> {slope * d_ops:+.3g} MB of the median peak_rss_mb change {d_rss:+.3g} MB")
 
 
 def main(argv=None) -> int:
@@ -88,6 +109,7 @@ def main(argv=None) -> int:
         print(f"  {name}: {pm:.6g} (IQR {p1:.6g}-{p3:.6g}, {p3 - p1:.3g}) -> {cm:.6g} "
               f"(IQR {c1:.6g}-{c3:.6g}, {c3 - c1:.3g}), {delta:+.1%}, gap {cm - pm:+.3g}; "
               f"change better in {wins}/{args.pairs}; bound {metric['bound']:g}{flag}")
+    rss_per_op(results["parent"], results["change"])
     for side in ("parent", "change"):
         failed = [r["failed"] for r in results[side]]
         print(f"  failed ops, {side}: {sum(failed)} of {sum(r['attempted'] for r in results[side])} "

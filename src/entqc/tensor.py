@@ -35,6 +35,8 @@ class ContractError(ValueError):
 def _as_complex(a, what: str = "array") -> np.ndarray:
     try:
         arr = np.asarray(a, dtype=complex)
+    except OverflowError:  # a Python int beyond float range
+        raise ContractError(f"{what}: an entry is out of float range") from None
     except (TypeError, ValueError) as exc:  # ragged nesting, non-numeric entries
         raise ContractError(f"{what} is not a numeric array: {exc}") from None
     if not np.isfinite(arr).all():
@@ -84,7 +86,7 @@ def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray
         u = np.array(m, dtype=complex)
         lean = (u.ndim >= 2 and u.shape[-1] == u.shape[-2]
                 and np.abs(u).max(initial=0.0) <= min(1.0 + tol, 2.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         lean = False
     if lean:
         n = u.shape[-1]
@@ -164,6 +166,16 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        # lean path: |psi|^2 within ATOL of 1 puts |psi| within ATOL / 2 of 1; NaN or inf fails it
+        try:
+            amps = np.array(self.amplitudes, dtype=complex).ravel()
+            lean = amps.size == self.register.dim and abs(np.vdot(amps, amps).real - 1.0) <= ATOL
+        except (TypeError, ValueError, OverflowError):
+            lean = False
+        if lean:
+            amps.setflags(write=False)
+            object.__setattr__(self, "amplitudes", amps)
+            return
         amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1).copy()
         if amps.size != self.register.dim:
             raise ContractError(
@@ -178,12 +190,14 @@ class StateVector:
 
     @staticmethod
     def from_raw(labels, raw) -> "StateVector":
-        """Normalize a raw amplitude vector; error on a (near-)zero vector."""
-        raw = _as_complex(raw, "amplitudes").reshape(-1)
-        norm = np.linalg.norm(raw)
-        if norm < 1e-14:
+        """Normalize a raw amplitude vector; error on a (near-)zero vector, |raw| < 1e-14."""
+        parts = _as_complex(raw, "amplitudes").ravel().view(float)  # (re, im) pairs
+        scale = float(np.abs(parts).max(initial=0.0))
+        unit = (parts / scale if scale else parts).view(complex)  # its norm cannot overflow
+        norm = float(np.linalg.norm(unit))
+        if scale * norm < 1e-14:
             raise ContractError("cannot normalize a zero amplitude vector")
-        return StateVector(QubitRegister(tuple(labels)), raw / norm)
+        return StateVector(QubitRegister(tuple(labels)), unit / norm)
 
     def tensor_view(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.register.size)

@@ -1,8 +1,8 @@
 """Checks made once, at the boundary.
 
-The unitarity check has a fast path; the code it replaced is kept here,
-test-only, as the oracle, and it must give its decisions, deviations and
-messages. Values the library derives from checked inputs are wrapped without a
+The unitarity and state checks have fast paths; the code they replaced is kept
+here, test-only, as the oracle, and they must give its decisions, deviations,
+messages and stored values. Values the library derives from checked inputs are wrapped without a
 second check: they must be read-only and still pass the checks they skip. The
 report's float rows must equal the rows of the code they replaced.
 Hypothesis settings are fixed and derandomized, with no example database.
@@ -32,6 +32,7 @@ from entqc.teleport import (
 from entqc.tensor import (
     ATOL,
     ContractError,
+    DensityMatrix,
     QubitRegister,
     StateVector,
     _as_complex,
@@ -52,6 +53,20 @@ def ref_require_unitary(m, *, tol=ATOL, what="matrix"):
     _require(u, "unitary", tol, f"{what} is not unitary")
     u.setflags(write=False)
     return u
+
+
+def ref_state_amplitudes(register, amplitudes):
+    """The stored amplitudes of `StateVector(register, amplitudes)`, by the full check alone."""
+    amps = _as_complex(amplitudes, "amplitudes").reshape(-1).copy()
+    if amps.size != register.dim:
+        raise ContractError(
+            f"register {register.labels} needs {register.dim} amplitudes, got {amps.size}"
+        )
+    norm = np.sqrt(np.vdot(amps, amps).real)
+    if not abs(norm - 1.0) <= ATOL:
+        raise ContractError(f"state is not normalized: |psi| = {norm!r}")
+    amps.setflags(write=False)
+    return amps
 
 
 def ref_deviation(u):
@@ -155,6 +170,103 @@ def test_unitary_check_rejects_what_the_full_check_rejects(tol):
         assert_same_decision(m, tol)
     for m in (np.eye(2), np.zeros((0, 0)), np.zeros((3, 0, 0)), [[1]], 2.0 * u):
         assert_same_decision(m, tol)
+
+
+# --- the state check -------------------------------------------------------------
+REGISTERS = [QubitRegister(("a",)), QubitRegister(("a", "b")), QubitRegister(("a", "b", "c"))]
+# squared norms 1 + d: the lean test's edge is |d| = ATOL, the full check's about 2 ATOL
+NORM_OFFSETS = [0.0, 5e-13, 9.99e-13, 1e-12, 1.001e-12, 1.5e-12, 1.999e-12, 2e-12, 2.001e-12,
+                2.5e-12, 1e-9, 1e-3]
+SPECIALS = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf), 1e200, -1e200j]
+
+
+def assert_same_state(register, amplitudes):
+    got = outcome(lambda: StateVector(register, amplitudes).amplitudes)
+    ref = outcome(ref_state_amplitudes, register, amplitudes)
+    assert got[0] == ref[0], (got, ref)
+    if got[0] == "error":
+        assert got[1] == ref[1]
+    else:
+        assert got[1].dtype == ref[1].dtype and got[1].tobytes() == ref[1].tobytes()
+        assert got[1].shape == ref[1].shape and not got[1].flags.writeable
+        if isinstance(amplitudes, np.ndarray):
+            assert not np.shares_memory(got[1], amplitudes)
+    return got[0]
+
+
+def near_states(seed):
+    """Random states of each register, scaled so their squared norms straddle 1 +- ATOL and
+    1 +- 2 ATOL, as arrays, lists, transposed 2-D arrays and with one entry made special."""
+    rng = np.random.default_rng([seed, 15])
+    for register in REGISTERS:
+        psi = haar_random_state(register.size, rng)
+        for d in NORM_OFFSETS:
+            for sign in (1.0, -1.0):
+                v = psi * np.sqrt(1.0 + sign * d)
+                yield register, v
+                yield register, v.tolist()
+                if register.size > 1:
+                    yield register, v.reshape(2, -1).T.copy().T  # 2-D, Fortran order
+        for special in SPECIALS:
+            v = psi.copy()
+            v[rng.integers(v.size)] = special
+            yield register, v
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_state_check_matches_the_full_check(seed):
+    decisions = [assert_same_state(register, v) for register, v in near_states(seed)]
+    assert "ok" in decisions and "error" in decisions
+
+
+def test_state_check_rejects_what_the_full_check_rejects():
+    one, two = REGISTERS[0], REGISTERS[1]
+    h = np.sqrt(0.5)
+    cases = [
+        (one, [1.0, 0.0, 0.0]), (one, [1.0]), (one, []), (two, [1.0, 0.0]), (two, np.eye(4)[0][None]),
+        (one, [[1.0, 0.0], [0.0]]), (one, [1.0, [0.0]]), (one, ["abc", 0.0]), (one, None), (one, {"a": 1}),
+        (one, ["1", "0"]), (one, ["0.6", 0.8]), (one, [b"1", b"0"]), (one, "1"), (one, [True, False]),
+        (one, [1, 0]), (two, [[h, 0.0], [0.0, h]]), (two, [[h, 0.0, 0.0, h]]), (one, np.array([[1.0], [0.0]])),
+        (one, np.array([1.0, 0.0], dtype=np.float32)), (one, np.array([0, 1], dtype=np.int8)),
+        (one, np.array([1.0, 0.0, 0.0, 0.0])[::2]), (one, [1e200, 0.0]), (one, [1e-200, 0.0]),
+        (one, [0.0, 0.0]), (one, 2.0 * np.eye(2)[0]), (one, [np.nan, 0.0]), (one, np.array([1, 0], dtype=object)),
+    ]
+    decisions = [assert_same_state(register, v) for register, v in cases]
+    assert "ok" in decisions and "error" in decisions
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    register=st.sampled_from(REGISTERS),
+    size=st.integers(0, 9),
+    offset=st.floats(-3e-12, 3e-12) | st.sampled_from(NORM_OFFSETS),
+    special=st.sampled_from([None, *SPECIALS]),
+    form=st.sampled_from(["array", "list", "2-D"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_check_equals_the_full_check(register, size, offset, special, form, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if size:
+        v *= np.sqrt(1.0 + offset) / np.linalg.norm(v)
+        if special is not None:
+            v[rng.integers(size)] = special
+    if form == "list":
+        v = v.tolist()
+    elif form == "2-D" and size % 2 == 0:
+        v = v.reshape(2, -1)
+    assert_same_state(register, v)
+
+
+@pytest.mark.parametrize("build", [
+    lambda big: StateVector(QubitRegister(("a",)), [big, 0]),
+    lambda big: require_unitary([[big]]),
+    lambda big: ChannelSpec([[big, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    lambda big: DensityMatrix(QubitRegister(("a",)), [[big, 0], [0, 0]]),
+], ids=["StateVector", "require_unitary", "ChannelSpec", "DensityMatrix"])
+def test_an_int_beyond_float_range_is_a_contract_error(build):
+    with pytest.raises(ContractError, match="an entry is out of float range"):
+        build(10**400)
 
 
 # --- values derived from checked inputs ----------------------------------------

@@ -78,6 +78,18 @@ def test_state_from_raw_normalizes():
         StateVector.from_raw(("a",), [0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")  # as under -W error: a numpy overflow warning fails it
+def test_state_from_raw_normalizes_large_and_small_finite_vectors():
+    assert np.array_equal(StateVector.from_raw(("a",), [1e200, 0]).amplitudes, [1.0, 0.0])
+    assert np.allclose(StateVector.from_raw(("a",), [3e300, 4e300j]).amplitudes, [0.6, 0.8j])
+    assert np.allclose(StateVector.from_raw(("a",), [1.7e308, -1.7e308]).amplitudes, [0.5**0.5, -(0.5**0.5)])
+    # the zero threshold is on the true norm, |raw| < 1e-14, not on the largest modulus
+    assert np.allclose(StateVector.from_raw(("a",), [8e-15, 8e-15]).amplitudes, [0.5**0.5, 0.5**0.5])
+    for raw in ([7e-15, 7e-15], [1e-200, 0.0], [5e-324, 0.0], []):
+        with pytest.raises(ContractError, match="cannot normalize a zero amplitude vector"):
+            StateVector.from_raw(("a",), raw)
+
+
 def test_permuted_reorders_amplitudes():
     s = state("ab", [0, 1, 0, 0])  # |0_a 1_b>
     p = s.permuted(("b", "a"))

@@ -11,14 +11,20 @@ call (parser built anew) and a whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
-    python3 bench/cli_layers.py --out BENCH.json [--blas-threads N]
+    python3 bench/cli_layers.py --out BENCH.json [--blas-threads N] [--only NAME ...]
+
+`--only` times just the named rows (end-to-end or layer); an unknown name
+exits 2 and lists the known ones. One row in fresh processes, alternating
+between two checkouts, is an A/B that one process's noise cannot fake:
+
+    python3 bench/cli_layers.py --out a.json --only teleport.teleport_all_outcomes.us
 
 stdlib and numpy only. BLAS is held to N threads (default 1), set before
 numpy is imported. Each figure is wall time per call, the minimum over
 REPEATS batches, each batch long enough (>= 0.2 s, as `timeit` picks it) to
 swamp the clock; a process is run REPEATS times and its minimum kept. The
 result is written as `{machine, numpy, end_to_end, layers}`; metric names end
-in their unit.
+in their unit (`.us` or `.ms`).
 """
 from __future__ import annotations
 
@@ -33,6 +39,7 @@ import sys
 import tempfile
 import time
 import timeit
+from functools import partial
 from pathlib import Path
 
 
@@ -47,6 +54,7 @@ PARSER = argparse.ArgumentParser(description="Time the entqc command line's laye
 PARSER.add_argument("--out", required=True, help="path of the JSON result")
 PARSER.add_argument("--blas-threads", type=_blas_threads, default=1,
                     help="BLAS threads, 1..cpu count (default 1)")
+PARSER.add_argument("--only", nargs="+", metavar="NAME", help="time only these rows (default: all)")
 
 if __name__ == "__main__":
     # parsed before numpy is imported: BLAS reads its thread count at load time
@@ -61,7 +69,7 @@ import numpy as np  # noqa: E402
 
 from entqc import cli, entanglement, report, teleport  # noqa: E402
 from entqc.channel import (  # noqa: E402
-    ChannelSpec, bell_transform_matrix, builtin_channel, load_channel_json, resolve_channel)
+    ChannelSpec, bell_transform_matrix, builtin_channel, dressed_channel, load_channel_json, resolve_channel)
 from entqc.tensor import (  # noqa: E402
     QubitRegister, StateVector, haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities,
     reduced_density, require_unitary)
@@ -132,36 +140,36 @@ def protocol_kernels() -> dict:
     transfer blocks of its 100 x 16 transformed pairs); the transfer blocks of
     one ket and of the 16 kets of a basis against one channel, as
     `partial_inner_transfer` and `corrections_from` take them; and the object API
-    on the sweep's first draw: `teleport_all_outcomes` (sixteen
-    TeleportOutcomes) and the checked basis `measurement_basis` builds."""
+    on the sweep's first draw: `teleport_all_outcomes` and `run_protocol` (sixteen
+    TeleportOutcomes each), the checked basis `measurement_basis` builds, its
+    sixteen kets as StateVectors, and `invariance_transform` of that basis."""
     dressings, unknowns = haar_draws(2, [int(SEED), 1], 1002, 1)
     dressings = dressings[:, 0]
     spec, unknown = ChannelSpec(dressings[0]), teleport.UnknownState(unknowns[0])
+    basis, channel_state = teleport.measurement_basis(spec), dressed_channel(spec)
     pairs, inputs = haar_draws(2, [int(SEED), 2], 100, 2)
     kets = teleport.measurement_kets(bell_transform_matrix())
-    sigma = teleport.standard_corrections().ops
-    t_kets, t_channels = teleport.invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])
+    sigma = teleport.standard_corrections()
+    t_kets, t_channels = teleport.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1])
     physical = t_channels[:, 0]
     recovery = teleport.recovery_ops(t_kets, physical[:, None])
     batch = teleport.standard_protocol_batch
     return {
-        "teleport.transfer_blocks.T100x16.us":
-            _per_call(lambda: teleport.transfer_blocks(t_kets, t_channels)) * 1e6,
-        "teleport.transfer_blocks.one.us":
-            _per_call(lambda: teleport.transfer_blocks(kets[0], physical[0])) * 1e6,
-        "teleport.transfer_blocks.basis16.us":
-            _per_call(lambda: teleport.transfer_blocks(kets, physical[0])) * 1e6,
-        "teleport.standard_protocol_batch.T1.us":
-            _per_call(lambda: batch(unknowns[:1], dressings[:1])) * 1e6,
-        "teleport.standard_protocol_batch.T1002.us":
-            _per_call(lambda: batch(unknowns, dressings)) * 1e6,
+        "teleport.transfer_blocks.T100x16.us": lambda: teleport.transfer_blocks(t_kets, t_channels),
+        "teleport.transfer_blocks.one.us": lambda: teleport.transfer_blocks(kets[0], physical[0]),
+        "teleport.transfer_blocks.basis16.us": lambda: teleport.transfer_blocks(kets, physical[0]),
+        "teleport.standard_protocol_batch.T1.us": lambda: batch(unknowns[:1], dressings[:1]),
+        "teleport.standard_protocol_batch.T1002.us": lambda: batch(unknowns, dressings),
         "teleport.invariance_pairs.n100.us":
-            _per_call(lambda: teleport.invariance_pairs(kets, sigma, pairs[:, 0], pairs[:, 1])) * 1e6,
+            lambda: teleport.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1]),
         "teleport.run_protocol_batch.per_trial.T100.us":
-            _per_call(lambda: teleport.run_protocol_batch(inputs, t_kets, physical, recovery)) * 1e6,
-        "teleport.teleport_all_outcomes.us":
-            _per_call(lambda: teleport.teleport_all_outcomes(unknown, spec)) * 1e6,
-        "teleport.measurement_basis.us": _per_call(lambda: teleport.measurement_basis(spec)) * 1e6,
+            lambda: teleport.run_protocol_batch(inputs, t_kets, physical, recovery),
+        "teleport.teleport_all_outcomes.us": lambda: teleport.teleport_all_outcomes(unknown, spec),
+        "teleport.run_protocol.us": lambda: teleport.run_protocol(unknown, basis, channel_state, sigma),
+        "teleport.measurement_basis.us": lambda: teleport.measurement_basis(spec),
+        "teleport.MeasurementBasis.kets.us": lambda: basis.kets,
+        "teleport.invariance_transform.us":
+            lambda: teleport.invariance_transform(basis, sigma, pairs[0, 0], pairs[0, 1]),
     }
 
 
@@ -188,7 +196,7 @@ def analysis_layers() -> dict:
         "tensor.operator_schmidt_rank.series32": lambda: operator_schmidt_rank(ops),
         "tensor.operator_schmidt_rank.series32_serial": lambda: [operator_schmidt_rank(op) for op in ops],
     }
-    return {f"{name}.us": _per_call(fn) * 1e6 for name, fn in calls.items()}
+    return {f"{name}.us": fn for name, fn in calls.items()}
 
 
 def witness_layers() -> dict:
@@ -216,7 +224,7 @@ def witness_layers() -> dict:
         "entanglement.stacked_minimize_witness.m4": lambda: search(triads, 64, int(SEED)),
         "entanglement.minimize_witness.m4_serial": lambda: [serial(m, 64, int(SEED)) for m in triads],
     }
-    return {f"{name}.us": _per_call(fn) * 1e6 for name, fn in calls.items()}
+    return {f"{name}.us": fn for name, fn in calls.items()}
 
 
 def _channel_file(directory: str) -> str:
@@ -230,7 +238,9 @@ def _channel_file(directory: str) -> str:
     return path
 
 
-def measure(directory: str) -> dict:
+def rows(directory: str) -> dict:
+    """What each row times, by group: a callable, timed per call, or the argv
+    of a whole `python -m entqc.cli` process."""
     # on a parser that is built once per process, the un-cached builder
     build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
     parser = build()
@@ -242,41 +252,48 @@ def measure(directory: str) -> dict:
     unitary = haar_random_unitary(2, [int(SEED), 3])  # the channel file's dressing
     register, amplitudes = QubitRegister(("a", "b")), teleport.UnknownState.random(int(SEED)).coefficients
     layers = {
-        "cli.build_parser.us": _per_call(build) * 1e6,
-        "cli.parse_args.us": _per_call(lambda: parser.parse_args(TELEPORT_ARGV)) * 1e6,
-        "cli.render_json.teleport.us": _per_call(lambda: cli.render_json(doc)) * 1e6,
-        "cli.render_text.teleport.us": _per_call(lambda: cli.render_text(doc)) * 1e6,
-        "cli.render_json.teleport_file.us": _per_call(lambda: cli.render_json(file_doc)) * 1e6,
-        "cli.render_text.teleport_file.us": _per_call(lambda: cli.render_text(file_doc)) * 1e6,
-        "channel.resolve_channel.file.us": _per_call(lambda: resolve_channel(channel_file)) * 1e6,
-        "channel.resolve_channel.builtin.us": _per_call(lambda: resolve_channel("bell-transformed")) * 1e6,
-        "channel.load_channel_json.us": _per_call(lambda: load_channel_json(channel_file)) * 1e6,
-        "tensor.require_unitary.4x4.us": _per_call(lambda: require_unitary(unitary)) * 1e6,
-        "teleport.UnknownState.random.us": _per_call(lambda: teleport.UnknownState.random(int(SEED))) * 1e6,
-        "tensor.StateVector.us": _per_call(lambda: StateVector(register, amplitudes)) * 1e6,
-        "report.check.float_row.us":
-            _per_call(lambda: report.check("outcome (1,1) probability", 0.0625, 0.0625, 1e-10)) * 1e6,
+        "cli.build_parser.us": build,
+        "cli.parse_args.us": lambda: parser.parse_args(TELEPORT_ARGV),
+        "cli.render_json.teleport.us": lambda: cli.render_json(doc),
+        "cli.render_text.teleport.us": lambda: cli.render_text(doc),
+        "cli.render_json.teleport_file.us": lambda: cli.render_json(file_doc),
+        "cli.render_text.teleport_file.us": lambda: cli.render_text(file_doc),
+        "channel.resolve_channel.file.us": lambda: resolve_channel(channel_file),
+        "channel.resolve_channel.builtin.us": lambda: resolve_channel("bell-transformed"),
+        "channel.load_channel_json.us": lambda: load_channel_json(channel_file),
+        "tensor.require_unitary.4x4.us": lambda: require_unitary(unitary),
+        "teleport.UnknownState.random.us": lambda: teleport.UnknownState.random(int(SEED)),
+        "tensor.StateVector.us": lambda: StateVector(register, amplitudes),
+        "report.check.float_row.us": lambda: report.check("outcome (1,1) probability", 0.0625, 0.0625, 1e-10),
     }
     layers.update(protocol_kernels())
     layers.update(analysis_layers())
     layers.update(witness_layers())
     for name, builder in report.SECTION_BUILDERS.items():
-        layers[f"report.section.{name}.ms"] = _per_call(lambda: builder(cfg)) * 1e3
+        layers[f"report.section.{name}.ms"] = partial(builder, cfg)
 
     end_to_end = {
-        "cli.main.teleport.json.ms": _per_call(lambda: _quiet_main(TELEPORT_ARGV)) * 1e3,
-        "cli.main.teleport.text.ms":
-            _per_call(lambda: _quiet_main(TELEPORT_ARGV + ["--format", "text"])) * 1e3,
-        "cli.main.teleport.file.json.ms": _per_call(lambda: _quiet_main(file_argv)) * 1e3,
+        "cli.main.teleport.json.ms": partial(_quiet_main, TELEPORT_ARGV),
+        "cli.main.teleport.text.ms": partial(_quiet_main, TELEPORT_ARGV + ["--format", "text"]),
+        "cli.main.teleport.file.json.ms": partial(_quiet_main, file_argv),
         # one-shot use: what each `entqc` command pays
-        "cli.main.teleport.json.first_call.ms": _per_call(lambda: _first_main(TELEPORT_ARGV)) * 1e3,
-        "entqc.process.teleport.json.ms": _process(TELEPORT_ARGV) * 1e3,
-        "cli.main.analyze.ms": _per_call(lambda: _quiet_main(ANALYZE_ARGV)) * 1e3,
+        "cli.main.teleport.json.first_call.ms": partial(_first_main, TELEPORT_ARGV),
+        "entqc.process.teleport.json.ms": TELEPORT_ARGV,
+        "cli.main.analyze.ms": partial(_quiet_main, ANALYZE_ARGV),
     }
     for name in report.SECTION_BUILDERS:
-        argv = ["repro", "--section", name, "--seed", SEED]
-        end_to_end[f"cli.main.repro.{name}.ms"] = _per_call(lambda: _quiet_main(argv)) * 1e3
+        end_to_end[f"cli.main.repro.{name}.ms"] = partial(_quiet_main, ["repro", "--section", name, "--seed", SEED])
     return {"end_to_end": end_to_end, "layers": layers}
+
+
+def timed(group: dict, only) -> dict:
+    """The group's rows (those named in `only`, if given) timed, in their units."""
+    out = {}
+    for name, what in group.items():
+        if only is None or name in only:
+            seconds = _process(what) if isinstance(what, list) else _per_call(what)
+            out[name] = seconds * (1e3 if name.endswith(".ms") else 1e6)
+    return out
 
 
 def main() -> int:
@@ -291,7 +308,12 @@ def main() -> int:
         "numpy": np.__version__,
     }
     with tempfile.TemporaryDirectory() as directory:
-        result.update(measure(directory))
+        groups = rows(directory)
+        known = [name for group in groups.values() for name in group]
+        unknown = [name for name in ARGS.only or () if name not in known]
+        if unknown:
+            PARSER.error(f"unknown row(s) {', '.join(unknown)}; known rows: {', '.join(known)}")
+        result.update({key: timed(group, ARGS.only) for key, group in groups.items()})
     text = json.dumps(result, indent=2) + "\n"
     Path(ARGS.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)

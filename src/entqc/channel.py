@@ -20,6 +20,7 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
+    _as_real,
     _trusted,
     _unitary_stack,
     reduced_densities,
@@ -107,10 +108,10 @@ class GhzSpec:
     local_bases: tuple = ()
 
     def __post_init__(self):
-        lam = np.asarray(self.amplitudes, dtype=float)
+        lam = _as_real(self.amplitudes, "branch amplitudes l0, l1")
         if lam.shape != (2,) or np.any(lam < 0.0):
             raise ContractError("amplitudes must be two nonnegative reals")
-        if not abs(lam[0] ** 2 + lam[1] ** 2 - 1.0) <= ATOL:  # NaN fails too
+        if not abs(lam[0] ** 2 + lam[1] ** 2 - 1.0) <= ATOL:
             raise ContractError("branch amplitudes must satisfy l0^2 + l1^2 = 1")
         object.__setattr__(self, "amplitudes", (float(lam[0]), float(lam[1])))
         bases = self.local_bases or (I2, I2, I2, I2)

@@ -25,6 +25,7 @@ from .tensor import (
     SIGMA_Z,
     StateVector,
     _as_complex,
+    _as_real,
     _require_densities,
     _trusted,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -219,9 +220,7 @@ def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
 
 def _angle_stack(rotation_params) -> tuple[np.ndarray, bool]:
     """Angles as an (n, 9) stack, and whether one point of shape (9,) was given."""
-    params = np.asarray(rotation_params, dtype=float)
-    if not np.isfinite(params).all():
-        raise ContractError("rotation parameters contain non-finite entries")
+    params = _as_real(rotation_params, "rotation parameters")
     if params.shape == (9,):
         return params[None, :], True
     if params.ndim != 2 or params.shape[1] != 9:

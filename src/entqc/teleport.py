@@ -24,6 +24,7 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
+    _as_real,
     _require,
     _trusted,
     _unitary_stack,
@@ -66,7 +67,7 @@ class UnknownState:
     @staticmethod
     def from_reals(reals) -> "UnknownState":
         """Build from 8 reals read as 4 [re, im] pairs."""
-        arr = np.asarray(reals, dtype=float).reshape(-1)
+        arr = _as_real(reals, "amplitudes").reshape(-1)
         if arr.size != 8:
             raise ContractError("expected 8 reals (4 [re, im] pairs)")
         return UnknownState(arr[0::2] + 1j * arr[1::2])
@@ -166,8 +167,17 @@ class TeleportOutcome:
 
 
 def _states(labels, rows) -> tuple[StateVector, ...]:
+    """StateVectors on `labels` for the rows of a derived (n, dim) stack, after one stacked
+    norm check: squared norms within ATOL of 1, as the constructor's lean path accepts them
+    (einsum neither warns on nor hides a NaN or inf); on any other row the constructor decides."""
     register = QubitRegister(tuple(labels))
-    return tuple(StateVector(register, row) for row in rows)
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    parts = rows.view(float)
+    if not (np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0) <= ATOL).all():
+        for row in rows:
+            StateVector(register, row)  # raises for the first row the constructor rejects
+    rows.setflags(write=False)
+    return tuple(_trusted(StateVector, register=register, amplitudes=row) for row in rows)
 
 
 def _channel_matrix(channel_state: StateVector):
@@ -297,8 +307,8 @@ def corrections_from(
 def _outcomes(labels, batch) -> list[TeleportOutcome]:
     """The sixteen TeleportOutcomes of a T = 1 `run_protocol_batch` result."""
     probabilities, bob, corrected = (a[0] for a in batch)
-    bobs, fixed = _states(labels, bob), _states(labels, corrected)
-    return list(map(TeleportOutcome, OUTCOMES, probabilities.tolist(), bobs, fixed))
+    states = _states(labels, np.concatenate([bob, corrected]))
+    return list(map(TeleportOutcome, OUTCOMES, probabilities.tolist(), states[:16], states[16:]))
 
 
 def run_protocol(
@@ -334,7 +344,7 @@ def invariance_transform(
     wl, wr = _unitary_stack((w_l, w_r), (4, 4), "w_l or w_r",
                             "w_l and w_r must be two-qubit (4x4) unitaries")
     kets, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, wl, wr)
-    return MeasurementBasis(kets.reshape(16, 16)), _states(CHANNEL_LABELS, channels)
+    return MeasurementBasis(kets.reshape(16, 16)), _states(CHANNEL_LABELS, channels.reshape(16, 16))
 
 
 def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable]:

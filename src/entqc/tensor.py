@@ -32,9 +32,9 @@ class ContractError(ValueError):
     """An input violates a documented precondition (norm, unitarity, shape...)."""
 
 
-def _as_complex(a, what: str = "array") -> np.ndarray:
+def _as_complex(a, what: str = "array", dtype=complex) -> np.ndarray:
     try:
-        arr = np.asarray(a, dtype=complex)
+        arr = np.asarray(a, dtype=dtype)
     except OverflowError:  # a Python int beyond float range
         raise ContractError(f"{what}: an entry is out of float range") from None
     except (TypeError, ValueError) as exc:  # ragged nesting, non-numeric entries
@@ -42,6 +42,11 @@ def _as_complex(a, what: str = "array") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ContractError(f"{what} contains non-finite entries")
     return arr
+
+
+def _as_real(a, what: str = "array") -> np.ndarray:
+    """`_as_complex` for real arrays: finite floats, or a ContractError."""
+    return _as_complex(a, what, float)
 
 
 def _require(m: np.ndarray, of: str, tol: float, fault: str) -> None:

@@ -3,7 +3,9 @@
 The unitarity and state checks have fast paths; the code they replaced is kept
 here, test-only, as the oracle, and they must give its decisions, deviations,
 messages and stored values. Values the library derives from checked inputs are wrapped without a
-second check: they must be read-only and still pass the checks they skip. The
+second check: they must be read-only and still pass the checks they skip. A stack
+of derived states gets one stacked norm check: it must decide as the constructor
+does, row by row, and keep the constructor's amplitudes bit for bit. The
 report's float rows must equal the rows of the code they replaced.
 Hypothesis settings are fixed and derandomized, with no example database.
 """
@@ -12,21 +14,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entqc import report
+from entqc import report, teleport
 from entqc.channel import (
     BUILTIN_CHANNELS,
     CHANNEL_LABELS,
+    RECEIVER_LABELS,
     ChannelSpec,
+    GhzSpec,
     builtin_channel,
     dressed_channel,
     generalized_ghz,
 )
-from entqc.entanglement import pair_analysis, triad_analysis
+from entqc.entanglement import pair_analysis, triad_analysis, witness_gradient, witness_value
 from entqc.teleport import (
+    MEASURED_LABELS,
     MeasurementBasis,
     UnknownState,
+    invariance_pairs,
+    invariance_transform,
     measurement_basis,
+    run_protocol,
     series_form,
+    standard_corrections,
+    standard_protocol_batch,
     teleport_all_outcomes,
 )
 from entqc.tensor import (
@@ -269,6 +279,25 @@ def test_an_int_beyond_float_range_is_a_contract_error(build):
         build(10**400)
 
 
+RHO = np.eye(8) / 8.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GhzSpec((10**400, 0)),
+    lambda: UnknownState.from_reals([10**400] + [0] * 7),
+    lambda: witness_value(RHO, [10**400] * 9),
+    lambda: witness_gradient(RHO, [10**400] * 9),
+    lambda: GhzSpec(("a", "b")),
+    lambda: UnknownState.from_reals(["x"] * 8),
+    lambda: witness_value(RHO, ["x"] * 9),
+    lambda: witness_gradient(RHO, ["x"] * 9),
+], ids=[f"{name}-{entry}" for entry in ("big_int", "string")
+        for name in ("GhzSpec", "from_reals", "witness_value", "witness_gradient")])
+def test_real_readers_raise_contract_errors(call):
+    with pytest.raises(ContractError, match="an entry is out of float range|is not a numeric array"):
+        call()
+
+
 # --- values derived from checked inputs ----------------------------------------
 def test_builtin_specs_are_checked_once_and_shared():
     for name in BUILTIN_CHANNELS:
@@ -317,7 +346,8 @@ def test_unknown_state_random_equals_the_checked_constructor():
         assert trusted.dtype == checked.dtype and np.array_equal(trusted, checked)
 
 
-def test_outcome_states_are_still_checked(monkeypatch):
+# --- derived state stacks: one stacked norm check, then trusted rows -----------
+def count_constructor_calls(monkeypatch) -> list:
     built = []
     check_state = StateVector.__post_init__
 
@@ -326,9 +356,99 @@ def test_outcome_states_are_still_checked(monkeypatch):
         check_state(self)
 
     monkeypatch.setattr(StateVector, "__post_init__", counted)
-    outcomes = teleport_all_outcomes(UnknownState([1.0, 0.0, 0.0, 0.0]), ChannelSpec(np.eye(4)))
-    states = [s for o in outcomes for s in (o.bob_state, o.corrected_state)]
-    assert len(states) == 32 and all(any(s is b for b in built) for s in states)
+    return built
+
+
+def assert_constructor_state(state, register, row):
+    """`state` is what `StateVector(register, row)` builds, bit for bit, and read-only."""
+    ref = StateVector(register, row)
+    assert state.register == ref.register
+    assert state.amplitudes.dtype == ref.amplitudes.dtype and state.amplitudes.shape == (register.dim,)
+    assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+    assert not state.amplitudes.flags.writeable
+
+
+def protocol_inputs(seed):
+    spec = ChannelSpec(haar_random_unitary(2, [seed, 17]))
+    return spec, UnknownState.random(seed), measurement_basis(spec), dressed_channel(spec), standard_corrections()
+
+
+def test_derived_state_stacks_build_no_state_through_the_constructor(monkeypatch):
+    spec, unknown, basis, channel, corrections = protocol_inputs(3)
+    w_l, w_r = haar_random_unitary(2, [3, 18]), haar_random_unitary(2, [3, 19])
+    built = count_constructor_calls(monkeypatch)
+    outcomes = teleport_all_outcomes(unknown, spec)
+    run = run_protocol(unknown, basis, channel, corrections)
+    kets = basis.kets
+    _, states = invariance_transform(basis, corrections, w_l, w_r)
+    assert built == []
+    assert len(outcomes) == len(run) == len(kets) == len(states) == 16
+
+
+@pytest.mark.parametrize("corrupt", [lambda row: row * (1.0 + 3e-12), lambda row: np.full_like(row, np.nan)],
+                         ids=["scaled", "nan"])
+def test_a_corrupted_outcome_row_is_rejected(monkeypatch, corrupt):
+    batch = teleport.run_protocol_batch
+
+    def corrupted(*args):
+        probabilities, bob, corrected = batch(*args)
+        corrected = corrected.copy()
+        corrected[0, 9] = corrupt(corrected[0, 9])
+        return probabilities, bob, corrected
+
+    monkeypatch.setattr(teleport, "run_protocol_batch", corrupted)
+    spec, unknown, basis, channel, corrections = protocol_inputs(4)
+    for call in (lambda: teleport_all_outcomes(unknown, spec),
+                 lambda: run_protocol(unknown, basis, channel, corrections)):
+        with pytest.raises(ContractError, match="state is not normalized|non-finite"):
+            call()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_state_check_decides_row_by_row_as_the_constructor(seed):
+    """Rows as `near_states` draws them, squared norms straddling 1 +- ATOL and 1 +- 2 ATOL,
+    and Haar rows: one row at a time, then each register's rows as one stack."""
+    stacks = {}
+    for register, v in near_states(seed):
+        if isinstance(v, np.ndarray) and v.ndim == 1:  # as the rows of a derived stack are
+            stacks.setdefault(register, []).append(v)
+    rng = np.random.default_rng([seed, 16])
+    decisions = []
+    for register, rows in stacks.items():
+        rows += [haar_random_state(register.size, rng) for _ in range(8)]
+        refs = [outcome(StateVector, register, row) for row in rows]
+        for row, ref in zip(rows, refs):
+            got = outcome(teleport._states, register.labels, row[None])
+            assert got[0] == ref[0], (got, ref)
+            decisions.append(got[0])
+            if got[0] == "error":
+                assert got[1] == ref[1]
+            else:
+                assert_constructor_state(got[1][0], register, row)
+        accepted = [row for row, ref in zip(rows, refs) if ref[0] == "ok"]
+        for state, row in zip(teleport._states(register.labels, accepted), accepted, strict=True):
+            assert_constructor_state(state, register, row)
+        # the whole stack fails with the constructor's message for its first rejected row
+        assert outcome(teleport._states, register.labels, rows) == next(ref for ref in refs if ref[0] == "error")
+    assert "ok" in decisions and "error" in decisions
+
+
+@pytest.mark.parametrize("name", ["epr", "bell-transformed", "haar"])
+def test_derived_states_equal_the_constructors(name):
+    spec = ChannelSpec(haar_random_unitary(2, [5, 17])) if name == "haar" else builtin_channel(name).spec
+    unknown, basis, corrections = UnknownState.random(5), measurement_basis(spec), standard_corrections()
+    for ket, row in zip(basis.kets, basis.amplitudes, strict=True):
+        assert_constructor_state(ket, QubitRegister(MEASURED_LABELS), row)
+    w_l, w_r = haar_random_unitary(2, [5, 18]), haar_random_unitary(2, [5, 19])
+    _, states = invariance_transform(basis, corrections, w_l, w_r)
+    _, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, w_l, w_r)
+    for state, row in zip(states, channels.reshape(16, 16), strict=True):
+        assert_constructor_state(state, QubitRegister(CHANNEL_LABELS), row)
+    receiver = QubitRegister(RECEIVER_LABELS)
+    _, bob, corrected = standard_protocol_batch(unknown.coefficients[None], spec.dressing[None])
+    for result, b, c in zip(teleport_all_outcomes(unknown, spec), bob[0], corrected[0], strict=True):
+        assert_constructor_state(result.bob_state, receiver, b)
+        assert_constructor_state(result.corrected_state, receiver, c)
 
 
 # --- report rows ----------------------------------------------------------------

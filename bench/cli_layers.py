@@ -7,7 +7,8 @@ channel resolution (built-in channel and channel file), `cli.main`
 kernels and the protocol's object API, the stacked analysis calls and witness
 kernels (with their n = 1 wrappers looped over the same items) and the
 `repro` section builders; and, as one-shot use pays them, a first `cli.main`
-call (parser built anew) and a whole `python -m entqc.cli` process.
+call (parser built anew), a fresh `import entqc, entqc.cli` (compiled from
+source, and from cached bytecode) and a whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -131,6 +133,23 @@ def _process(argv) -> float:
         subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def _import_entqc(pycache_prefix: str, write_bytecode: bool) -> None:
+    """A fresh `import entqc, entqc.cli` in this process, bytecode read from and
+    (if `write_bytecode`) written to `pycache_prefix` only, never the checkout;
+    the modules imported before are restored after."""
+    saved = {name: sys.modules.pop(name) for name in list(sys.modules) if name.partition(".")[0] == "entqc"}
+    flags = sys.pycache_prefix, sys.dont_write_bytecode
+    sys.pycache_prefix, sys.dont_write_bytecode = pycache_prefix, not write_bytecode
+    try:
+        importlib.import_module("entqc")
+        importlib.import_module("entqc.cli")
+    finally:
+        sys.pycache_prefix, sys.dont_write_bytecode = flags
+        for name in [name for name in sys.modules if name.partition(".")[0] == "entqc"]:
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def protocol_kernels() -> dict:
@@ -279,6 +298,10 @@ def rows(directory: str) -> dict:
         # one-shot use: what each `entqc` command pays
         "cli.main.teleport.json.first_call.ms": partial(_first_main, TELEPORT_ARGV),
         "entqc.process.teleport.json.ms": TELEPORT_ARGV,
+        # the import alone: compiled from source each time (an empty bytecode cache that
+        # is never written, as under PYTHONDONTWRITEBYTECODE), and from cached bytecode
+        "entqc.import.source.ms": partial(_import_entqc, tempfile.mkdtemp(dir=directory), False),
+        "entqc.import.bytecode.ms": partial(_import_entqc, tempfile.mkdtemp(dir=directory), True),
         "cli.main.analyze.ms": partial(_quiet_main, ANALYZE_ARGV),
     }
     for name in report.SECTION_BUILDERS:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .tensor import (
     I2,
     QubitRegister,
     StateVector,
+    _Frozen,
     _as_complex,
     _as_real,
     _trusted,
@@ -39,22 +39,18 @@ VALID_CHANNEL_ATOL = 1e-10
 BUILTIN_CHANNELS = ("epr", "bell-transformed", "ghz")
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelSpec:
+class ChannelSpec(_Frozen):
     """A two-qubit dressing applied to the receiver half of the EPR-pair channel.
 
     Only the net dressing is stored: the protocol cannot distinguish how it
     was factored.
     """
 
-    dressing: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        d = require_unitary(self.dressing, what="channel dressing")
+    def __init__(self, dressing, name: str = ""):
+        d = require_unitary(dressing, what="channel dressing")
         if d.shape != (4, 4):
             raise ContractError("channel dressing must be a two-qubit (4x4) operator")
-        object.__setattr__(self, "dressing", d)
+        self.__dict__.update(dressing=d, name=name)
 
 
 def epr_pair_channel() -> StateVector:
@@ -95,8 +91,7 @@ def bell_transform_matrix() -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class GhzSpec:
+class GhzSpec(_Frozen):
     """Two-branch generalized GHZ state of four qubits.
 
     `amplitudes` weights the two branches; `local_bases` gives one 2x2 unitary
@@ -104,21 +99,20 @@ class GhzSpec:
     (defaults to the computational basis on every qubit).
     """
 
-    amplitudes: tuple[float, float] = (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-    local_bases: tuple = ()
-
-    def __post_init__(self):
-        lam = _as_real(self.amplitudes, "branch amplitudes l0, l1")
+    def __init__(self, amplitudes=(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)), local_bases=()):
+        lam = _as_real(amplitudes, "branch amplitudes l0, l1")
         if lam.shape != (2,) or np.any(lam < 0.0):
             raise ContractError("amplitudes must be two nonnegative reals")
         if not abs(lam[0] ** 2 + lam[1] ** 2 - 1.0) <= ATOL:
             raise ContractError("branch amplitudes must satisfy l0^2 + l1^2 = 1")
-        object.__setattr__(self, "amplitudes", (float(lam[0]), float(lam[1])))
-        bases = self.local_bases or (I2, I2, I2, I2)
+        try:
+            bases = tuple(local_bases if local_bases is not None else ()) or (I2, I2, I2, I2)
+        except TypeError:
+            raise ContractError(f"local bases must be four 2x2 unitaries, got {local_bases!r}") from None
         if len(bases) != 4:
             raise ContractError("need one basis pair per qubit (four total)")
         bases = _unitary_stack(bases, (2, 2), "local basis pair", "local basis pairs must be 2x2")
-        object.__setattr__(self, "local_bases", tuple(bases))
+        self.__dict__.update(amplitudes=(float(lam[0]), float(lam[1])), local_bases=tuple(bases))
 
 
 def generalized_ghz(spec: GhzSpec = GhzSpec()) -> StateVector:
@@ -146,14 +140,13 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
     return dev <= VALID_CHANNEL_ATOL, dev
 
 
-@dataclass(frozen=True, eq=False)
-class ResolvedChannel:
+class ResolvedChannel(_Frozen):
     """A named channel ready for use: its spec when dressed (None for the
     undressed GHZ channel, whose state is built once) and its state, built on
     first read of `state`."""
 
-    name: str
-    spec: ChannelSpec | None
+    def __init__(self, name: str, spec: ChannelSpec | None):
+        self.__dict__.update(name=name, spec=spec)
 
     @functools.cached_property
     def state(self) -> StateVector:
@@ -201,8 +194,11 @@ def _matrix_from_json(node, what: str) -> np.ndarray:
     return _as_complex(flat, what).reshape(4, 4)
 
 
-def load_channel_json(path: str) -> ChannelSpec:
-    """Parse a channel spec document; raises ContractError on malformed input."""
+def load_channel_json(path: str | os.PathLike) -> ChannelSpec:
+    """Parse a channel spec document; raises ContractError on malformed input.
+    `path` is a str or os.PathLike: an int would be read, and closed, as a file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ContractError(f"a channel file path must be a str or os.PathLike, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -8,8 +8,6 @@ on SU(2)^3). Pair and triad analyses and the witness search run on stacks;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import CHANNEL_LABELS
@@ -24,6 +22,8 @@ from .tensor import (
     SIGMA_Y,
     SIGMA_Z,
     StateVector,
+    _Frozen,
+    _Value,
     _as_complex,
     _as_real,
     _require_densities,
@@ -62,43 +62,33 @@ ROWS_PER_PASS = 512
 MAX_SWEEPS = 1_000
 
 
-@dataclass(frozen=True, eq=False)
-class PairReport:
+class PairReport(_Frozen):
     """Two-qubit marginal with its partial-transpose verdict."""
 
-    pair: tuple[str, str]
-    reduced: DensityMatrix
-    min_pt_eigenvalue: float
-    entangled: bool
+    def __init__(self, pair: tuple[str, str], reduced: DensityMatrix, min_pt_eigenvalue: float, entangled: bool):
+        self.__dict__.update(pair=pair, reduced=reduced, min_pt_eigenvalue=min_pt_eigenvalue, entangled=entangled)
 
 
-@dataclass(frozen=True, eq=False)
-class TriadReport:
+class TriadReport(_Frozen):
     """Three-qubit marginal matched against its two reference GHZ components."""
 
-    triad: tuple[str, str, str]
-    reduced: DensityMatrix
-    ghz_component_fidelities: tuple[float, float]
-    three_tangles: tuple[float, float]
+    def __init__(self, triad: tuple[str, str, str], reduced: DensityMatrix,
+                 ghz_component_fidelities: tuple[float, float], three_tangles: tuple[float, float]):
+        self.__dict__.update(triad=triad, reduced=reduced, ghz_component_fidelities=ghz_component_fidelities,
+                             three_tangles=three_tangles)
 
 
-@dataclass(frozen=True)
-class WitnessSearchResult:
+class WitnessSearchResult(_Value):
     """Best witness value found over all restarts."""
 
-    min_value: float
-    parameters: tuple[float, ...]
-    restarts: int
-    converged_fraction: float
-
-    def __post_init__(self):
+    def __init__(self, min_value: float, parameters: tuple[float, ...], restarts: int, converged_fraction: float):
         # 3/4 - <phi|rho|phi> with 0 <= <phi|rho|phi> <= 1
-        if not -0.25 - 1e-9 <= self.min_value <= 0.75 + 1e-9:
-            raise ContractError(
-                f"witness value {self.min_value} outside the admissible range"
-            )
-        if len(self.parameters) != 9:
+        if not -0.25 - 1e-9 <= min_value <= 0.75 + 1e-9:
+            raise ContractError(f"witness value {min_value} outside the admissible range")
+        if len(parameters) != 9:
             raise ContractError("witness parameters are 9 rotation angles")
+        self.__dict__.update(min_value=min_value, parameters=parameters, restarts=restarts,
+                             converged_fraction=converged_fraction)
 
 
 def stacked_pair_analysis(state: StateVector, pairs):

@@ -6,8 +6,6 @@ Sections are deterministic functions of (seed, restarts, tol) only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import (
@@ -35,6 +33,7 @@ from .tensor import (
     ContractError,
     DensityMatrix,
     QubitRegister,
+    _Value,
     haar_draws,
     haar_random_state,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -83,11 +82,10 @@ BELL_CHANNEL_SIGNS = {
 }
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = DEFAULT_SEED
-    restarts: int = DEFAULT_RESTARTS
-    tol: float = DEFAULT_WITNESS_TOL
+class SuiteConfig(_Value):
+    def __init__(self, seed: int = DEFAULT_SEED, restarts: int = DEFAULT_RESTARTS,
+                 tol: float = DEFAULT_WITNESS_TOL):
+        self.__dict__.update(seed=seed, restarts=restarts, tol=tol)
 
 
 def check(name, value, target=None, tolerance=None):

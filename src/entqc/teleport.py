@@ -11,8 +11,6 @@ trials and outcomes; the functions on objects are its single-trial cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import CHANNEL_LABELS, RECEIVER_LABELS, SENDER_LABELS, ChannelSpec, epr_amplitudes
@@ -23,6 +21,7 @@ from .tensor import (
     PAULIS,
     QubitRegister,
     StateVector,
+    _Frozen,
     _as_complex,
     _as_real,
     _require,
@@ -54,15 +53,11 @@ def pauli_pair(alpha: int, beta: int) -> np.ndarray:
     return kron(PAULIS[alpha - 1], PAULIS[beta - 1])
 
 
-@dataclass(frozen=True, eq=False)
-class UnknownState:
+class UnknownState(_Frozen):
     """The two-qubit input to be teleported: amplitudes (c00, c01, c10, c11)."""
 
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        state = StateVector(_UNKNOWN_REGISTER, self.coefficients)
-        object.__setattr__(self, "coefficients", state.amplitudes)
+    def __init__(self, coefficients):
+        self.__dict__["coefficients"] = StateVector(_UNKNOWN_REGISTER, coefficients).amplitudes
 
     @staticmethod
     def from_reals(reals) -> "UnknownState":
@@ -87,20 +82,20 @@ def _outcome_index(outcome) -> int:
     return _OUTCOME_INDEX[key]
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
+class MeasurementBasis(_Frozen):
     """Sixteen joint-measurement kets on (A1,A2,U1,U2), in OUTCOMES order.
 
     `amplitudes` is one read-only (16, 16) array, row g the ket of outcome g;
     sixteen StateVectors on (A1,A2,U1,U2) are accepted in its place.
     """
 
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        kets = self.amplitudes
+    def __init__(self, amplitudes):
+        kets = amplitudes
         if not isinstance(kets, np.ndarray):
-            kets = tuple(kets)
+            try:
+                kets = tuple(kets)
+            except TypeError:  # not iterable: fails the check below as one item
+                kets = (kets,)
             if not all(isinstance(k, StateVector) and k.register.labels == MEASURED_LABELS
                        for k in kets):
                 raise ContractError(f"basis kets must be StateVectors on {MEASURED_LABELS}")
@@ -112,7 +107,7 @@ class MeasurementBasis:
         # complete (the projectors resolve the identity): one stacked unitarity check
         _require(np.stack([amps.T, amps]), "unitary", ATOL, "basis is not orthonormal and complete")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__["amplitudes"] = amps
 
     @property
     def kets(self) -> tuple[StateVector, ...]:
@@ -125,22 +120,23 @@ class MeasurementBasis:
         return zip(OUTCOMES, self.kets)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrectionTable:
+class CorrectionTable(_Frozen):
     """The receiver's per-outcome recovery unitaries, in OUTCOMES order.
 
     `ops` is one read-only (16, 4, 4) array; any sequence of sixteen 4x4
     unitaries is accepted in its place.
     """
 
-    ops: np.ndarray
-
-    def __post_init__(self):
-        ops = self.ops if isinstance(self.ops, np.ndarray) else tuple(self.ops)
-        if len(ops) != 16:
-            raise ContractError(f"a correction table has 16 entries, got {len(ops)}")
+    def __init__(self, ops):
+        try:
+            ops = ops if isinstance(ops, np.ndarray) else tuple(ops)
+            count = len(ops)
+        except TypeError:
+            raise ContractError(f"a correction table is a sequence of 16 unitaries, got {ops!r}") from None
+        if count != 16:
+            raise ContractError(f"a correction table has 16 entries, got {count}")
         ops = _unitary_stack(ops, (4, 4), "correction", "corrections act on two qubits (4x4)")
-        object.__setattr__(self, "ops", ops)
+        self.__dict__["ops"] = ops
 
     def op(self, outcome) -> np.ndarray:
         return self.ops[_outcome_index(outcome)]
@@ -149,21 +145,23 @@ class CorrectionTable:
         return zip(OUTCOMES, self.ops)
 
 
-#: the sixteen sigma-pairs in OUTCOMES order: the standard correction table
-_STANDARD_CORRECTIONS = CorrectionTable([pauli_pair(a, b) for a, b in OUTCOMES])
+#: the sixteen sigma-pairs in OUTCOMES order, entry [a, b, i, k, j, l] = P_a[i, j] P_b[k, l]
+#: as `pauli_pair` gives it: the standard correction table
+_P = np.array(PAULIS)
+_STANDARD_CORRECTIONS = CorrectionTable(
+    (_P[:, None, :, None, :, None] * _P[None, :, None, :, None, :]).reshape(16, 4, 4))
 _SIGMA_PAIRS = _STANDARD_CORRECTIONS.ops
 #: the series-form basis: kets sigma-pair^T / 2 on bare EPR pairs, one for every channel
 _SERIES_BASIS = MeasurementBasis(epr_amplitudes(_SIGMA_PAIRS).reshape(16, 16))
 
 
-@dataclass(frozen=True, eq=False)
-class TeleportOutcome:
+class TeleportOutcome(_Frozen):
     """One of the sixteen measurement results and the receiver's states."""
 
-    outcome: tuple[int, int]
-    probability: float
-    bob_state: StateVector
-    corrected_state: StateVector
+    def __init__(self, outcome: tuple[int, int], probability: float, bob_state: StateVector,
+                 corrected_state: StateVector):
+        self.__dict__.update(outcome=outcome, probability=probability, bob_state=bob_state,
+                             corrected_state=corrected_state)
 
 
 def _states(labels, rows) -> tuple[StateVector, ...]:
@@ -344,7 +342,8 @@ def invariance_transform(
     wl, wr = _unitary_stack((w_l, w_r), (4, 4), "w_l or w_r",
                             "w_l and w_r must be two-qubit (4x4) unitaries")
     kets, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, wl, wr)
-    return MeasurementBasis(kets.reshape(16, 16)), _states(CHANNEL_LABELS, channels.reshape(16, 16))
+    basis = _trusted(MeasurementBasis, amplitudes=kets.reshape(16, 16))
+    return basis, _states(CHANNEL_LABELS, channels.reshape(16, 16))
 
 
 def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable]:

@@ -7,7 +7,6 @@ the two global tolerances below are used for all algebraic checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -62,6 +61,36 @@ def _require(m: np.ndarray, of: str, tol: float, fault: str) -> None:
         dev = np.abs(diff).max(initial=0.0)
     if not dev <= tol:
         raise ContractError(f"{fault}: deviation {dev:.3e} > {tol:g}")
+
+
+class _Frozen:
+    """Base of the value classes: `__init__` sets every field once, in its parameter
+    order, and then assigning or deleting an attribute raises AttributeError.
+    Equality and hashing are by identity."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        """(name, value) of each field, named by `__init__`'s parameters, in their order."""
+        code = type(self).__init__.__code__
+        return tuple((name, getattr(self, name)) for name in code.co_varnames[1:code.co_argcount])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields())
+        return f"{type(self).__name__}({fields})"
+
+
+class _Value(_Frozen):
+    """A `_Frozen` class whose instances compare and hash by their field values."""
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def _trusted(cls, **fields):
@@ -127,19 +156,19 @@ def require_hermitian(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarr
     return h
 
 
-@dataclass(frozen=True)
-class QubitRegister:
+class QubitRegister(_Value):
     """An ordered collection of named qubits; order fixes bit significance."""
 
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        labels = tuple(str(lab) for lab in self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels):
+        try:
+            labels = tuple(str(lab) for lab in labels)
+        except TypeError:
+            raise LabelError(f"register labels must be an iterable of labels, got {labels!r}") from None
         if not labels:
             raise LabelError("a register needs at least one qubit")
         if len(set(labels)) != len(labels):
             raise LabelError(f"duplicate qubit labels in {labels}")
+        self.__dict__["labels"] = labels
 
     @property
     def size(self) -> int:
@@ -163,35 +192,27 @@ class QubitRegister:
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(_Frozen):
     """A normalized pure state over a labeled register."""
 
-    register: QubitRegister
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, register: QubitRegister, amplitudes):
+        if not isinstance(register, QubitRegister):
+            raise ContractError(f"a state's register must be a QubitRegister, got {register!r}")
         # lean path: |psi|^2 within ATOL of 1 puts |psi| within ATOL / 2 of 1; NaN or inf fails it
         try:
-            amps = np.array(self.amplitudes, dtype=complex).ravel()
-            lean = amps.size == self.register.dim and abs(np.vdot(amps, amps).real - 1.0) <= ATOL
+            amps = np.array(amplitudes, dtype=complex).ravel()
+            lean = amps.size == register.dim and abs(np.vdot(amps, amps).real - 1.0) <= ATOL
         except (TypeError, ValueError, OverflowError):
             lean = False
-        if lean:
-            amps.setflags(write=False)
-            object.__setattr__(self, "amplitudes", amps)
-            return
-        amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1).copy()
-        if amps.size != self.register.dim:
-            raise ContractError(
-                f"register {self.register.labels} needs {self.register.dim} "
-                f"amplitudes, got {amps.size}"
-            )
-        norm = np.sqrt(np.vdot(amps, amps).real)  # an overflowing norm is inf, without a warning
-        if not abs(norm - 1.0) <= ATOL:
-            raise ContractError(f"state is not normalized: |psi| = {norm!r}")
+        if not lean:
+            amps = _as_complex(amplitudes, "amplitudes").reshape(-1).copy()
+            if amps.size != register.dim:
+                raise ContractError(f"register {register.labels} needs {register.dim} amplitudes, got {amps.size}")
+            norm = np.sqrt(np.vdot(amps, amps).real)  # an overflowing norm is inf, without a warning
+            if not abs(norm - 1.0) <= ATOL:
+                raise ContractError(f"state is not normalized: |psi| = {norm!r}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__.update(register=register, amplitudes=amps)
 
     @staticmethod
     def from_raw(labels, raw) -> "StateVector":
@@ -282,23 +303,18 @@ def _require_densities(m: np.ndarray) -> None:
         raise ContractError("density matrix has a negative eigenvalue")
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """A unit-trace positive-semidefinite operator over a labeled register."""
 
-    register: QubitRegister
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_complex(self.matrix, "density matrix").copy()
-        if m.shape != (self.register.dim, self.register.dim):
-            raise ContractError(
-                f"density matrix shape {m.shape} does not match register "
-                f"{self.register.labels}"
-            )
+    def __init__(self, register: QubitRegister, matrix):
+        if not isinstance(register, QubitRegister):
+            raise ContractError(f"a density matrix's register must be a QubitRegister, got {register!r}")
+        m = _as_complex(matrix, "density matrix").copy()
+        if m.shape != (register.dim, register.dim):
+            raise ContractError(f"density matrix shape {m.shape} does not match register {register.labels}")
         _require_densities(m)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.__dict__.update(register=register, matrix=m)
 
     @staticmethod
     def from_state(state: StateVector) -> "DensityMatrix":

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ def test_load_channel_malformed_documents(tmp_path, doc):
 def test_load_channel_missing_file():
     with pytest.raises(ContractError):
         load_channel_json("/nonexistent/channel.json")
+
+
+def test_load_channel_takes_a_path_and_never_a_file_descriptor(tmp_path):
+    document = json.dumps({"dressing": _pairs(np.eye(4))})
+    (tmp_path / "pathlike.json").write_text(document)
+    assert load_channel_json(tmp_path / "pathlike.json").name == "pathlike"
+    # open() reads an int (or bool) as a file descriptor, and closes it when done
+    with pytest.raises(ContractError, match="a channel file path must be a str or os.PathLike, got True"):
+        load_channel_json(True)
+    os.fstat(1)  # stdout is still open
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, document.encode())
+        with pytest.raises(ContractError, match=f"must be a str or os.PathLike, got {read_end}$"):
+            load_channel_json(read_end)
+        os.fstat(read_end)  # still open, and still holds the whole document
+        assert os.read(read_end, 2 * len(document)) == document.encode()
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_resolve_channel_builtin_path_and_garbage(tmp_path):

@@ -28,6 +28,7 @@ from entqc.channel import (
 from entqc.entanglement import pair_analysis, triad_analysis, witness_gradient, witness_value
 from entqc.teleport import (
     MEASURED_LABELS,
+    CorrectionTable,
     MeasurementBasis,
     UnknownState,
     invariance_pairs,
@@ -43,6 +44,7 @@ from entqc.tensor import (
     ATOL,
     ContractError,
     DensityMatrix,
+    LabelError,
     QubitRegister,
     StateVector,
     _as_complex,
@@ -298,6 +300,23 @@ def test_real_readers_raise_contract_errors(call):
         call()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QubitRegister(5), LabelError, "register labels must be an iterable of labels, got 5"),
+    (lambda: QubitRegister(None), LabelError, "register labels must be an iterable of labels, got None"),
+    (lambda: GhzSpec(local_bases=5), ContractError, "local bases must be four 2x2 unitaries, got 5"),
+    (lambda: MeasurementBasis(5), ContractError, "basis kets must be StateVectors on"),
+    (lambda: CorrectionTable(5), ContractError, "a correction table is a sequence of 16 unitaries, got 5"),
+    (lambda: StateVector("x", [1]), ContractError, "a state's register must be a QubitRegister, got 'x'"),
+    (lambda: DensityMatrix(None, [[1]]), ContractError,
+     "a density matrix's register must be a QubitRegister, got None"),
+], ids=["QubitRegister-int", "QubitRegister-None", "GhzSpec-local_bases", "MeasurementBasis", "CorrectionTable",
+        "StateVector-register", "DensityMatrix-register"])
+def test_constructors_reject_inputs_of_the_wrong_kind_with_a_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+
+
 # --- values derived from checked inputs ----------------------------------------
 def test_builtin_specs_are_checked_once_and_shared():
     for name in BUILTIN_CHANNELS:
@@ -322,6 +341,9 @@ def trusted_values(spec):
     yield "relabeled", relabeled.amplitudes, lambda a: StateVector(relabeled.register, a)
     yield "UnknownState.random", UnknownState.random(11).coefficients, UnknownState
     yield "measurement_basis", measurement_basis(spec).amplitudes, MeasurementBasis
+    w_l, w_r = haar_random_unitary(2, [11, 18]), haar_random_unitary(2, [11, 19])
+    transformed = invariance_transform(measurement_basis(spec), standard_corrections(), w_l, w_r)[0]
+    yield "invariance_transform", transformed.amplitudes, MeasurementBasis
     yield "series_form", series_form(spec)[1].ops, lambda ops: require_unitary(ops)
     yield "reduced_density", reduced_density(state, ("A1", "B1")).matrix, None
     yield "pair_analysis", pair_analysis(state, ("A1", "B2")).reduced.matrix, None
@@ -349,13 +371,13 @@ def test_unknown_state_random_equals_the_checked_constructor():
 # --- derived state stacks: one stacked norm check, then trusted rows -----------
 def count_constructor_calls(monkeypatch) -> list:
     built = []
-    check_state = StateVector.__post_init__
+    check_state = StateVector.__init__
 
-    def counted(self):
+    def counted(self, register, amplitudes):
         built.append(self)
-        check_state(self)
+        check_state(self, register, amplitudes)
 
-    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    monkeypatch.setattr(StateVector, "__init__", counted)
     return built
 
 
@@ -440,8 +462,10 @@ def test_derived_states_equal_the_constructors(name):
     for ket, row in zip(basis.kets, basis.amplitudes, strict=True):
         assert_constructor_state(ket, QubitRegister(MEASURED_LABELS), row)
     w_l, w_r = haar_random_unitary(2, [5, 18]), haar_random_unitary(2, [5, 19])
-    _, states = invariance_transform(basis, corrections, w_l, w_r)
-    _, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, w_l, w_r)
+    transformed, states = invariance_transform(basis, corrections, w_l, w_r)
+    kets, channels = invariance_pairs(basis.amplitudes.reshape(16, 4, 4), corrections.ops, w_l, w_r)
+    # the transformed basis, wrapped unchecked, holds what the checked constructor stores
+    assert transformed.amplitudes.tobytes() == MeasurementBasis(kets.reshape(16, 16)).amplitudes.tobytes()
     for state, row in zip(states, channels.reshape(16, 16), strict=True):
         assert_constructor_state(state, QubitRegister(CHANNEL_LABELS), row)
     receiver = QubitRegister(RECEIVER_LABELS)

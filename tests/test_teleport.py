@@ -10,7 +10,8 @@ from entqc.channel import (
     dressed_channel,
     epr_pair_channel,
 )
-from entqc.entanglement import pair_analysis, triad_analysis
+from entqc.entanglement import WitnessSearchResult, pair_analysis, triad_analysis
+from entqc.report import SuiteConfig
 from entqc.teleport import (
     BASIS_SPLITS,
     MEASURED_LABELS,
@@ -36,6 +37,7 @@ from entqc.tensor import (
     DensityMatrix,
     QubitRegister,
     StateVector,
+    _Frozen,
     apply_unitary,
     fidelity_pure,
     haar_random_unitary,
@@ -443,3 +445,77 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert (a == b) is False  # equal content, distinct objects
     assert (a == a) is True
     assert len({a, b, a}) == 2
+
+
+# --- the value classes: frozen, by-value or by-identity, with a field repr ---
+
+VALUE_HOLDERS = {
+    "QubitRegister": lambda: QubitRegister(("a", "b")),
+    "SuiteConfig": lambda: SuiteConfig(seed=3),
+    "WitnessSearchResult": lambda: WitnessSearchResult(0.25, (0.5,) * 9, 4, 0.75),
+}
+#: a value of each by-value class that differs from its holder's in one field
+DIFFERENT_VALUES = {
+    "QubitRegister": lambda: QubitRegister(("a", "c")),
+    "SuiteConfig": lambda: SuiteConfig(seed=4),
+    "WitnessSearchResult": lambda: WitnessSearchResult(0.25, (0.5,) * 9, 4, 0.5),
+}
+
+#: every value class of the package and its fields, in constructor order
+FIELDS = {
+    "QubitRegister": ("labels",),
+    "StateVector": ("register", "amplitudes"),
+    "DensityMatrix": ("register", "matrix"),
+    "ChannelSpec": ("dressing", "name"),
+    "GhzSpec": ("amplitudes", "local_bases"),
+    "ResolvedChannel": ("name", "spec"),
+    "UnknownState": ("coefficients",),
+    "MeasurementBasis": ("amplitudes",),
+    "CorrectionTable": ("ops",),
+    "TeleportOutcome": ("outcome", "probability", "bob_state", "corrected_state"),
+    "PairReport": ("pair", "reduced", "min_pt_eigenvalue", "entangled"),
+    "TriadReport": ("triad", "reduced", "ghz_component_fidelities", "three_tangles"),
+    "SuiteConfig": ("seed", "restarts", "tol"),
+    "WitnessSearchResult": ("min_value", "parameters", "restarts", "converged_fraction"),
+}
+
+
+def test_every_value_class_is_pinned():
+    classes, todo = set(), list(_Frozen.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        classes.add(cls.__name__)
+    assert classes - {"_Value"} == set(FIELDS) == set(ARRAY_HOLDERS) | set(VALUE_HOLDERS)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    obj = {**ARRAY_HOLDERS, **VALUE_HOLDERS}[name]()
+    for field in (*FIELDS[name], "extra"):
+        before = getattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        assert getattr(obj, field, None) is before
+    assert not hasattr(obj, "extra")
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_repr_names_the_class_and_its_fields(name):
+    obj = {**ARRAY_HOLDERS, **VALUE_HOLDERS}[name]()
+    if name == "ResolvedChannel":
+        assert obj.state is obj.state  # built on first read, then kept; not a field
+    fields = ", ".join(f"{field}={getattr(obj, field)!r}" for field in FIELDS[name])
+    assert repr(obj) == f"{name}({fields})"
+
+
+@pytest.mark.parametrize("name", VALUE_HOLDERS)
+def test_value_classes_compare_and_hash_by_value(name):
+    a, b = VALUE_HOLDERS[name](), VALUE_HOLDERS[name]()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert (a == object()) is False and a != "a"
+    other = DIFFERENT_VALUES[name]()
+    assert a != other and len({a, other}) == 2

@@ -228,7 +228,9 @@ def load_channel_json(path: str | os.PathLike) -> ChannelSpec:
 
 
 def resolve_channel(arg: str) -> ResolvedChannel:
-    """Map a CLI-style channel argument (built-in name or JSON path)."""
+    """Map a CLI-style channel argument (built-in name or JSON path, a str)."""
+    if not isinstance(arg, str):
+        raise ContractError(f"a channel argument is a built-in name or a .json path (str), got {arg!r}")
     if arg in BUILTIN_CHANNELS:
         return builtin_channel(arg)
     if arg.endswith(".json") or os.path.exists(arg):

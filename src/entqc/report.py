@@ -208,8 +208,9 @@ def section_measurement(cfg: SuiteConfig):
 
 
 def _infidelities(corrected, unknowns) -> np.ndarray:
-    """Per trial, the max |1 - |<corrected|input>|^2| over the outcomes."""
-    overlaps = np.einsum("tgi,ti->tg", corrected.conj(), unknowns)
+    """Per trial, the max |1 - |<corrected|input>|^2| over the outcomes, from
+    <input|corrected> (the same modulus): one (16, 4) . (4, 1) product per trial."""
+    overlaps = (corrected @ unknowns.conj()[:, :, None])[..., 0]
     return np.abs(1.0 - np.abs(overlaps) ** 2).max(axis=1)
 
 
@@ -223,7 +224,8 @@ def section_teleport(cfg: SuiteConfig):
     infid = _infidelities(corrected, unknowns)
     n = TELEPORT_TRIALS
     probs, bob = probs[:n], bob[:n]
-    marginal = np.einsum("tg,tgi,tgj->tij", probs, bob, bob.conj())
+    # sum over outcomes of p |bob><bob|: one (4, 16) . (16, 4) product per trial
+    marginal = np.swapaxes(probs[..., None] * bob, 1, 2) @ bob.conj()
     checks = [
         check(f"max |probability - 1/16| over {n} random runs",
               np.abs(probs - 1.0 / 16.0).max(), 0.0, 1e-10),
@@ -354,11 +356,11 @@ def section_series(cfg: SuiteConfig):
     specs = [builtin_channel(name).spec for name in names]
     forms = [series_form(spec) for spec in specs]
     tables = np.stack([table.ops for _, table in forms])
-    # both series bases are the bare sigma-pair basis: one split SVD serves both
+    # both series bases are the bare sigma-pair basis: one split SVD and one ket stack serve both
     excess = float(split_schmidt_coefficients(forms[0][0])[BASIS_SPLITS[0]][:, 1:].max())
     ranks = operator_schmidt_rank(tables.reshape(32, 4, 4)).reshape(2, 16)
     unknowns = haar_random_state(2, np.random.default_rng([cfg.seed, 5]))[None].repeat(2, axis=0)
-    kets = np.stack([basis.amplitudes.reshape(16, 4, 4) for basis, _ in forms])
+    kets = forms[0][0].amplitudes.reshape(16, 4, 4)
     channels = epr_amplitudes(np.stack([spec.dressing for spec in specs]))
     _, _, corrected = run_protocol_batch(unknowns, kets, channels, tables)
     infid = _infidelities(corrected, unknowns)

@@ -153,6 +153,7 @@ _STANDARD_CORRECTIONS = CorrectionTable(
 _SIGMA_PAIRS = _STANDARD_CORRECTIONS.ops
 #: the series-form basis: kets sigma-pair^T / 2 on bare EPR pairs, one for every channel
 _SERIES_BASIS = MeasurementBasis(epr_amplitudes(_SIGMA_PAIRS).reshape(16, 16))
+_SERIES_KETS = _SERIES_BASIS.amplitudes.reshape(16, 4, 4)
 
 
 class TeleportOutcome(_Frozen):
@@ -244,25 +245,35 @@ def invariance_pairs(kets, corrections, w_l, w_r):
 
 
 def run_protocol_batch(unknowns, kets, channels, corrections):
-    """All sixteen outcomes of T runs: inputs (T, 4), kets (T, 16, 4, 4),
+    """All sixteen outcomes of T runs: inputs (T, 4), kets ([T,] 16, 4, 4),
     channels (T, 4, 4), corrections ([T,] 16, 4, 4). Returns probabilities
     (T, 16), receiver and corrected states (T, 16, 4). The kets meet the input,
-    then the channel: two products per trial, none per (trial, outcome)."""
-    # conj(K) c = conj(K conj(c)): only the (T, 64, 1) product is conjugated
-    sender = (kets.reshape(-1, 64, 4) @ unknowns.conj()[:, :, None]).conj()
+    then the channel: two products per trial, none per (trial, outcome); kets
+    shared by all trials meet all T inputs in one (T, 4) . (4, 64) product."""
+    if kets.ndim == 3:
+        sender = unknowns @ kets.reshape(64, 4).conj().T
+    else:  # conj(K) c = conj(K conj(c)): only the (T, 64, 1) product is conjugated
+        sender = (kets.reshape(-1, 64, 4) @ unknowns.conj()[:, :, None]).conj()
     raw = sender.reshape(-1, 16, 4) @ channels
-    probabilities = np.real(np.einsum("tgr,tgr->tg", raw.conj(), raw))
+    parts = raw.view(raw.real.dtype)
+    probabilities = np.einsum("tgk,tgk->tg", parts, parts)
     if probabilities.min() < 1e-28:  # |raw| < 1e-14, as in StateVector.from_raw
         raise ContractError("cannot normalize a zero amplitude vector")
-    bob = raw / np.sqrt(probabilities)[..., None]
-    corrected = np.einsum("...gij,...gj->...gi", corrections, bob)
+    bob = np.divide(raw, np.sqrt(probabilities)[..., None], out=raw)  # in place: one fewer (T, 16, 4)
+    if corrections.ndim == 3:  # shared: one (4, 4) . (4, T) product per outcome
+        corrected = np.matmul(corrections, bob.transpose(1, 2, 0)).transpose(2, 0, 1)
+    else:
+        corrected = np.einsum("tgij,tgj->tgi", corrections, bob)
     return probabilities, bob, corrected
 
 
 def standard_protocol_batch(unknowns, dressings):
     """`run_protocol_batch` of the standard protocol on inputs (T, 4) and
-    dressings (T, 4, 4): dressed kets and channels, sigma-pair corrections."""
-    return run_protocol_batch(unknowns, measurement_kets(dressings), epr_amplitudes(dressings), _SIGMA_PAIRS)
+    dressings D (T, 4, 4), sigma-pair corrections. The dressed ket of
+    sigma-pair . D is D^T applied to the shared sigma-pair ket, so each D
+    joins its channel instead, as conj(D) . channel: no per-trial ket is built."""
+    channels = dressings.conj() @ epr_amplitudes(dressings)
+    return run_protocol_batch(unknowns, _SERIES_KETS, channels, _SIGMA_PAIRS)
 
 
 def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
@@ -317,7 +328,7 @@ def run_protocol(
 ) -> list[TeleportOutcome]:
     """Simulate all sixteen outcomes of one protocol variant end to end."""
     rest, channel = _channel_matrix(channel_state)
-    kets = basis.amplitudes.reshape(1, 16, 4, 4)
+    kets = basis.amplitudes.reshape(16, 4, 4)
     batch = run_protocol_batch(unknown.coefficients[None], kets, channel[None], corrections.ops)
     return _outcomes(rest, batch)
 

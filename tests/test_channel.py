@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,12 @@ def test_resolve_channel_builtin_path_and_garbage(tmp_path):
     with pytest.raises(ContractError) as err:
         resolve_channel("no-such-channel")
     assert "bell-transformed" in str(err.value)
+
+
+@pytest.mark.parametrize("arg", [5, None, b"custom.json", ["epr"], True], ids=repr)
+def test_resolve_channel_rejects_a_non_str_argument_with_a_message(arg):
+    with pytest.raises(ContractError, match=r"a \.json path \(str\), got " + re.escape(repr(arg)) + "$"):
+        resolve_channel(arg)
 
 
 def test_resolved_channel_builds_its_state_on_first_read(tmp_path):

@@ -1305,6 +1305,83 @@ def test_invariance_pairs_match_four_product_oracle(stack):
         )
 
 
+def materialized_standard_protocol(unknowns, dressings):
+    """The standard protocol as it ran before the factored kernel: per-trial
+    dressed kets (T, 16, 4, 4), then complex einsums for the probabilities
+    and the sigma-pair corrections."""
+    kets, channels = measurement_kets(dressings), epr_amplitudes(dressings)
+    sender = (kets.reshape(-1, 64, 4) @ unknowns.conj()[:, :, None]).conj()
+    raw = sender.reshape(-1, 16, 4) @ channels
+    probabilities = np.real(np.einsum("tgr,tgr->tg", raw.conj(), raw))
+    bob = raw / np.sqrt(probabilities)[..., None]
+    corrected = np.einsum("gij,tgj->tgi", standard_corrections().ops, bob)
+    return probabilities, bob, corrected
+
+
+def local_pairs(ones, twos):
+    """u1 (x) u2 for stacks of one-qubit unitaries (T, 2, 2)."""
+    return (ones[:, :, None, :, None] * twos[:, None, :, None, :]).reshape(-1, 4, 4)
+
+
+def kak_dressings(coordinates, seed, trials):
+    """D = (u1 (x) u2) exp(i (c1 XX + c2 YY + c3 ZZ)) (v1 (x) v2), Haar locals."""
+    h = sum(c * np.kron(p, p) for c, p in zip(coordinates, PAULIS[1:]))
+    w, v = np.linalg.eigh(h)
+    core = (v * np.exp(1j * w)) @ v.conj().T
+    u, _ = haar_draws(1, [seed, 73], trials, 4)
+    return local_pairs(u[:, 0], u[:, 1]) @ core @ local_pairs(u[:, 2], u[:, 3])
+
+
+#: per class, a stack builder (seed, trials) and the operator-Schmidt rank of its members
+DRESSING_CLASSES = {
+    "identity": (lambda seed, trials: np.broadcast_to(np.eye(4, dtype=complex), (trials, 4, 4)), 1),
+    "bell-transformed": (lambda seed, trials: np.broadcast_to(bell_transform_matrix(), (trials, 4, 4)), 2),
+    "cnot-class": (lambda seed, trials: kak_dressings((np.pi / 4, 0.0, 0.0), seed, trials), 2),
+    # exp(i pi/4 (XX + YY + ZZ)) is SWAP up to a phase
+    "swap-corner": (lambda seed, trials: kak_dressings((np.pi / 4,) * 3, seed, trials), 4),
+    "haar": (lambda seed, trials: haar_draws(2, [seed, 74], trials, 1)[0][:, 0], 4),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 2, 1002])
+@pytest.mark.parametrize("dressing_class", DRESSING_CLASSES)
+def test_factored_kernel_matches_materialized_kets(dressing_class, trials):
+    """No per-trial ket array against the (T, 16, 4, 4) one, within 1e-15."""
+    build, rank = DRESSING_CLASSES[dressing_class]
+    for seed in range(3):
+        dressings = build(seed, trials)
+        assert (operator_schmidt_rank(dressings) == rank).all()
+        _, unknowns = haar_draws(2, [seed, trials, 75], trials, 0)
+        factored = standard_protocol_batch(unknowns, dressings)
+        for array, ref in zip(factored, materialized_standard_protocol(unknowns, dressings), strict=True):
+            assert array.shape == ref.shape == ((trials, 16) if ref.ndim == 2 else (trials, 16, 4))
+            assert np.abs(array - ref).max() <= 1e-15
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+def test_protocol_kernel_keeps_single_precision_inputs_in_their_dtype(dtype, shared):
+    """All-complex64 or all-float32 inputs: the probabilities are read in the
+    inputs' own precision, within 1e-5 of the same inputs in double precision."""
+    rng = np.random.default_rng(76)
+
+    def draw(*shape):
+        if dtype is np.float32:
+            return rng.standard_normal(shape)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    trials = 5
+    unknowns = draw(trials, 4)
+    unknowns /= np.linalg.norm(unknowns, axis=1, keepdims=True)
+    kets = draw(16, 4, 4) if shared else draw(trials, 16, 4, 4)
+    inputs = (unknowns, kets, draw(trials, 4, 4), draw(16, 4, 4))
+    single = run_protocol_batch(*(a.astype(dtype) for a in inputs))
+    double = run_protocol_batch(*inputs)
+    for array, ref in zip(single, double, strict=True):
+        assert array.shape == ref.shape and array.dtype.itemsize * 2 == ref.dtype.itemsize
+        assert np.abs(array - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
 def teleport_rows(doc):
     rows = doc["sections"][0]["checks"]
     return [(row["name"], row["value"]) for row in rows]

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from entqc.channel import ChannelSpec, dressed_channel
 from entqc.entanglement import _euler_angles, _euler_columns, three_tangle, witness_state
 from entqc.teleport import (
+    OUTCOMES,
     UnknownState,
     measurement_basis,
     run_protocol,
     standard_corrections,
+    standard_protocol_batch,
     teleport_all_outcomes,
 )
 from entqc.tensor import (
@@ -102,14 +104,21 @@ def test_teleport_all_outcomes_is_the_standard_protocol(seed):
     spec = ChannelSpec(haar_unitaries(rng.standard_normal((2, 4, 4))))
     unknown = UnknownState(haar_random_state(2, rng))
     outcomes = teleport_all_outcomes(unknown, spec)
-    # the same bits as the object path: checked basis, dressed channel state, sigma-pairs
+    # the same bits as the factored kernel at T = 1
+    batch = [a[0] for a in standard_protocol_batch(unknown.coefficients[None], spec.dressing[None])]
+    assert [out.outcome for out in outcomes] == list(OUTCOMES)
+    assert np.array_equal([out.probability for out in outcomes], batch[0])
+    assert np.array_equal([out.bob_state.amplitudes for out in outcomes], batch[1])
+    assert np.array_equal([out.corrected_state.amplitudes for out in outcomes], batch[2])
+    # the object path (checked basis, dressed channel state, sigma-pairs) sums the same
+    # terms in another order: equal within 1e-15
     reference = run_protocol(unknown, measurement_basis(spec), dressed_channel(spec),
                              standard_corrections())
     for out, ref in zip(outcomes, reference, strict=True):
-        assert out.outcome == ref.outcome and out.probability == ref.probability
+        assert out.outcome == ref.outcome and abs(out.probability - ref.probability) <= 1e-15
         for mine, theirs in ((out.bob_state, ref.bob_state), (out.corrected_state, ref.corrected_state)):
             assert mine.register == theirs.register
-            assert np.array_equal(mine.amplitudes, theirs.amplitudes)
+            assert np.abs(mine.amplitudes - theirs.amplitudes).max() <= 1e-15
     probabilities = np.array([out.probability for out in outcomes])
     bob = np.array([out.bob_state.amplitudes for out in outcomes])
     assert np.abs(probabilities - 1.0 / 16.0).max() <= 1e-12

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from entqc.teleport import (
     run_protocol,
     series_form,
     standard_corrections,
+    standard_protocol_batch,
     teleport_all_outcomes,
 )
 from entqc.tensor import (
@@ -40,6 +42,7 @@ from entqc.tensor import (
     _Frozen,
     apply_unitary,
     fidelity_pure,
+    haar_draws,
     haar_random_unitary,
     operator_schmidt_rank,
     schmidt_rank,
@@ -260,6 +263,20 @@ def test_run_protocol_with_wrong_corrections_breaks_fidelity():
     outcomes = run_protocol(unknown, basis, resolved.state, standard_corrections())
     fids = [fidelity_pure(o.corrected_state, unknown.as_state()) for o in outcomes]
     assert min(fids) < 0.75
+
+
+def test_standard_protocol_builds_no_per_trial_ket_array():
+    # beyond its outputs, the kernel holds less than one (T, 16, 4, 4) stack at any time
+    trials = 1002
+    dressings, unknowns = haar_draws(2, [7, 1], trials, 1)
+    tracemalloc.start()
+    try:
+        outputs = standard_protocol_batch(unknowns, dressings[:, 0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in outputs)
+    assert peak - held < trials * 16 * 4 * 4 * np.dtype(complex).itemsize
 
 
 # --- invariance transform ---------------------------------------------------

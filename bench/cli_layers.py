@@ -1,5 +1,6 @@
-"""Time the command line's layers in process: parser, renderers (on the
-documents `entqc teleport` builds), a report row of exact floats, the checks at
+"""Time the command line's layers in process: parser, the teleport report's
+text in both formats (filled from its template, on a built-in channel's and a
+channel file's run), a report row of exact floats, the checks at
 its boundary (a 4x4 unitarity check, a channel file read and checked, a seeded
 input state, a checked four-amplitude state) and
 channel resolution (built-in channel and channel file), `cli.main`
@@ -98,26 +99,25 @@ def _quiet_main(argv):
     return out.getvalue()
 
 
-def _live_document(argv) -> dict:
-    """The document `cli.main(argv)` renders, as it was built: read back from
-    the JSON instead, every float that prints as an integer (1.0) would come
-    back as an int and take the renderer's int path."""
-    built, write = [], cli._write_document
-    cli._write_document = lambda doc, args: built.append(doc)
+def _report_inputs(argv) -> tuple:
+    """What `cli.main(argv)` passes to `cli._teleport_report` after the format:
+    the channel name, seed and protocol arrays that fill the teleport template."""
+    seen, fill = [], cli._teleport_report
+    cli._teleport_report = lambda *args: seen.append(args) or fill(*args)
     try:
-        code = cli.main(list(argv))
+        _quiet_main(argv)
     finally:
-        cli._write_document = write
-    if code != 0:
-        raise RuntimeError(f"entqc {' '.join(argv)} exited {code}")
-    return built[0]
+        cli._teleport_report = fill
+    return seen[0][1:]
 
 
 def _first_main(argv):
-    """`cli.main` as the first call of a process makes it: parser built anew."""
-    clear = getattr(cli.build_parser, "cache_clear", None)
-    if clear is not None:
-        clear()
+    """`cli.main` as the first call of a process makes it: the parser and the
+    teleport report's template built anew."""
+    for cached in (cli.build_parser, getattr(cli, "_teleport_template", None)):
+        clear = getattr(cached, "cache_clear", None)
+        if clear is not None:
+            clear()
     return _quiet_main(argv)
 
 
@@ -265,18 +265,18 @@ def rows(directory: str) -> dict:
     parser = build()
     channel_file = _channel_file(directory)
     file_argv = ["teleport", "--channel", channel_file, "--seed", SEED]
-    doc = _live_document(TELEPORT_ARGV)
-    file_doc = _live_document(file_argv)
+    inputs = _report_inputs(TELEPORT_ARGV)
+    file_inputs = _report_inputs(file_argv)
     cfg = report.SuiteConfig()
     unitary = haar_random_unitary(2, [int(SEED), 3])  # the channel file's dressing
     register, amplitudes = QubitRegister(("a", "b")), teleport.UnknownState.random(int(SEED)).coefficients
     layers = {
         "cli.build_parser.us": build,
         "cli.parse_args.us": lambda: parser.parse_args(TELEPORT_ARGV),
-        "cli.render_json.teleport.us": lambda: cli.render_json(doc),
-        "cli.render_text.teleport.us": lambda: cli.render_text(doc),
-        "cli.render_json.teleport_file.us": lambda: cli.render_json(file_doc),
-        "cli.render_text.teleport_file.us": lambda: cli.render_text(file_doc),
+        "cli.teleport_report.json.us": lambda: cli._teleport_report("json", *inputs),
+        "cli.teleport_report.text.us": lambda: cli._teleport_report("text", *inputs),
+        "cli.teleport_report.file.json.us": lambda: cli._teleport_report("json", *file_inputs),
+        "cli.teleport_report.file.text.us": lambda: cli._teleport_report("text", *file_inputs),
         "channel.resolve_channel.file.us": lambda: resolve_channel(channel_file),
         "channel.resolve_channel.builtin.us": lambda: resolve_channel("bell-transformed"),
         "channel.load_channel_json.us": lambda: load_channel_json(channel_file),

@@ -19,7 +19,6 @@ from .tensor import (
     QubitRegister,
     StateVector,
     _Frozen,
-    _as_complex,
     _as_real,
     _trusted,
     _unitary_stack,
@@ -166,32 +165,21 @@ def builtin_channel(name: str) -> ResolvedChannel:
     return ResolvedChannel(name, _BUILTIN_SPECS[name])
 
 
-def _complex_from_pair(node, what: str) -> complex:
-    if (
-        not isinstance(node, (list, tuple))
-        or len(node) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in node)
-    ):
-        raise ContractError(f"{what}: complex entries must be [re, im] pairs")
-    try:
-        return complex(node[0], node[1])
-    except OverflowError as exc:  # an integer beyond float range
-        raise ContractError(f"{what}: an entry is out of float range") from exc
-
-
 def _matrix_from_json(node, what: str) -> np.ndarray:
-    """Accept 16 [re,im] pairs row-major, or four rows of four pairs."""
+    """Accept 16 [re,im] pairs row-major, or four rows of four pairs: one scan
+    of the shapes and entry types (int or float, not bool), then one float
+    conversion viewed as complex."""
     if not isinstance(node, list):
         raise ContractError(f"{what} must be a JSON array")
-    if len(node) == 16:
-        flat = [_complex_from_pair(x, what) for x in node]
-    elif len(node) == 4 and all(isinstance(r, list) and len(r) == 4 for r in node):
-        flat = [_complex_from_pair(x, what) for row in node for x in row]
-    else:
-        raise ContractError(
-            f"{what} must be 16 [re, im] pairs (row-major) or a 4x4 nesting of them"
-        )
-    return _as_complex(flat, what).reshape(4, 4)
+    if len(node) == 4 and all(isinstance(r, list) and len(r) == 4 for r in node):
+        node = [x for row in node for x in row]
+    elif len(node) != 16:
+        raise ContractError(f"{what} must be 16 [re, im] pairs (row-major) or a 4x4 nesting of them")
+    real = (int, float)  # the exact types of a JSON number
+    if not all(isinstance(x, (list, tuple)) and len(x) == 2 and type(x[0]) in real and type(x[1]) in real
+               for x in node):
+        raise ContractError(f"{what}: complex entries must be [re, im] pairs")
+    return _as_real(node, what).view(complex).reshape(4, 4)
 
 
 def load_channel_json(path: str | os.PathLike) -> ChannelSpec:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 
@@ -71,94 +72,51 @@ def _float_formatter(memo: dict, spec: str):
 
 def _encoder():
     """The JSON encoder of one rendering: `encode(value)` returns the text of
-    a value, floats at %.17g. Each distinct float, and each str dict key, is
-    formatted once per encoder; its memos go with it.
-
-    Exact floats, strings, ints, dicts and lists dispatch on their type, and
-    what a dict or list holds is written without a call through `emit` when
-    it is a float, a list or a dict (a dict's None, bool and str values too).
-    Anything else (numpy scalars, str/dict/tuple subclasses, complex
-    numbers, ndarrays) goes through the `isinstance` chain.
-    """
+    a value, floats at %.17g, each distinct float formatted once per encoder.
+    Exact floats, None, bools and ints dispatch on their type, strings on
+    `isinstance`; anything else (numpy scalars, dict/tuple subclasses,
+    complex numbers, ndarrays) goes through the `isinstance` chain."""
     memo: dict = {}
     known, fresh = memo.get, _float_formatter(memo, ".17g")
-    keys: dict = {}
     out: list[str] = []
     append = out.append
 
-    def key_text(key) -> str:
-        text = _encode_str(str(key)) + ": "
-        if type(key) is str:
-            keys[key] = text
-        return text
-
-    def mapping(value):
-        append("{")
-        sep = ""
-        for key, item in value.items():
-            append(sep)
-            append(keys.get(key) or key_text(key))
-            kind = type(item)
-            if kind is float:
-                append(known(item) or fresh(item))
-            elif kind is str:
-                append(_encode_str(item))
-            elif item is None:
-                append("null")
-            elif kind is bool:
-                append("true" if item else "false")
-            elif kind is list:
-                sequence(item)
-            elif kind is dict:
-                mapping(item)
-            else:
-                emit(item)
-            sep = ", "
-        append("}")
-
-    def sequence(value):
-        append("[")
-        sep = ""
-        for item in value:
-            append(sep)
-            kind = type(item)
-            if kind is float:
-                append(known(item) or fresh(item))
-            elif kind is list:
-                sequence(item)
-            elif kind is dict:
-                mapping(item)
-            else:
-                emit(item)
-            sep = ", "
-        append("]")
-
     def emit(value):
-        # no float is also a str, dict, list or tuple, and no None, bool, int
-        # or complex is a container, so the order of the kinds is free
         kind = type(value)
         if kind is float:
             append(known(value) or fresh(value))
-        elif kind is str:
+        elif isinstance(value, str):
             append(_encode_str(value))
+        elif value is None:
+            append("null")
+        elif kind is bool:
+            append("true" if value else "false")
         elif kind is int:
             append(str(value))
         elif isinstance(value, dict):
-            mapping(value)
+            sep = "{"
+            for key, item in value.items():
+                append(sep)
+                append(_encode_str(str(key)))
+                append(": ")
+                emit(item)
+                sep = ", "
+            append("}" if value else "{}")
         elif isinstance(value, (list, tuple)):
-            sequence(value)
-        elif value is None:
-            append("null")
+            sep = "["
+            for item in value:
+                append(sep)
+                emit(item)
+                sep = ", "
+            append("]" if value else "[]")
         elif isinstance(value, _FLOATS):
             emit(float(value))
-        elif isinstance(value, str):
-            append(_encode_str(value))
         elif isinstance(value, (bool, np.bool_)):
             append("true" if value else "false")
         elif isinstance(value, (int, np.integer)):
             append(str(int(value)))
         elif isinstance(value, (complex, np.complexfloating)):
-            sequence([float(value.real), float(value.imag)])
+            emit([float(value.real), float(value.imag)])
         elif isinstance(value, np.ndarray):
             emit(value.tolist())
         else:
@@ -182,6 +140,8 @@ def render_json(doc) -> str:
 def _verdict(passed) -> str:
     if passed is None:
         return "info"
+    if isinstance(passed, str):  # a slot marker of the teleport template
+        return passed
     return "PASS" if passed else "FAIL"
 
 
@@ -229,7 +189,10 @@ def render_text(doc) -> str:
 
 
 def _write_document(doc, args) -> None:
-    text = render_text(doc) if args.format == "text" else render_json(doc)
+    _write(render_text(doc) if args.format == "text" else render_json(doc), args)
+
+
+def _write(text: str, args) -> None:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -240,6 +203,63 @@ def _write_document(doc, args) -> None:
             ) from exc
     else:
         sys.stdout.write(text)
+
+
+@functools.cache
+def _teleport_template(fmt: str, seeded: bool):
+    """The teleport document in `fmt`, with a seed or without, as a %-template;
+    the `itemgetter` that orders its fill values for it; and the renderer's
+    texts of a failed and a passed verdict. Fill value i is, in turn: the
+    unknown state's [re, im] pairs, then per outcome the probability,
+    corrected fidelity and receiver [re, im] pairs (the 168 floats, in
+    document order); the 32 row verdicts; the section and overall verdicts;
+    the channel name and the seed.
+
+    The template is `render_json` or `render_text` of the document with the
+    marker "@i@" for value i, its other text escaped. A quoted marker was
+    written as JSON, so a float there becomes %.17g, and a bare one as a text
+    scalar, %.10g; the other slots are %s, filled with their text."""
+    mark = "@{}@".format
+    v = 8 + 16 * 10  # the first verdict slot, after the floats
+    rows = []
+    for n, (a, b) in enumerate(OUTCOMES):
+        tag, f = f"outcome ({a},{b})", 8 + 10 * n
+        rows += [
+            {**check(f"{tag} probability", 0.0, 1.0 / 16.0, FIDELITY_ATOL), "value": mark(f), "pass": mark(v + 2 * n)},
+            {**check(f"{tag} corrected fidelity", 0.0, 1.0, FIDELITY_ATOL),
+             "value": mark(f + 1), "pass": mark(v + 2 * n + 1)},
+            check(f"{tag} receiver state", [[mark(f + k), mark(f + k + 1)] for k in range(2, 10, 2)]),
+        ]
+    meta = {"channel": mark(v + 34), **({"seed": mark(v + 35)} if seeded else {})}
+    doc = document("teleport", [{**section("outcomes", rows), "pass": mark(v + 32)}], **meta,
+                   unknown_state=[[mark(k), mark(k + 1)] for k in range(0, 8, 2)])
+    render, verdict = (render_text, _verdict) if fmt == "text" else (render_json, _encoder())
+    text = render({**doc, "pass": mark(v + 33)}).replace("%", "%%")
+    # the document's own text holds no "@": the markers are the odd parts, "J" marks a quoted one
+    parts = text.replace('"@', "@J").replace('@"', "@").split("@")
+    slots = parts[1::2]
+    order = [int(m.lstrip("J")) for m in slots]
+    parts[1::2] = ["%s" if i >= v else "%.17g" if m[0] == "J" else "%.10g" for m, i in zip(slots, order)]
+    return "".join(parts), operator.itemgetter(*order), (verdict(False), verdict(True))
+
+
+def _teleport_report(fmt: str, channel: str, seed, unknown, probs, fids, receivers) -> tuple[str, bool]:
+    """The text of one run's teleport document in `fmt` (meta `seed` unless
+    None), and its verdict. A probability or corrected fidelity passes iff
+    |value - target| <= FIDELITY_ATOL, as its `check` row would; the channel
+    name is written as the renderer writes a str, `_encode_str` or as is."""
+    pairs = np.ascontiguousarray  # a complex array viewed as float: [re, im] interleaved
+    table = np.column_stack([probs, fids, pairs(receivers).view(float)])
+    floats = np.concatenate([pairs(unknown).view(float), table.ravel()])
+    finite = np.isfinite(floats)
+    if not finite.all():  # the first non-finite value, as the encoder meets it
+        _float_formatter({}, ".17g")(float(floats[finite.argmin()]))
+    gates = (np.abs(table[:, :2] - (1.0 / 16.0, 1.0)) <= FIDELITY_ATOL).ravel().tolist()
+    template, pick, words = _teleport_template(fmt, seed is not None)
+    passed = all(gates)
+    fill = [*floats.tolist(), *[words[g] for g in gates], words[passed], words[passed],
+            channel if fmt == "text" else _encode_str(channel), seed]
+    return template % pick(fill), passed
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +326,6 @@ _positive_tol = _argument(float, lambda x: np.isfinite(x) and x > 0.0, "a finite
 _restarts = _argument(int, lambda n: 1 <= n <= MAX_RESTARTS, f"an integer in 1..{MAX_RESTARTS}")
 
 
-def _pairs(amplitudes) -> list:
-    return np.stack([amplitudes.real, amplitudes.imag], -1).tolist()
-
-
 def _tag(labels) -> str:
     return "(" + ",".join(labels) + ")"
 
@@ -331,24 +347,14 @@ def cmd_teleport(args) -> int:
         )
         return 1
 
-    meta = {"channel": resolved.name}
-    if args.state is not None:
-        unknown = _parse_state_arg(args.state)
-    else:
-        meta["seed"] = _resolve_seed(args)
-        unknown = UnknownState.random(meta["seed"])
+    seed = None if args.state is not None else _resolve_seed(args)
+    unknown = _parse_state_arg(args.state) if seed is None else UnknownState.random(seed)
     c = unknown.coefficients
     probs, bob, corrected = standard_protocol_batch(c[None], resolved.spec.dressing[None])
-    fids = (np.abs(corrected[0].conj() @ c) ** 2).tolist()
-    checks = []
-    for (a, b), prob, fid, receiver in zip(OUTCOMES, probs[0].tolist(), fids, _pairs(bob[0])):
-        tag = f"outcome ({a},{b})"
-        checks.append(check(f"{tag} probability", prob, 1.0 / 16.0, FIDELITY_ATOL))
-        checks.append(check(f"{tag} corrected fidelity", fid, 1.0, FIDELITY_ATOL))
-        checks.append(check(f"{tag} receiver state", receiver))
-    doc = document("teleport", [section("outcomes", checks)], **meta, unknown_state=_pairs(c))
-    _write_document(doc, args)
-    return 0 if doc["pass"] else 1
+    fids = np.abs(corrected[0].conj() @ c) ** 2
+    text, passed = _teleport_report(args.format, resolved.name, seed, c, probs[0], fids, bob[0])
+    _write(text, args)
+    return 0 if passed else 1
 
 
 def cmd_analyze(args) -> int:

@@ -1,4 +1,6 @@
-"""bench/cli_layers.py's row selection, `--only`, on an unknown name."""
+"""bench/cli_layers.py's row selection, `--only`, on an unknown name, and what
+its first-call row rebuilds."""
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,20 @@ def test_an_unknown_row_exits_2_and_lists_the_known_rows(tmp_path):
     known = proc.stderr.split("known rows: ", 1)[1]
     for name in ("teleport.teleport_all_outcomes.us", "teleport.run_protocol.us", "cli.main.analyze.ms",
                  "report.section.invariance.ms", "entqc.process.teleport.json.ms",
-                 "entqc.import.source.ms", "entqc.import.bytecode.ms"):
+                 "entqc.import.source.ms", "entqc.import.bytecode.ms", "cli.teleport_report.json.us",
+                 "cli.teleport_report.file.text.us"):
         assert name in known
     assert not out.exists()
+
+
+def test_the_first_call_row_builds_the_parser_and_the_teleport_template_anew():
+    spec = importlib.util.spec_from_file_location("cli_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    cli = layers.cli
+    for _ in range(2):
+        layers._quiet_main(layers.TELEPORT_ARGV)
+    assert cli.build_parser.cache_info().hits and cli._teleport_template.cache_info().hits
+    layers._first_main(layers.TELEPORT_ARGV)
+    for cached in (cli.build_parser, cli._teleport_template):  # cache_clear resets the counts
+        assert cached.cache_info()[:2] == (0, 1)  # no hit, one miss: built anew

@@ -10,6 +10,7 @@ from entqc.channel import (
     CHANNEL_LABELS,
     ChannelSpec,
     GhzSpec,
+    _matrix_from_json,
     bell_transform_matrix,
     builtin_channel,
     dressed_channel,
@@ -261,6 +262,49 @@ def test_load_channel_malformed_documents(tmp_path, doc):
     path.write_text(doc)
     with pytest.raises(ContractError):
         load_channel_json(str(path))
+
+
+SHAPE_MESSAGE = r"must be 16 \[re, im\] pairs \(row-major\) or a 4x4 nesting of them"
+PAIRS_MESSAGE = r"complex entries must be \[re, im\] pairs"
+
+
+@pytest.mark.parametrize(
+    "dressing, message",
+    [
+        # not an array
+        ({"re": 1}, "dressing must be a JSON array"),
+        ("1,0", "dressing must be a JSON array"),
+        # neither 16 pairs nor 4 rows of 4
+        ([[1, 0]] * 15, SHAPE_MESSAGE),
+        ([[[1, 0]] * 4] * 3 + [[[1, 0]] * 3], SHAPE_MESSAGE),
+        ([[[1, 0]] * 4] * 3 + [[1, 0]], SHAPE_MESSAGE),
+        # pairs of anything but two JSON numbers, bools included
+        ([[1, 0]] * 15 + [[1, True]], PAIRS_MESSAGE),
+        ([[1, 0]] * 15 + [[1, 0, 0]], PAIRS_MESSAGE),
+        ([[1, 0]] * 15 + ["ab"], PAIRS_MESSAGE),
+        ([[[1, 0]] * 4] * 3 + [[[1, 0]] * 3 + [[None, 0]]], PAIRS_MESSAGE),
+        # an integer beyond float range
+        ([[1, 0]] * 15 + [[0, -(10**400)]], "dressing: an entry is out of float range"),
+    ],
+    ids=["object", "string", "15 pairs", "ragged rows", "3 rows and a pair", "bool",
+         "triple", "string pair", "null", "huge int"],
+)
+def test_load_channel_names_each_fault_of_a_matrix(tmp_path, dressing, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dressing": dressing}))
+    with pytest.raises(ContractError, match=message):
+        load_channel_json(str(path))
+
+
+def test_channel_matrix_reader_takes_each_pair_as_complex_re_im():
+    # ints, signed zeros and subnormals come through as complex(re, im) makes them
+    entries = [[0, -0.0], [-0.0, 0], [5e-324, -1], [1, 2**60], [-3, 0.5]] * 3 + [[0.25, -0.0]]
+    expected = np.array([complex(re, im) for re, im in entries]).reshape(4, 4)
+    for node in (entries, [entries[4 * i: 4 * i + 4] for i in range(4)]):
+        matrix = _matrix_from_json(json.loads(json.dumps(node)), "u")
+        assert matrix.dtype == complex and matrix.shape == (4, 4)
+        assert np.array_equal(matrix.view(float), expected.view(float))
+        assert np.array_equal(np.signbit(matrix.view(float)), np.signbit(expected.view(float)))
 
 
 def test_load_channel_missing_file():

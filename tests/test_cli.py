@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entqc
 from entqc import report
@@ -470,3 +474,73 @@ def test_repro_with_a_non_finite_row_is_a_usage_error(capsys, monkeypatch, tmp_p
     code, out, err = run(capsys, ["repro", "--section", "ghz", "--format", fmt, "--output", str(target)])
     assert (code, out) == (2, "")
     assert not target.exists()
+
+
+# --- fuzzed `entqc teleport` ---------------------------------------------------
+
+JUNK = (st.sampled_from([0, -0.0, 1, 0.5, 1e-300, 1e308, 10**400, -(10**30), True, False, None, "1", "", []])
+        | st.floats())
+JUNK_PAIRS = st.lists(JUNK, min_size=2, max_size=2) | st.lists(JUNK, max_size=3) | JUNK
+STATE_FIELDS = st.sampled_from(["0", "1", "-0", "0.5", "0.7071067811865476", "1.0000001", "nan", "-inf",
+                                "1e400", "1e-400", "abc", "", " 1", "0x1", "1_0"])
+STATES = (st.lists(STATE_FIELDS, min_size=7, max_size=9).map(",".join)
+          | st.sampled_from(["1,0,0,0,0,0,0,0", "0,0,0.6,-0,0,0,0,0.8"]) | st.text(max_size=12))
+
+
+IDENTITY_PAIRS = [[1.0, 0.0] if i % 5 == 0 else [0.0, 0.0] for i in range(16)]
+
+
+@st.composite
+def fuzzed_matrices(draw):
+    """A unitary's 16 [re, im] pairs with a few swapped for junk, then flat
+    (16, 15 or 17 of them), as four rows, or as rows of drawn lengths."""
+    pairs = [list(pair) for pair in draw(st.sampled_from([IDENTITY_PAIRS, BELL_DRESSING_PAIRS]))]
+    for _ in range(draw(st.integers(0, 2))):
+        pairs[draw(st.integers(0, 15))] = draw(JUNK_PAIRS)
+    form = draw(st.sampled_from(["flat", "short", "long", "nested", "ragged"]))
+    if form in ("flat", "short", "long"):
+        return {"flat": pairs, "short": pairs[:15], "long": pairs + [[0.0, 0.0]]}[form]
+    if form == "nested":
+        return [pairs[4 * i: 4 * i + 4] for i in range(4)]
+    cuts = sorted(draw(st.lists(st.integers(0, 16), max_size=4)))
+    return [pairs[a:b] for a, b in zip([0, *cuts], [*cuts, 16])]
+
+
+@st.composite
+def fuzzed_channel_documents(draw):
+    form = draw(st.sampled_from(["dressing", "uv", "u only", "not an object"]))
+    doc = {"dressing": draw(fuzzed_matrices())} if form == "dressing" else (
+        {"u": draw(fuzzed_matrices()), "v": draw(fuzzed_matrices())} if form == "uv" else
+        {"u": draw(fuzzed_matrices())} if form == "u only" else draw(JUNK_PAIRS))
+    if isinstance(doc, dict) and draw(st.booleans()):
+        doc["name"] = draw(st.text(max_size=4) | JUNK)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=fuzzed_channel_documents(), channel=st.sampled_from(["file", "file", "file", "epr", "ghz"]),
+       unknown=st.tuples(st.just("--state"), STATES) | st.tuples(st.just("--seed"), st.integers(-2, 2**64)),
+       fmt=st.sampled_from(["json", "text"]))
+def test_fuzzed_teleport_exits_0_1_or_2_with_a_message(tmp_path_factory, doc, channel, unknown, fmt):
+    if channel == "file":
+        channel = str(tmp_path_factory.getbasetemp() / "fuzzed.json")
+        with open(channel, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    flag, value = unknown
+    argv = ["teleport", "--channel", channel, f"{flag}={value}", "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and "error:" in err
+    elif code == 1:
+        assert (out == "" and "cannot carry the protocol" in err) or "FAIL" in out or '"pass": false' in out
+    else:
+        assert out.startswith('{"report": "teleport"' if fmt == "json" else "entqc teleport report\n")
+        assert err == "" or err.startswith("warning: normalizing --state")

@@ -26,10 +26,13 @@ roundoff on 16-amplitude contractions; the renderer, the Haar unitaries and
 the GHZ branches must match exactly.
 """
 import collections
+import contextlib
+import io
 import itertools
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -446,6 +449,33 @@ def ref_render_text(doc):
         lines.append("")
         lines.append(f"overall: {ref_verdict(doc['pass'])}")
     return "\n".join(lines) + "\n"
+
+
+def ref_teleport_document(channel, seed=None, state=None):
+    """The document `entqc teleport --channel CHANNEL (--seed SEED | --state
+    STATE)` wrote before its template: 48 `check` rows built one by one. The
+    protocol is read from `cli`, so a test that patches it there patches both."""
+    resolved = resolve_channel(channel)
+    meta = {"channel": resolved.name}
+    if state is not None:
+        unknown = cli._parse_state_arg(state)
+    else:
+        meta["seed"] = seed
+        unknown = UnknownState.random(seed)
+    c = unknown.coefficients
+    probs, bob, corrected = cli.standard_protocol_batch(c[None], resolved.spec.dressing[None])
+    fids = (np.abs(corrected[0].conj() @ c) ** 2).tolist()
+
+    def pairs(amplitudes):
+        return np.stack([amplitudes.real, amplitudes.imag], -1).tolist()
+
+    checks = []
+    for (a, b), prob, fid, receiver in zip(OUTCOMES, probs[0].tolist(), fids, pairs(bob[0])):
+        tag = f"outcome ({a},{b})"
+        checks.append(report.check(f"{tag} probability", prob, 1.0 / 16.0, cli.FIDELITY_ATOL))
+        checks.append(report.check(f"{tag} corrected fidelity", fid, 1.0, cli.FIDELITY_ATOL))
+        checks.append(report.check(f"{tag} receiver state", receiver))
+    return report.document("teleport", [report.section("outcomes", checks)], **meta, unknown_state=pairs(c))
 
 
 def ref_reduced_density(state, keep):
@@ -1155,17 +1185,13 @@ def odd_document():
             "sections": [{"name": "odd", "checks": rows, "pass": False}], "pass": False}
 
 
-def teleport_documents(monkeypatch, tmp_path):
+def teleport_documents(tmp_path):
     path = tmp_path / "file-channel.json"
     dressing = haar_random_unitary(2, 3)
     path.write_text(json.dumps(
         {"dressing": [[z.real, z.imag] for z in dressing.reshape(-1)]}
     ))
-    docs = []
-    monkeypatch.setattr(cli, "_write_document", lambda doc, args: docs.append(doc))
-    for channel in ("epr", "bell-transformed", str(path)):
-        assert cli.main(["teleport", "--channel", channel, "--seed", "7"]) == 0
-    return docs
+    return [ref_teleport_document(channel, seed=7) for channel in ("epr", "bell-transformed", str(path))]
 
 
 def rows_document(*values, **meta):
@@ -1195,14 +1221,14 @@ MEMO_DOCUMENTS = {
 }
 
 
-def test_renderers_match_isinstance_chain(monkeypatch, tmp_path):
+def test_renderers_match_isinstance_chain(tmp_path):
     # the seed-7 repro document: live, and as the golden file holds it
     golden_text = GOLDEN_REPORT.read_text(encoding="utf-8")
     golden = json.loads(golden_text)
     docs = [
         report.build_report(report.SuiteConfig()),
         golden,
-        *teleport_documents(monkeypatch, tmp_path),
+        *teleport_documents(tmp_path),
         odd_document(),
         *MEMO_DOCUMENTS.values(),
     ]
@@ -1262,6 +1288,102 @@ DOCUMENTS = st.builds(
 def test_renderers_match_isinstance_chain_on_drawn_documents(doc):
     assert cli.render_json(doc) == ref_render_json(doc)
     assert cli.render_text(doc) == ref_render_text(doc)
+
+
+# --- the teleport template against the row-by-row document -------------------
+
+# exact states, with signed zeros; the last is normalized, with a warning
+EXACT_STATES = ["1,0,0,0,0,0,0,0", "0,-0.0,0,0,-0.0,1,0,0", "0.6,0,0,-0.8,-0,0,0,0",
+                "0.5,-0.5,0.5,0.5,0,-0,0,-0", "1.0000001,0,0,0,0,0,0,0"]
+# names that a template could mistake for its own text: conversion specs,
+# quotes, escapes, non-ASCII characters and a slot marker
+CHANNEL_NAMES = ["100%", "%s %d %%(x)s %.17g", 'say "hi"', "é ü ✓ 中", "back\\slash", "@0@ @203@", "tab\there"]
+# added to a probability and scaling a corrected state: verdicts on and about
+# the edge |value - target| = 1e-10
+SHIFTS = [0.0, 0.0, 0.0, 5e-11, 1e-10, -1e-10, 2e-10, 1e-3]
+
+
+def shifted(protocol, shifts):
+    """`protocol` with `shifts` added to the probabilities and the corrected
+    states scaled by 1 + shift, outcome by outcome."""
+    def run(unknowns, dressings):
+        probs, bob, corrected = protocol(unknowns, dressings)
+        return probs + shifts, bob, corrected * (1.0 + shifts)[:, None]
+    return run
+
+
+@st.composite
+def teleport_runs(draw):
+    """(channel file's name or None for a built-in, argv after the channel, state or None)."""
+    name = draw(st.none() | st.sampled_from(CHANNEL_NAMES) | st.text(max_size=6))
+    channel = draw(st.sampled_from(["epr", "bell-transformed", "file"]))
+    if draw(st.booleans()):
+        state = draw(st.sampled_from(EXACT_STATES) | st.integers(0, 2**32).map(
+            lambda s: ",".join(map(repr, haar_random_state(2, s).view(float).tolist()))))
+        unknown = [f"--state={state}"]
+    else:
+        unknown = ["--seed", str(draw(st.integers(0, 2**63)))]
+    fmt = ["--format", draw(st.sampled_from(["json", "text"]))]
+    shifted_run = draw(st.integers(0, 2)) == 2
+    shifts = draw(st.lists(st.sampled_from(SHIFTS), min_size=16, max_size=16)) if shifted_run else None
+    return channel, draw(st.integers(0, 2**32)), name, unknown + fmt, shifts
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(run=teleport_runs(), to_file=st.booleans())
+def test_teleport_template_matches_row_by_row_document(tmp_path_factory, run, to_file):
+    channel, seed, name, argv, shifts = run
+    directory = tmp_path_factory.mktemp("teleport")
+    if channel == "file":
+        dressing = haar_random_unitary(2, [seed, 19])
+        doc = {"dressing": [[z.real, z.imag] for z in dressing.reshape(-1)]}
+        channel = str(directory / "haar-%.json")
+        Path(channel).write_text(json.dumps(doc if name is None else {**doc, "name": name}), encoding="utf-8")
+    argv = ["teleport", "--channel", channel, *argv]
+    target = directory / "report.out"
+    if to_file:
+        argv += ["--output", str(target)]
+    protocol = cli.standard_protocol_batch
+    if shifts is not None:
+        protocol = shifted(protocol, np.array(shifts))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "standard_protocol_batch", protocol), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+        state = next((a.split("=", 1)[1] for a in argv if a.startswith("--state=")), None)
+        ref = ref_teleport_document(channel, seed=None if state else int(argv[argv.index("--seed") + 1]),
+                                    state=state)
+    render = cli.render_text if "text" in argv else cli.render_json
+    assert code == (0 if ref["pass"] else 1)
+    written = target.read_text(encoding="utf-8") if to_file else out.getvalue()
+    assert written == render(ref)
+    assert out.getvalue() == ("" if to_file else written)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("faults", [
+    {"bob": [(5, 2, np.nan)]},
+    {"bob": [(0, 0, np.inf)], "probs": [(3, -np.inf)]},
+    {"probs": [(15, np.nan)], "bob": [(2, 3, -np.inf)]},
+], ids=["receiver nan", "receiver inf before probability -inf", "receiver -inf before probability nan"])
+def test_teleport_template_rejects_non_finite_rows_as_the_renderer_does(fmt, faults):
+    def faulty(unknowns, dressings):
+        probs, bob, corrected = (a.copy() for a in report.standard_protocol_batch(unknowns, dressings))
+        for outcome, value in faults.get("probs", ()):
+            probs[0, outcome] = value
+        for outcome, amplitude, value in faults.get("bob", ()):
+            bob[0, outcome, amplitude] = value
+        return probs, bob, corrected
+
+    argv = ["teleport", "--channel", "bell-transformed", "--seed", "7", "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "standard_protocol_batch", faulty), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+        ref = ref_teleport_document("bell-transformed", seed=7)
+    with pytest.raises(ContractError) as expected:
+        (cli.render_text if fmt == "text" else cli.render_json)(ref)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {expected.value}\n")
 
 
 # --- the protocol kernels against the per-(trial, outcome) products --------------

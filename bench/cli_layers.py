@@ -9,7 +9,8 @@ kernels and the protocol's object API, the stacked analysis calls and witness
 kernels (with their n = 1 wrappers looped over the same items) and the
 `repro` section builders; and, as one-shot use pays them, a first `cli.main`
 call (parser built anew), a fresh `import entqc, entqc.cli` (compiled from
-source, and from cached bytecode) and a whole `python -m entqc.cli` process.
+source, and from cached bytecode), the same import with `entqc.report` (what
+`entqc repro` loads, from source) and a whole `python -m entqc.cli` process.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -135,16 +136,17 @@ def _process(argv) -> float:
     return best
 
 
-def _import_entqc(pycache_prefix: str, write_bytecode: bool) -> None:
-    """A fresh `import entqc, entqc.cli` in this process, bytecode read from and
-    (if `write_bytecode`) written to `pycache_prefix` only, never the checkout;
-    the modules imported before are restored after."""
+def _import_entqc(pycache_prefix: str, write_bytecode: bool, modules=("entqc", "entqc.cli")) -> None:
+    """A fresh import of `modules` (by default `import entqc, entqc.cli`) in this
+    process, bytecode read from and (if `write_bytecode`) written to
+    `pycache_prefix` only, never the checkout; the modules imported before are
+    restored after."""
     saved = {name: sys.modules.pop(name) for name in list(sys.modules) if name.partition(".")[0] == "entqc"}
     flags = sys.pycache_prefix, sys.dont_write_bytecode
     sys.pycache_prefix, sys.dont_write_bytecode = pycache_prefix, not write_bytecode
     try:
-        importlib.import_module("entqc")
-        importlib.import_module("entqc.cli")
+        for name in modules:
+            importlib.import_module(name)
     finally:
         sys.pycache_prefix, sys.dont_write_bytecode = flags
         for name in [name for name in sys.modules if name.partition(".")[0] == "entqc"]:
@@ -302,6 +304,9 @@ def rows(directory: str) -> dict:
         # is never written, as under PYTHONDONTWRITEBYTECODE), and from cached bytecode
         "entqc.import.source.ms": partial(_import_entqc, tempfile.mkdtemp(dir=directory), False),
         "entqc.import.bytecode.ms": partial(_import_entqc, tempfile.mkdtemp(dir=directory), True),
+        # and with the analysis stack that `entqc teleport` no longer loads: what `entqc repro` imports
+        "entqc.import.full.source.ms": partial(_import_entqc, tempfile.mkdtemp(dir=directory), False,
+                                               ("entqc", "entqc.cli", "entqc.report")),
         "cli.main.analyze.ms": partial(_quiet_main, ANALYZE_ARGV),
     }
     for name in report.SECTION_BUILDERS:

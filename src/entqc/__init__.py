@@ -2,7 +2,11 @@
 channels: exact state-vector simulation, channel validation, entanglement
 analysis (PPT pairs, GHZ-structured triads, witness minimization), and a
 deterministic verification report.
+
+The analysis stack (`entanglement`, `report`, and `entanglement`'s names
+here) is imported on first read (PEP 562): `entqc teleport` compiles neither.
 """
+from importlib import import_module as _import_module
 
 from .channel import (
     BUILTIN_CHANNELS,
@@ -18,23 +22,6 @@ from .channel import (
     is_valid_channel,
     load_channel_json,
     resolve_channel,
-)
-from .entanglement import (
-    CHANNEL_PAIRS,
-    CHANNEL_TRIADS,
-    PairReport,
-    TriadReport,
-    WitnessSearchResult,
-    minimize_witness,
-    pair_analysis,
-    stacked_minimize_witness,
-    symmetric_w_state,
-    three_tangle,
-    triad_analysis,
-    triad_component_states,
-    witness_gradient,
-    witness_state,
-    witness_value,
 )
 from .tensor import (
     ContractError,
@@ -77,6 +64,20 @@ from .teleport import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # called only for names not bound here: of `__all__`, those are `entanglement`'s
+    if name in ("entanglement", "report"):
+        return _import_module(f"{__name__}.{name}")
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.entanglement"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "entanglement", "report"})
+
 
 __all__ = [
     "BUILTIN_CHANNELS",

@@ -21,24 +21,8 @@ import sys
 import numpy as np
 
 from .channel import is_valid_channel, resolve_channel
-from .entanglement import (
-    CHANNEL_PAIRS,
-    CHANNEL_TRIADS,
-    MAX_RESTARTS,
-    stacked_minimize_witness,
-    stacked_pair_analysis,
-    stacked_triad_analysis,
-)
-from .report import (
-    DEFAULT_RESTARTS,
-    DEFAULT_SEED,
-    DEFAULT_WITNESS_TOL,
-    SuiteConfig,
-    build_report,
-    check,
-    document,
-    section,
-)
+# `analyze` and `repro` import the analysis stack (`entanglement`, `report`) when run
+from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, MAX_RESTARTS, check, document, section
 from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, _trusted, reduced_densities
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
@@ -358,6 +342,8 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .entanglement import (
+        CHANNEL_PAIRS, CHANNEL_TRIADS, stacked_minimize_witness, stacked_pair_analysis, stacked_triad_analysis)
     resolved = resolve_channel(args.channel)
     seed = _resolve_seed(args)
     state = resolved.state
@@ -413,6 +399,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    from .report import SuiteConfig, build_report
     cfg = SuiteConfig(seed=_resolve_seed(args), restarts=args.restarts, tol=args.tol)
     doc = build_report(cfg, only=args.section)
     _write_document(doc, args)

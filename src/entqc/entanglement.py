@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import CHANNEL_LABELS
+from .rows import MAX_RESTARTS
 from .tensor import (
     ATOL,
     ContractError,
@@ -26,6 +27,8 @@ from .tensor import (
     _Value,
     _as_complex,
     _as_real,
+    _integer,
+    _labels,
     _require_densities,
     _trusted,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
@@ -52,9 +55,6 @@ CHANNEL_PAIRS = (
 )
 CHANNEL_TRIADS = tuple(TRIAD_COMPONENT_SIGNS)
 
-#: most witness-search restarts per call, and most rows (densities x restarts)
-#: one ascent holds: the batch allocation grows with them, so a longer stack runs in chunks
-MAX_RESTARTS = 4096
 #: most angle rows one pass of the witness kernels takes: a pass's temporaries then stay
 #: small enough (under 128 KiB each) for the allocator to recycle, not map afresh
 ROWS_PER_PASS = 512
@@ -83,9 +83,10 @@ class WitnessSearchResult(_Value):
 
     def __init__(self, min_value: float, parameters: tuple[float, ...], restarts: int, converged_fraction: float):
         # 3/4 - <phi|rho|phi> with 0 <= <phi|rho|phi> <= 1
-        if not -0.25 - 1e-9 <= min_value <= 0.75 + 1e-9:
+        value = _as_real(min_value, "witness value")
+        if not (value.ndim == 0 and -0.25 - 1e-9 <= value <= 0.75 + 1e-9):
             raise ContractError(f"witness value {min_value} outside the admissible range")
-        if len(parameters) != 9:
+        if _as_real(parameters, "witness parameters").shape != (9,):
             raise ContractError("witness parameters are 9 rotation angles")
         self.__dict__.update(min_value=min_value, parameters=parameters, restarts=restarts,
                              converged_fraction=converged_fraction)
@@ -97,7 +98,7 @@ def stacked_pair_analysis(state: StateVector, pairs):
     one reduction, one stacked `eigvalsh`. A pair is two distinct labels."""
     if state.register.size != 4:
         raise ContractError("pair analysis expects a four-qubit state")
-    pairs = [tuple(pair) for pair in pairs]
+    pairs = [_labels(pair) for pair in pairs]
     for pair in pairs:
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ContractError(f"a pair is two distinct qubit labels, got {pair}")
@@ -109,7 +110,7 @@ def stacked_pair_analysis(state: StateVector, pairs):
 
 def pair_analysis(state: StateVector, pair) -> PairReport:
     """Reduce to the named pair and apply the PT separability test."""
-    pair = tuple(pair)
+    pair = _labels(pair)
     reduced, spectra, entangled = stacked_pair_analysis(state, [pair])
     return PairReport(pair, _trusted(DensityMatrix, register=QubitRegister(pair), matrix=reduced[0]),
                       float(spectra[0, 0]), bool(entangled[0]))
@@ -117,10 +118,10 @@ def pair_analysis(state: StateVector, pair) -> PairReport:
 
 def triad_component_states(triad) -> tuple[np.ndarray, np.ndarray]:
     """The two orthonormal GHZ-class components of a reference triad marginal."""
-    key = tuple(triad)
+    key = _labels(triad)
     try:
         l1, l2, l3, l4 = TRIAD_COMPONENT_SIGNS[key]
-    except KeyError:
+    except (KeyError, TypeError):  # an unknown triad, or one holding an unhashable label
         raise LabelError(
             f"no reference components for triad {key}; "
             f"known triads: {CHANNEL_TRIADS}"
@@ -145,7 +146,7 @@ def stacked_triad_analysis(state: StateVector, triads):
     """
     if state.register.size != 4:
         raise ContractError("triad analysis expects a four-qubit state")
-    triads = [tuple(triad) for triad in triads]
+    triads = [_labels(triad) for triad in triads]
     refs = np.array([triad_component_states(triad) for triad in triads])
     reduced = reduced_densities(state, triads)
     spectra, vectors = np.linalg.eigh(reduced)
@@ -163,7 +164,7 @@ def stacked_triad_analysis(state: StateVector, triads):
 def triad_analysis(state: StateVector, triad) -> TriadReport:
     """Reduce to the named triad and match its rank-2 eigenspace against the
     reference GHZ components (`stacked_triad_analysis` of one triad)."""
-    triad = tuple(triad)
+    triad = _labels(triad)
     reduced, _, fidelities, tangles = stacked_triad_analysis(state, [triad])
     return TriadReport(triad, _trusted(DensityMatrix, register=QubitRegister(triad), matrix=reduced[0]),
                        tuple(fidelities[0].tolist()), tuple(tangles[0].tolist()))
@@ -401,16 +402,6 @@ def _euler_angles(rots: np.ndarray) -> np.ndarray:
     alpha, beta = np.angle(rots[:, 0, 0]), np.angle(rots[:, 1, 0])
     b = 2.0 * np.arctan2(np.abs(rots[:, 1, 0]), np.abs(rots[:, 0, 0]))
     return np.stack([beta - alpha, b, -alpha - beta], axis=-1).transpose(1, 0, 2).reshape(-1, 9)
-
-
-def _integer(value, name: str, low: int, high: int | None = None) -> int:
-    """A Python or numpy integer (not a bool) in low..high, as an int."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ContractError(f"{name} must be an integer, got {value!r}")
-    if value < low or (high is not None and value > high):
-        bounds = f"{low}..{high}" if high is not None else f">= {low}"
-        raise ContractError(f"{name} must lie in {bounds}, got {value}")
-    return int(value)
 
 
 def _density_stack(rhos) -> np.ndarray:

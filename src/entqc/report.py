@@ -29,6 +29,7 @@ from .entanglement import (
     witness_state,
     witness_value,
 )
+from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, check, document, section
 from .tensor import (
     ContractError,
     DensityMatrix,
@@ -58,9 +59,6 @@ from .teleport import (
     transfer_blocks,
 )
 
-DEFAULT_SEED = 7
-DEFAULT_RESTARTS = 64
-DEFAULT_WITNESS_TOL = 1e-3
 TELEPORT_TRIALS = 1000
 INVARIANCE_TRIALS = 100
 GRADIENT_POINTS = 100
@@ -86,40 +84,6 @@ class SuiteConfig(_Value):
     def __init__(self, seed: int = DEFAULT_SEED, restarts: int = DEFAULT_RESTARTS,
                  tol: float = DEFAULT_WITNESS_TOL):
         self.__dict__.update(seed=seed, restarts=restarts, tol=tol)
-
-
-def check(name, value, target=None, tolerance=None):
-    """One report row; numeric rows compare |value - target| to tolerance."""
-    if type(value) is not float:
-        if isinstance(value, (bool, np.bool_)):
-            value = bool(value)
-            passed = None if target is None else value == bool(target)
-            return {"name": name, "value": value, "target": target,
-                    "tolerance": None, "pass": passed}
-        if isinstance(value, (int, np.integer)) and tolerance is None and target is not None:
-            value = int(value)
-            return {"name": name, "value": value, "target": int(target),
-                    "tolerance": 0, "pass": value == int(target)}
-        if isinstance(value, (list, tuple)):
-            return {"name": name, "value": list(value), "target": target,
-                    "tolerance": tolerance, "pass": None}
-        value = float(value)
-    passed = None
-    if target is not None and tolerance is not None:
-        passed = abs(value - float(target)) <= tolerance
-    return {"name": name, "value": value, "target": target,
-            "tolerance": tolerance, "pass": passed}
-
-
-def section(name, checks):
-    gates = [c["pass"] for c in checks if c["pass"] is not None]
-    return {"name": name, "checks": checks, "pass": all(gates)}
-
-
-def document(kind, sections, **meta):
-    """A report document: its kind, `meta` in the order given, its sections and
-    the overall verdict, which holds iff every section passes."""
-    return {"report": kind, **meta, "sections": sections, "pass": all(s["pass"] for s in sections)}
 
 
 def _bitstring(index, width=4):

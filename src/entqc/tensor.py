@@ -13,6 +13,7 @@ import numpy as np
 
 ATOL = 1e-12  # algebraic identities: norms, unitarity, hermiticity, traces
 EIG_ATOL = 1e-10  # anything that passed through an eigensolver or SVD
+MAX_QUBITS = 6  # most qubits of a Haar draw: 64 dimensions, the largest object entqc handles
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -29,6 +30,24 @@ class LabelError(ValueError):
 
 class ContractError(ValueError):
     """An input violates a documented precondition (norm, unitarity, shape...)."""
+
+
+def _integer(value, name: str, low: int, high: int | None = None) -> int:
+    """A Python or numpy integer (not a bool) in low..high, as an int."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f"{low}..{high}" if high is not None else f">= {low}"
+        raise ContractError(f"{name} must lie in {bounds}, got {value}")
+    return int(value)
+
+
+def _labels(labels) -> tuple:
+    """`labels` as a tuple, or a LabelError if it is not an iterable."""
+    try:
+        return tuple(labels)
+    except TypeError:
+        raise LabelError(f"qubit labels must be an iterable of labels, got {labels!r}") from None
 
 
 def _as_complex(a, what: str = "array", dtype=complex) -> np.ndarray:
@@ -180,7 +199,7 @@ class QubitRegister(_Value):
 
     def axes(self, labels) -> tuple[int, ...]:
         """Tensor-axis positions of the given labels, in the order given."""
-        out = []
+        labels, out = _labels(labels), []
         for lab in labels:
             if lab not in self.labels:
                 raise LabelError(
@@ -188,7 +207,7 @@ class QubitRegister(_Value):
                 )
             out.append(self.labels.index(lab))
         if len(set(out)) != len(out):
-            raise LabelError(f"repeated qubit label in {tuple(labels)}")
+            raise LabelError(f"repeated qubit label in {labels}")
         return tuple(out)
 
 
@@ -325,7 +344,7 @@ class DensityMatrix(_Frozen):
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not named in `keep`; output follows `keep` order."""
-    keep = tuple(keep)
+    keep = _labels(keep)
     kaxes = rho.register.axes(keep)
     n = rho.register.size
     taxes = [i for i in range(n) if i not in kaxes]
@@ -356,7 +375,7 @@ def reduced_densities(state: StateVector, keeps) -> np.ndarray:
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state: `reduced_densities` of one keep."""
-    register = QubitRegister(tuple(keep))
+    register = QubitRegister(keep)
     return _trusted(DensityMatrix, register=register, matrix=reduced_densities(state, [register.labels])[0])
 
 
@@ -378,6 +397,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 def fidelity_pure(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for equal-dimension pure states (labels may differ)."""
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise ContractError(f"fidelity_pure takes two StateVectors, got {type(a).__name__} and {type(b).__name__}")
     if a.register.dim != b.register.dim:
         raise ContractError(
             f"dimension mismatch: {a.register.labels} vs {b.register.labels}"
@@ -388,7 +409,10 @@ def fidelity_pure(a: StateVector, b: StateVector) -> float:
 def _resolve_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # a float, complex, bytes or negative seed
+        raise ContractError(f"seed must be a non-negative integer, a sequence of them or a Generator: {exc}") from None
 
 
 def haar_unitaries(normals) -> np.ndarray:
@@ -410,7 +434,7 @@ def haar_random_unitary(n_qubits: int, seed) -> np.ndarray:
 
     `seed` is an integer (PCG64 stream) or an existing Generator.
     """
-    dim = 2**n_qubits
+    dim = 2 ** _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
     u = haar_unitaries(_resolve_rng(seed).standard_normal((2, dim, dim)))
     u.setflags(write=False)
     return u
@@ -418,8 +442,8 @@ def haar_random_unitary(n_qubits: int, seed) -> np.ndarray:
 
 def haar_random_state(n_qubits: int, seed) -> np.ndarray:
     """Uniformly random pure-state amplitudes on `n_qubits`."""
+    dim = 2 ** _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
     rng = _resolve_rng(seed)
-    dim = 2**n_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 

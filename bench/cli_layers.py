@@ -1,7 +1,8 @@
 """Time the command line's layers in process: parser, the teleport report's
 text in both formats (filled from its template, on a built-in channel's and a
 channel file's run), a report row of exact floats, the checks at
-its boundary (a 4x4 unitarity check, a channel file read and checked, a seeded
+its boundary (a 4x4 unitarity check, a channel dressing and an input state
+through their checked constructors, a channel file read and checked, a seeded
 input state, a checked four-amplitude state) and
 channel resolution (built-in channel and channel file), `cli.main`
 (`teleport`, `analyze` and each `repro` section), the batched protocol
@@ -283,6 +284,8 @@ def rows(directory: str) -> dict:
         "channel.resolve_channel.builtin.us": lambda: resolve_channel("bell-transformed"),
         "channel.load_channel_json.us": lambda: load_channel_json(channel_file),
         "tensor.require_unitary.4x4.us": lambda: require_unitary(unitary),
+        "channel.ChannelSpec.us": lambda: ChannelSpec(unitary),
+        "teleport.UnknownState.us": lambda: teleport.UnknownState(amplitudes),
         "teleport.UnknownState.random.us": lambda: teleport.UnknownState.random(int(SEED)),
         "tensor.StateVector.us": lambda: StateVector(register, amplitudes),
         "report.check.float_row.us": lambda: report.check("outcome (1,1) probability", 0.0625, 0.0625, 1e-10),

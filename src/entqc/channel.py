@@ -20,6 +20,7 @@ from .tensor import (
     StateVector,
     _Frozen,
     _as_real,
+    _require_kinds,
     _trusted,
     _unitary_stack,
     reduced_densities,
@@ -65,6 +66,7 @@ def epr_amplitudes(ops) -> np.ndarray:
 
 def dressed_channel(spec: ChannelSpec) -> StateVector:
     """The EPR-pair channel with `spec.dressing` D on the receiver pair, normalized as D is unitary."""
+    _require_kinds("dressed_channel", ("spec", spec, ChannelSpec))
     amplitudes = epr_amplitudes(spec.dressing).reshape(-1)
     return _trusted(StateVector, register=_CHANNEL_REGISTER, amplitudes=amplitudes)
 
@@ -116,6 +118,8 @@ class GhzSpec(_Frozen):
 
 def generalized_ghz(spec: GhzSpec = GhzSpec()) -> StateVector:
     """Sum of two orthogonal product branches with the spec's amplitudes."""
+    _require_kinds("generalized_ghz", ("spec", spec, GhzSpec))
+
     def branch(k):
         # the flattened outer product of the four kets: their Kronecker
         # product, the same numbers without a kron per factor
@@ -131,6 +135,7 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
     Returns (ok, max_deviation): ok iff both two-qubit marginals equal I/4
     within 1e-10, with the worst entrywise deviation reported either way.
     """
+    _require_kinds("is_valid_channel", ("state", state, StateVector))
     if state.register.size != 4:
         raise ContractError("a channel state must have exactly four qubits")
     labels = state.register.labels

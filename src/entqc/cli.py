@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import is_valid_channel, resolve_channel
 # `analyze` and `repro` import the analysis stack (`entanglement`, `report`) when run
-from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, MAX_RESTARTS, check, document, section
+from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, MAX_RESTARTS, check, document, section, tag
 from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, _trusted, reduced_densities
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
@@ -207,12 +207,12 @@ def _teleport_template(fmt: str, seeded: bool):
     v = 8 + 16 * 10  # the first verdict slot, after the floats
     rows = []
     for n, (a, b) in enumerate(OUTCOMES):
-        tag, f = f"outcome ({a},{b})", 8 + 10 * n
+        name, f = f"outcome {tag((a, b))}", 8 + 10 * n
         rows += [
-            {**check(f"{tag} probability", 0.0, 1.0 / 16.0, FIDELITY_ATOL), "value": mark(f), "pass": mark(v + 2 * n)},
-            {**check(f"{tag} corrected fidelity", 0.0, 1.0, FIDELITY_ATOL),
+            {**check(f"{name} probability", 0.0, 1.0 / 16.0, FIDELITY_ATOL), "value": mark(f), "pass": mark(v + 2 * n)},
+            {**check(f"{name} corrected fidelity", 0.0, 1.0, FIDELITY_ATOL),
              "value": mark(f + 1), "pass": mark(v + 2 * n + 1)},
-            check(f"{tag} receiver state", [[mark(f + k), mark(f + k + 1)] for k in range(2, 10, 2)]),
+            check(f"{name} receiver state", [[mark(f + k), mark(f + k + 1)] for k in range(2, 10, 2)]),
         ]
     meta = {"channel": mark(v + 34), **({"seed": mark(v + 35)} if seeded else {})}
     doc = document("teleport", [{**section("outcomes", rows), "pass": mark(v + 32)}], **meta,
@@ -310,10 +310,6 @@ _positive_tol = _argument(float, lambda x: np.isfinite(x) and x > 0.0, "a finite
 _restarts = _argument(int, lambda n: 1 <= n <= MAX_RESTARTS, f"an integer in 1..{MAX_RESTARTS}")
 
 
-def _tag(labels) -> str:
-    return "(" + ",".join(labels) + ")"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -364,9 +360,9 @@ def cmd_analyze(args) -> int:
     pair_checks = []
     _, spectra, verdicts = stacked_pair_analysis(state, CHANNEL_PAIRS)
     for pair, min_eig, entangled in zip(CHANNEL_PAIRS, spectra[:, 0].tolist(), verdicts.tolist()):
-        tag = _tag(pair)
-        pair_checks += [check(f"pair {tag} min PT eigenvalue", min_eig),
-                        check(f"pair {tag} entangled", entangled)]
+        name = f"pair {tag(pair)}"
+        pair_checks += [check(f"{name} min PT eigenvalue", min_eig),
+                        check(f"{name} entangled", entangled)]
 
     triad_checks, witness_checks = [], []
     reduced, *rows = stacked_triad_analysis(state, CHANNEL_TRIADS)
@@ -375,16 +371,16 @@ def cmd_analyze(args) -> int:
     minima, angles, converged, _ = stacked_minimize_witness(marginals, restarts=args.restarts, seed=seed)
     for triad, eigs, fids, tangles, minimum, best, fraction in zip(
             CHANNEL_TRIADS, *(r.tolist() for r in (*rows, minima, angles, converged))):
-        tag = _tag(triad)
+        name = f"triad {tag(triad)}"
         triad_checks += [
-            check(f"triad {tag} eigenvalues", eigs),
-            check(f"triad {tag} component fidelities", fids),
-            check(f"triad {tag} three-tangles", tangles),
+            check(f"{name} eigenvalues", eigs),
+            check(f"{name} component fidelities", fids),
+            check(f"{name} three-tangles", tangles),
         ]
         witness_checks += [
-            check(f"triad {tag} witness minimum", minimum),
-            check(f"triad {tag} witness parameters", best),
-            check(f"triad {tag} witness converged fraction", fraction),
+            check(f"{name} witness minimum", minimum),
+            check(f"{name} witness parameters", best),
+            check(f"{name} witness converged fraction", fraction),
         ]
 
     sections = [

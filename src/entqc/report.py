@@ -29,7 +29,7 @@ from .entanglement import (
     witness_state,
     witness_value,
 )
-from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, check, document, section
+from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, check, document, section, tag
 from .tensor import (
     ContractError,
     DensityMatrix,
@@ -231,16 +231,16 @@ def section_pairs(cfg: SuiteConfig):
     pt_target = np.array([0.0, 0.0, 0.5, 0.5])
     analysis = stacked_pair_analysis(state, CHANNEL_PAIRS)
     for pair, reduced, spectrum, entangled in zip(CHANNEL_PAIRS, *analysis):
-        tag = f"({pair[0]},{pair[1]})"
+        name = f"pair {tag(pair)}"
         if pair in expected:
             dev = float(np.abs(reduced - expected[pair]).max())
-            checks.append(check(f"pair {tag} matches its reference marginal", dev, 0.0, 1e-12))
+            checks.append(check(f"{name} matches its reference marginal", dev, 0.0, 1e-12))
             pt_dev = float(np.abs(spectrum - pt_target).max())
-            checks.append(check(f"pair {tag} PT spectrum deviation from (0,0,1/2,1/2)", pt_dev, 0.0, 1e-10))
+            checks.append(check(f"{name} PT spectrum deviation from (0,0,1/2,1/2)", pt_dev, 0.0, 1e-10))
         else:
             dev = float(np.abs(reduced - quarter).max())
-            checks.append(check(f"pair {tag} deviation from I/4", dev, 0.0, 1e-12))
-        checks.append(check(f"pair {tag} entangled", entangled, False))
+            checks.append(check(f"{name} deviation from I/4", dev, 0.0, 1e-12))
+        checks.append(check(f"{name} entangled", entangled, False))
     return section("pairs", checks)
 
 
@@ -249,9 +249,9 @@ def section_wstate(cfg: SuiteConfig):
     target = (1.0 - np.sqrt(2.0)) / 4.0
     _, spectra, verdicts = stacked_pair_analysis(symmetric_w_state(), CHANNEL_PAIRS)
     for pair, min_eig, entangled in zip(CHANNEL_PAIRS, spectra[:, 0].tolist(), verdicts):
-        tag = f"({pair[0]},{pair[1]})"
-        checks.append(check(f"W-state pair {tag} min PT eigenvalue", min_eig, target, 1e-10))
-        checks.append(check(f"W-state pair {tag} entangled", entangled, True))
+        name = f"W-state pair {tag(pair)}"
+        checks.append(check(f"{name} min PT eigenvalue", min_eig, target, 1e-10))
+        checks.append(check(f"{name} entangled", entangled, True))
     return section("wstate", checks)
 
 
@@ -261,17 +261,17 @@ def section_triads(cfg: SuiteConfig):
     eig_target = np.array([0.0] * 6 + [0.5, 0.5])
     analysis = stacked_triad_analysis(state, CHANNEL_TRIADS)
     for triad, reduced, spectrum, fidelities, tangles in zip(CHANNEL_TRIADS, *analysis):
-        tag = f"({triad[0]},{triad[1]},{triad[2]})"
+        name = f"triad {tag(triad)}"
         for i, fid in enumerate(fidelities.tolist()):
-            checks.append(check(f"triad {tag} component {i} fidelity", fid, 1.0, 1e-10))
+            checks.append(check(f"{name} component {i} fidelity", fid, 1.0, 1e-10))
         for i, tau in enumerate(tangles.tolist()):
-            checks.append(check(f"triad {tag} component {i} three-tangle", tau, 1.0, 1e-8))
+            checks.append(check(f"{name} component {i} three-tangle", tau, 1.0, 1e-8))
         comp0, comp1 = triad_component_states(triad)
         recon = 0.5 * np.outer(comp0, comp0.conj()) + 0.5 * np.outer(comp1, comp1.conj())
         recon_dev = float(np.abs(reduced - recon).max())
-        checks.append(check(f"triad {tag} reconstruction deviation", recon_dev, 0.0, 1e-10))
+        checks.append(check(f"{name} reconstruction deviation", recon_dev, 0.0, 1e-10))
         eig_dev = float(np.abs(spectrum - eig_target).max())
-        checks.append(check(f"triad {tag} eigenvalue deviation from (1/2,1/2,0,...)", eig_dev, 0.0, 1e-10))
+        checks.append(check(f"{name} eigenvalue deviation from (1/2,1/2,0,...)", eig_dev, 0.0, 1e-10))
     return section("triads", checks)
 
 
@@ -285,7 +285,7 @@ def section_witness(cfg: SuiteConfig):
     rhos = [reduced_density(state, triad) for triad in CHANNEL_TRIADS] + [
         DensityMatrix(register, np.outer(phi, phi.conj())), DensityMatrix(register, np.eye(8) / 8.0)]
     minima, _, converged, _ = stacked_minimize_witness(rhos, restarts=cfg.restarts, seed=cfg.seed)
-    checks = [check(f"triad ({','.join(triad)}) witness minimum", value, 0.25, cfg.tol)
+    checks = [check(f"triad {tag(triad)} witness minimum", value, 0.25, cfg.tol)
               for triad, value in zip(CHANNEL_TRIADS, minima[:4].tolist())]
     checks.append(check("planted rotated-GHZ witness minimum", minima[4], -0.25, 1e-4))
     checks.append(check("maximally mixed witness minimum", minima[5], 0.625, 1e-6))

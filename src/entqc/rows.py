@@ -12,6 +12,11 @@ DEFAULT_WITNESS_TOL = 1e-3
 MAX_RESTARTS = 4096
 
 
+def tag(labels) -> str:
+    """The tag that names a row's qubits or outcome: "(A1,B1)", "(1,2)"."""
+    return f"({','.join(map(str, labels))})"
+
+
 def check(name, value, target=None, tolerance=None):
     """One report row; numeric rows compare |value - target| to tolerance."""
     if type(value) is not float:

@@ -17,6 +17,7 @@ from .channel import CHANNEL_LABELS, RECEIVER_LABELS, SENDER_LABELS, ChannelSpec
 from .tensor import (
     ATOL,
     EIG_ATOL,
+    ZERO_NORM,
     ContractError,
     PAULIS,
     QubitRegister,
@@ -25,10 +26,11 @@ from .tensor import (
     _as_complex,
     _as_real,
     _require,
+    _require_kinds,
+    _split_matrix,
     _trusted,
     _unitary_stack,
     haar_random_state,
-    kron,
 )
 
 UNKNOWN_LABELS = ("U1", "U2")
@@ -50,7 +52,7 @@ def pauli_pair(alpha: int, beta: int) -> np.ndarray:
     """sigma_alpha (x) sigma_beta with indices 1..4 = (identity, x, y, z)."""
     if alpha not in (1, 2, 3, 4) or beta not in (1, 2, 3, 4):
         raise ContractError(f"outcome indices must lie in 1..4, got {(alpha, beta)}")
-    return kron(PAULIS[alpha - 1], PAULIS[beta - 1])
+    return _SIGMA_PAIRS[4 * int(alpha) + int(beta) - 5].copy()
 
 
 class UnknownState(_Frozen):
@@ -146,7 +148,7 @@ class CorrectionTable(_Frozen):
 
 
 #: the sixteen sigma-pairs in OUTCOMES order, entry [a, b, i, k, j, l] = P_a[i, j] P_b[k, l]
-#: as `pauli_pair` gives it: the standard correction table
+#: (P_a (x) P_b, as `kron` gives it): the standard correction table
 _P = np.array(PAULIS)
 _STANDARD_CORRECTIONS = CorrectionTable(
     (_P[:, None, :, None, :, None] * _P[None, :, None, :, None, :]).reshape(16, 4, 4))
@@ -166,9 +168,9 @@ class TeleportOutcome(_Frozen):
 
 
 def _states(labels, rows) -> tuple[StateVector, ...]:
-    """StateVectors on `labels` for the rows of a derived (n, dim) stack, after one stacked
-    norm check: squared norms within ATOL of 1, as the constructor's lean path accepts them
-    (einsum neither warns on nor hides a NaN or inf); on any other row the constructor decides."""
+    """StateVectors on `labels` for the rows of a derived (n, dim) stack, after one stacked norm
+    check: squared norms within ATOL of 1, narrower than the constructor's rule, as a stacked norm
+    is not `vdot`'s bit for bit (einsum neither warns on nor hides a NaN or inf); else the constructor decides."""
     register = QubitRegister(tuple(labels))
     rows = np.ascontiguousarray(rows, dtype=complex)
     parts = rows.view(float)
@@ -185,8 +187,7 @@ def _channel_matrix(channel_state: StateVector):
     rest = tuple(lab for lab in labels if lab not in SENDER_LABELS)
     if len(labels) != 4 or len(rest) != 2 or set(rest) & set(UNKNOWN_LABELS):
         raise ContractError(f"register mismatch: channel on {labels}")
-    axes = channel_state.register.axes(SENDER_LABELS + rest)
-    return rest, channel_state.tensor_view().transpose(axes).reshape(4, 4)
+    return rest, _split_matrix(channel_state, SENDER_LABELS)
 
 
 def measurement_kets(dressings) -> np.ndarray:
@@ -257,7 +258,7 @@ def run_protocol_batch(unknowns, kets, channels, corrections):
     raw = sender.reshape(-1, 16, 4) @ channels
     parts = raw.view(raw.real.dtype)
     probabilities = np.einsum("tgk,tgk->tg", parts, parts)
-    if probabilities.min() < 1e-28:  # |raw| < 1e-14, as in StateVector.from_raw
+    if probabilities.min() < ZERO_NORM**2:  # |raw| < ZERO_NORM, as in StateVector.from_raw
         raise ContractError("cannot normalize a zero amplitude vector")
     bob = np.divide(raw, np.sqrt(probabilities)[..., None], out=raw)  # in place: one fewer (T, 16, 4)
     if corrections.ndim == 3:  # shared: one (4, 4) . (4, T) product per outcome
@@ -278,6 +279,7 @@ def standard_protocol_batch(unknowns, dressings):
 
 def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
     """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U): a basis as D is unitary."""
+    _require_kinds("measurement_basis", ("channel", channel, ChannelSpec))
     return _trusted(MeasurementBasis, amplitudes=measurement_kets(channel.dressing).reshape(16, 16))
 
 
@@ -327,6 +329,8 @@ def run_protocol(
     corrections: CorrectionTable,
 ) -> list[TeleportOutcome]:
     """Simulate all sixteen outcomes of one protocol variant end to end."""
+    _require_kinds("run_protocol", ("unknown", unknown, UnknownState), ("basis", basis, MeasurementBasis),
+                   ("channel_state", channel_state, StateVector), ("corrections", corrections, CorrectionTable))
     rest, channel = _channel_matrix(channel_state)
     kets = basis.amplitudes.reshape(16, 4, 4)
     batch = run_protocol_batch(unknown.coefficients[None], kets, channel[None], corrections.ops)
@@ -336,6 +340,8 @@ def run_protocol(
 def teleport_all_outcomes(unknown: UnknownState, channel: ChannelSpec) -> list[TeleportOutcome]:
     """The standard protocol (dressed basis, dressed channel, sigma corrections):
     `standard_protocol_batch` at T = 1, on the spec's checked dressing."""
+    if not (isinstance(unknown, UnknownState) and isinstance(channel, ChannelSpec)):  # builds nothing per op
+        _require_kinds("teleport_all_outcomes", ("unknown", unknown, UnknownState), ("channel", channel, ChannelSpec))
     return _outcomes(RECEIVER_LABELS, standard_protocol_batch(
         unknown.coefficients[None], channel.dressing[None]))
 
@@ -366,6 +372,7 @@ def series_form(channel: ChannelSpec) -> tuple[MeasurementBasis, CorrectionTable
     channel, the protocol still achieves unit fidelity. By the EPR-pair
     identity the kets are sigma-pair^T / 2, the corrections sigma-pair . D†.
     """
+    _require_kinds("series_form", ("channel", channel, ChannelSpec))
     return _SERIES_BASIS, _trusted(CorrectionTable, ops=_SIGMA_PAIRS @ channel.dressing.conj().T)
 
 
@@ -400,13 +407,18 @@ def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:
     For the state's amplitude matrix K the first-two marginal is K K† and, by
     the EPR-pair identity, the twirled kets are K U^T.
     """
+    _require_kinds("povm_check", ("channel_state", channel_state, StateVector))
     if channel_state.register.size != 4:
         raise ContractError("povm_check expects a four-qubit state")
     k = channel_state.amplitudes.reshape(4, 4)
     # K K† = 1/4 exactly when 2 K^T is unitary, at 4 times the deviation
     _require(2.0 * k.T, "unitary", 4 * EIG_ATOL, "povm_check expects a maximally entangled "
              "state across its first-two/last-two split")
-    members = tuple(unitary_set)
+    try:
+        members = tuple(unitary_set)
+    except TypeError:
+        kind = type(unitary_set).__name__
+        raise ContractError(f"povm_check() argument 'unitary_set' must be iterable, got {kind}") from None
     if not members:
         raise ContractError("the unitary set must be non-empty")
     ops = _unitary_stack(members, (4, 4), "set member", "set members must be two-qubit (4x4) unitaries")

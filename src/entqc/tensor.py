@@ -7,6 +7,7 @@ the two global tolerances below are used for all algebraic checks.
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 ATOL = 1e-12  # algebraic identities: norms, unitarity, hermiticity, traces
 EIG_ATOL = 1e-10  # anything that passed through an eigensolver or SVD
 MAX_QUBITS = 6  # most qubits of a Haar draw: 64 dimensions, the largest object entqc handles
+ZERO_NORM = 1e-14  # a vector with a smaller norm is zero: it cannot be normalized
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -42,6 +44,14 @@ def _integer(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _require_kinds(function: str, *arguments) -> None:
+    """Raise ContractError, naming `function` and the class it takes, for the first
+    (name, value, cls) of `arguments` whose value is not a `cls`."""
+    for name, value, cls in arguments:
+        if not isinstance(value, cls):
+            raise ContractError(f"{function}() argument {name!r} must be {cls.__name__}, got {type(value).__name__}")
+
+
 def _labels(labels) -> tuple:
     """`labels` as a tuple, or a LabelError if it is not an iterable."""
     try:
@@ -67,17 +77,23 @@ def _as_real(a, what: str = "array") -> np.ndarray:
     return _as_complex(a, what, float)
 
 
+def _deviation(m: np.ndarray, of: str):
+    """max |m† m - 1| (of="unitary"), |m - m†| ("hermitian") or |tr m - 1| ("trace"), (..., n, n)."""
+    if of == "trace":
+        diff = np.trace(m, axis1=-2, axis2=-1) - 1.0
+    elif of == "unitary":  # 1 taken off the diagonal through a flat view: matmul's output is C-ordered
+        diff = np.swapaxes(m, -1, -2).conj() @ m
+        diff.reshape(*diff.shape[:-2], -1)[..., :: m.shape[-1] + 1] -= 1.0
+    else:
+        diff = m - np.swapaxes(m, -1, -2).conj()
+    return np.abs(diff).max(initial=0.0)
+
+
 def _require(m: np.ndarray, of: str, tol: float, fault: str) -> None:
-    """Raise ContractError(fault) unless max |m† m - 1| (of="unitary"), |m - m†| ("hermitian")
-    or |tr m - 1| ("trace") over a matrix or a stack (..., n, n) is within `tol`. Overflow
-    gives inf or NaN without a numpy warning, and `not dev <= tol` rejects both."""
+    """Raise ContractError(fault) unless `_deviation(m, of)` is within `tol`. Overflow gives
+    inf or NaN without a numpy warning, and `not dev <= tol` rejects both."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if of == "trace":
-            diff = np.trace(m, axis1=-2, axis2=-1) - 1.0
-        else:
-            adjoint = np.swapaxes(m, -1, -2).conj()
-            diff = adjoint @ m - np.eye(m.shape[-1]) if of == "unitary" else m - adjoint
-        dev = np.abs(diff).max(initial=0.0)
+        dev = _deviation(m, of)
     if not dev <= tol:
         raise ContractError(f"{fault}: deviation {dev:.3e} > {tol:g}")
 
@@ -132,26 +148,18 @@ def kron(*factors) -> np.ndarray:
 
 def require_unitary(m, *, tol: float = ATOL, what: str = "matrix") -> np.ndarray:
     """Validate U†U = 1 within `tol`, for a matrix or a stack (..., n, n); return a read-only copy.
-    No entry of a unitary within `tol` exceeds sqrt(1 + tol) in modulus, so an input with none above
-    min(1 + tol, 2), where U†U cannot overflow, is accepted on its deviation alone (the full check's,
-    bit for bit); any other input, and any it does not accept, gets the full check and its message."""
+    One rule decides, max |U†U - 1| <= tol. An entry of modulus a adds a**2 to its column's diagonal,
+    so one above 2 (1 + tol), or a NaN, fails it by far and goes to `_require` for the message; below
+    that U†U cannot overflow (tol < 1e150) and skips np.errstate, which slows the numpy calls after it."""
     try:
-        u = np.array(m, dtype=complex)
-        lean = (u.ndim >= 2 and u.shape[-1] == u.shape[-2]
-                and np.abs(u).max(initial=0.0) <= min(1.0 + tol, 2.0))
-    except (TypeError, ValueError, OverflowError):
-        lean = False
-    if lean:
-        n = u.shape[-1]
-        gram = np.swapaxes(u, -1, -2).conj() @ u
-        gram.reshape(*gram.shape[:-2], n * n)[..., :: n + 1] -= 1.0  # U†U - 1, on a diagonal view
-        if np.abs(gram).max(initial=0.0) <= tol:
-            u.setflags(write=False)
-            return u
-    u = _as_complex(m, what).copy()
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise ContractError(f"{what} is not square: shape {u.shape}")
-    _require(u, "unitary", tol, f"{what} is not unitary")
+        u = np.array(m, dtype=complex, order="C")
+        if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+            raise ContractError(f"{what} is not square: shape {u.shape}")
+        if not (np.abs(u).max(initial=0.0) <= 2.0 * (1.0 + tol) and _deviation(u, "unitary") <= tol):
+            _require(u, "unitary", tol, f"{what} is not unitary")  # raises, with the deviation
+    except (TypeError, ValueError, OverflowError):  # ContractError is a ValueError
+        _as_complex(m, what)  # first, if `m` does not convert or has a NaN or inf entry, its message
+        raise
     u.setflags(write=False)
     return u
 
@@ -217,30 +225,28 @@ class StateVector(_Frozen):
     def __init__(self, register: QubitRegister, amplitudes):
         if not isinstance(register, QubitRegister):
             raise ContractError(f"a state's register must be a QubitRegister, got {register!r}")
-        # lean path: |psi|^2 within ATOL of 1 puts |psi| within ATOL / 2 of 1; NaN or inf fails it
+        # one rule: the register's size, and |psi| within ATOL of 1 (NaN or inf for a NaN or inf entry)
         try:
             amps = np.array(amplitudes, dtype=complex).ravel()
-            lean = amps.size == register.dim and abs(np.vdot(amps, amps).real - 1.0) <= ATOL
-        except (TypeError, ValueError, OverflowError):
-            lean = False
-        if not lean:
-            amps = _as_complex(amplitudes, "amplitudes").reshape(-1).copy()
             if amps.size != register.dim:
                 raise ContractError(f"register {register.labels} needs {register.dim} amplitudes, got {amps.size}")
-            norm = np.sqrt(np.vdot(amps, amps).real)  # an overflowing norm is inf, without a warning
+            norm = math.sqrt(np.vdot(amps, amps).real)  # vdot does not warn when the norm overflows
             if not abs(norm - 1.0) <= ATOL:
-                raise ContractError(f"state is not normalized: |psi| = {norm!r}")
+                raise ContractError(f"state is not normalized: |psi| = {np.float64(norm)!r}")
+        except (TypeError, ValueError, OverflowError):  # ContractError is a ValueError
+            _as_complex(amplitudes, "amplitudes")  # first, if they do not convert or have a NaN or inf, its message
+            raise
         amps.setflags(write=False)
         self.__dict__.update(register=register, amplitudes=amps)
 
     @staticmethod
     def from_raw(labels, raw) -> "StateVector":
-        """Normalize a raw amplitude vector; error on a (near-)zero vector, |raw| < 1e-14."""
+        """Normalize a raw amplitude vector; error on a (near-)zero vector, |raw| < ZERO_NORM."""
         parts = _as_complex(raw, "amplitudes").ravel().view(float)  # (re, im) pairs
         scale = float(np.abs(parts).max(initial=0.0))
         unit = (parts / scale if scale else parts).view(complex)  # its norm cannot overflow
         norm = float(np.linalg.norm(unit))
-        if scale * norm < 1e-14:
+        if scale * norm < ZERO_NORM:
             raise ContractError("cannot normalize a zero amplitude vector")
         return StateVector(QubitRegister(tuple(labels)), unit / norm)
 
@@ -249,16 +255,23 @@ class StateVector(_Frozen):
 
     def permuted(self, new_order) -> "StateVector":
         """Same state with register slots reordered to `new_order`."""
-        axes = self.register.axes(new_order)
-        if len(axes) != self.register.size:
+        m = _split_matrix(self, new_order)  # one column when new_order holds every label
+        if m.shape[1] != 1:
             raise LabelError("permutation must mention every label exactly once")
-        t = np.transpose(self.tensor_view(), axes)
-        return StateVector(QubitRegister(tuple(new_order)), t.reshape(-1))
+        return StateVector(QubitRegister(tuple(new_order)), m.ravel())
 
     def relabeled(self, mapping) -> "StateVector":
         """Rename labels without touching amplitudes."""
         labels = tuple(mapping.get(lab, lab) for lab in self.register.labels)
         return _trusted(StateVector, register=QubitRegister(labels), amplitudes=self.amplitudes)
+
+
+def _split_matrix(state: StateVector, part) -> np.ndarray:
+    """The amplitude matrix of `state` across (part | rest): rows run over `part` in the
+    order given, columns over the other qubits in register order."""
+    axes = state.register.axes(part)
+    rest = [i for i in range(state.register.size) if i not in axes]
+    return state.tensor_view().transpose(*axes, *rest).reshape(2 ** len(axes), -1)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -359,12 +372,7 @@ def reduced_densities(state: StateVector, keeps) -> np.ndarray:
     """Reduced density matrices of a pure state, one per keep (all of one size),
     as a read-only (m, d, d) stack, not checked again (the state was checked when
     built): M M† for M the state reshaped to (keep | rest), keep in the order given."""
-    psi = state.tensor_view()
-    blocks = []
-    for keep in keeps:
-        kaxes = state.register.axes(keep)
-        rest = [i for i in range(state.register.size) if i not in kaxes]
-        blocks.append(psi.transpose(*kaxes, *rest).reshape(2 ** len(kaxes), -1))
+    blocks = [_split_matrix(state, keep) for keep in keeps]
     if not blocks or any(b.shape != blocks[0].shape for b in blocks):
         raise ContractError("reduced_densities needs one or more keeps of one size")
     m = np.stack(blocks)
@@ -469,12 +477,10 @@ def haar_draws(n_qubits: int, seed, trials: int, n_unitaries: int):
 
 def schmidt_coefficients(state: StateVector, part) -> np.ndarray:
     """Singular values (descending) across the (part | rest) bipartition."""
-    paxes = state.register.axes(part)
-    rest = [i for i in range(state.register.size) if i not in paxes]
-    if not paxes or not rest:
+    m = _split_matrix(state, part)
+    if 1 in m.shape:
         raise LabelError("a bipartition needs qubits on both sides")
-    t = np.transpose(state.tensor_view(), [*paxes, *rest])
-    return np.linalg.svd(t.reshape(2 ** len(paxes), -1), compute_uv=False)
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def schmidt_rank(state: StateVector, part, tol: float = EIG_ATOL) -> int:

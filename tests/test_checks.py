@@ -1,8 +1,8 @@
 """Checks made once, at the boundary.
 
-The unitarity and state checks have fast paths; the code they replaced is kept
-here, test-only, as the oracle, and they must give its decisions, deviations,
-messages and stored values. Values the library derives from checked inputs are wrapped without a
+The unitarity and state checks each decide by one rule, computed once; the code
+they replaced is kept here, test-only, as the oracle, and they must give its
+decisions, deviations, messages and stored values. Values the library derives from checked inputs are wrapped without a
 second check: they must be read-only and still pass the checks they skip. A stack
 of derived states gets one stacked norm check: it must decide as the constructor
 does, row by row, and keep the constructor's amplitudes bit for bit. The
@@ -24,6 +24,7 @@ from entqc.channel import (
     builtin_channel,
     dressed_channel,
     generalized_ghz,
+    is_valid_channel,
 )
 from entqc.entanglement import pair_analysis, triad_analysis, witness_gradient, witness_value
 from entqc.teleport import (
@@ -34,6 +35,7 @@ from entqc.teleport import (
     invariance_pairs,
     invariance_transform,
     measurement_basis,
+    povm_check,
     run_protocol,
     series_form,
     standard_corrections,
@@ -57,7 +59,7 @@ from entqc.tensor import (
 )
 
 
-# --- test-only references: the code the fast paths replaced --------------------
+# --- test-only references: the full checks that the one-rule checks must equal ---------
 def ref_require_unitary(m, *, tol=ATOL, what="matrix"):
     u = _as_complex(m, what).copy()
     if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
@@ -152,7 +154,7 @@ def test_unitary_check_matches_the_full_check(seed, tol):
 @pytest.mark.parametrize("seed", range(6))
 def test_unitary_check_accepts_exactly_at_the_full_checks_deviation(seed):
     # accepted at tol = the full check's deviation, rejected one ulp below:
-    # the lean check's deviation is the full check's, bit for bit
+    # the check's deviation is the full check's, bit for bit
     for m in near_unitaries(seed):
         dev = ref_deviation(m)
         if dev > 1e-3:
@@ -182,11 +184,19 @@ def test_unitary_check_rejects_what_the_full_check_rejects(tol):
         assert_same_decision(m, tol)
     for m in (np.eye(2), np.zeros((0, 0)), np.zeros((3, 0, 0)), [[1]], 2.0 * u):
         assert_same_decision(m, tol)
+    # the Haar stack, and the diagonal unitaries of its phases (every entry of modulus 1), scaled
+    # so that the largest entry lies just inside or just outside sqrt(1 + tol): no entry of an
+    # input the full check accepts exceeds it
+    phases = np.diagonal(stack, axis1=-2, axis2=-1)
+    for m in (stack, (phases / np.abs(phases))[..., None] * np.eye(4)):
+        edge = np.sqrt(1.0 + tol) / np.abs(m).max()
+        for step in (-1e-9, -1e-15, -2e-16, 0.0, 2e-16, 1e-15, 1e-9):
+            assert_same_decision(m * (edge * (1.0 + step)), tol)
 
 
 # --- the state check -------------------------------------------------------------
 REGISTERS = [QubitRegister(("a",)), QubitRegister(("a", "b")), QubitRegister(("a", "b", "c"))]
-# squared norms 1 + d: the lean test's edge is |d| = ATOL, the full check's about 2 ATOL
+# squared norms 1 + d: the stacked test's edge is |d| = ATOL, the check's about 2 ATOL
 NORM_OFFSETS = [0.0, 5e-13, 9.99e-13, 1e-12, 1.001e-12, 1.5e-12, 1.999e-12, 2e-12, 2.001e-12,
                 2.5e-12, 1e-9, 1e-3]
 SPECIALS = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf), 1e200, -1e200j]
@@ -309,8 +319,24 @@ def test_real_readers_raise_contract_errors(call):
     (lambda: StateVector("x", [1]), ContractError, "a state's register must be a QubitRegister, got 'x'"),
     (lambda: DensityMatrix(None, [[1]]), ContractError,
      "a density matrix's register must be a QubitRegister, got None"),
+    (lambda: dressed_channel(None), ContractError,
+     "dressed_channel() argument 'spec' must be ChannelSpec, got NoneType"),
+    (lambda: measurement_basis(5), ContractError,
+     "measurement_basis() argument 'channel' must be ChannelSpec, got int"),
+    (lambda: generalized_ghz(dressed_channel(ChannelSpec(np.eye(4)))), ContractError,
+     "generalized_ghz() argument 'spec' must be GhzSpec, got StateVector"),
+    (lambda: is_valid_channel(ChannelSpec(np.eye(4))), ContractError,
+     "is_valid_channel() argument 'state' must be StateVector, got ChannelSpec"),
+    (lambda: run_protocol(UnknownState.random(1), standard_corrections(), None, None), ContractError,
+     "run_protocol() argument 'basis' must be MeasurementBasis, got CorrectionTable"),
+    (lambda: teleport_all_outcomes(ChannelSpec(np.eye(4)), UnknownState.random(1)), ContractError,
+     "teleport_all_outcomes() argument 'unknown' must be UnknownState, got ChannelSpec"),
+    (lambda: series_form([]), ContractError, "series_form() argument 'channel' must be ChannelSpec, got list"),
+    (lambda: povm_check(5, dressed_channel(ChannelSpec(np.eye(4)))), ContractError,
+     "povm_check() argument 'unitary_set' must be iterable, got int"),
 ], ids=["QubitRegister-int", "QubitRegister-None", "GhzSpec-local_bases", "MeasurementBasis", "CorrectionTable",
-        "StateVector-register", "DensityMatrix-register"])
+        "StateVector-register", "DensityMatrix-register", "dressed_channel", "measurement_basis", "generalized_ghz",
+        "is_valid_channel", "run_protocol", "teleport_all_outcomes", "series_form", "povm_check"])
 def test_constructors_reject_inputs_of_the_wrong_kind_with_a_message(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from entqc import report
 from entqc.cli import build_parser, main, render_json, render_text
 from entqc.tensor import ContractError
 
+GOLDEN = Path(__file__).parent / "golden"
 BELL_DRESSING_PAIRS = [
     [0.7071067811865476, 0.0], [0.0, 0.0], [0.0, 0.0], [0.7071067811865476, 0.0],
     [0.0, 0.0], [0.7071067811865476, 0.0], [0.7071067811865476, 0.0], [0.0, 0.0],
@@ -261,6 +263,20 @@ def test_analyze_searches_the_marginals_of_an_edge_normalized_state(capsys, monk
     for triad in CHANNEL_TRIADS:
         result = minimize_witness(reduced_density(s, triad), restarts=3, seed=5)
         assert rows[f"triad ({','.join(triad)}) witness minimum"] == result.min_value
+
+
+#: golden file -> the flags after `entqc analyze --seed 7` that wrote it
+ANALYZE_GOLDEN = {"analyze_seed7.json": [], "analyze_seed7.txt": ["--format", "text"]}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_analyze_seed7_writes_the_golden_bytes(capsys, name):
+    # tests/golden/make_analyze_seed7.py wrote both files, running the library as it stood
+    # before the row tags and the (part | rest) amplitude matrix each got one shared helper.
+    # A change that moves a row regenerates them and lists every moved row in CHANGES.md.
+    code, out, err = run(capsys, ["analyze", "--seed", "7", *ANALYZE_GOLDEN[name]])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_analyze_unknown_channel(capsys):

@@ -1,6 +1,7 @@
 """The public surface read as `entqc.<name>`: what importing the package and
 running each command loads (checked in fresh interpreters), and what the
-public constructors and readers do on junk input.
+public constructors, readers and functions that take library objects do on
+junk input and on library objects of the wrong class.
 
 Hypothesis settings are fixed and derandomized, with no example database.
 """
@@ -77,6 +78,13 @@ STATE = entqc.builtin_channel("bell-transformed").state
 RHO = entqc.DensityMatrix.from_state(STATE)
 TRIAD_RHO = entqc.reduced_density(STATE, ("A1", "A2", "B1"))
 REGISTER = entqc.QubitRegister(("a", "b"))
+SPEC = entqc.builtin_channel("bell-transformed").spec
+UNKNOWN = entqc.UnknownState.random(1)
+BASIS = entqc.measurement_basis(SPEC)
+SIGMA = entqc.standard_corrections()
+#: library objects, each drawn where another class goes
+OBJECTS = st.sampled_from([STATE, RHO, REGISTER, SPEC, entqc.GhzSpec(), UNKNOWN, BASIS, SIGMA])
+ARGUMENTS = VALUES | OBJECTS
 
 CALLS = {
     "QubitRegister": lambda x, y: entqc.QubitRegister(x),
@@ -120,11 +128,20 @@ CALLS = {
     "pair_analysis": lambda x, y: entqc.pair_analysis(STATE, x),
     "triad_analysis": lambda x, y: entqc.triad_analysis(STATE, x),
     "fidelity_pure": lambda x, y: entqc.fidelity_pure(x, y),
+    "dressed_channel": lambda x, y: entqc.dressed_channel(x),
+    "measurement_basis": lambda x, y: entqc.measurement_basis(x),
+    "generalized_ghz": lambda x, y: entqc.generalized_ghz(x),
+    "is_valid_channel": lambda x, y: entqc.is_valid_channel(x),
+    "run_protocol": lambda x, y: entqc.run_protocol(x, BASIS, y, SIGMA),
+    "run_protocol basis": lambda x, y: entqc.run_protocol(UNKNOWN, x, STATE, y),
+    "teleport_all_outcomes": lambda x, y: entqc.teleport_all_outcomes(x, y),
+    "series_form": lambda x, y: entqc.series_form(x),
+    "povm_check": lambda x, y: entqc.povm_check(x, y),
 }
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(call=st.sampled_from(sorted(CALLS)) | st.just("channel file"), x=VALUES, y=VALUES)
+@given(call=st.sampled_from(sorted(CALLS)) | st.just("channel file"), x=ARGUMENTS, y=ARGUMENTS)
 @example(call="haar_random_state", x=-1, y=1)
 @example(call="haar_random_unitary", x=0.5, y=1)
 @example(call="haar_random_state", x=2, y=0.5)
@@ -138,6 +155,14 @@ CALLS = {
 @example(call="fidelity_pure", x=None, y=None)
 @example(call="haar_random_unitary", x=10**39, y=1)
 @example(call="haar_random_state", x=10**39, y=1)
+@example(call="dressed_channel", x=None, y=None)
+@example(call="measurement_basis", x=5, y=None)
+@example(call="generalized_ghz", x=STATE, y=None)
+@example(call="is_valid_channel", x=SPEC, y=None)
+@example(call="run_protocol", x=None, y=SPEC)
+@example(call="teleport_all_outcomes", x=SPEC, y=UNKNOWN)
+@example(call="series_form", x=STATE, y=None)
+@example(call="povm_check", x=SIGMA, y=RHO)
 def test_public_calls_return_or_raise_a_contract_or_label_error(tmp_path_factory, call, x, y):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -1,4 +1,6 @@
-"""Time the command line's layers in process: parser, the teleport report's
+"""Time the command line's layers in process: parser build and parse (the
+parse `cli.main` makes, of a `teleport` and a `repro` argv, and the two-level
+parse of `build_parser().parse_args`), the teleport report's
 text in both formats (filled from its template, on a built-in channel's and a
 channel file's run), a report row of exact floats, the checks at
 its boundary (a 4x4 unitarity check, a channel dressing and an input state
@@ -121,6 +123,31 @@ def _first_main(argv):
         if clear is not None:
             clear()
     return _quiet_main(argv)
+
+
+def _parse_only(build):
+    """A parser from `build` whose commands return their Namespace: `cli.main`
+    on it parses its argv and runs no command. The command functions are
+    swapped only while `build` reads them, and nothing else of `cli` is
+    assumed, so the rows time the `main` of any checkout."""
+    names = ("cmd_teleport", "cmd_analyze", "cmd_repro")
+    saved = {name: getattr(cli, name) for name in names}
+    for name in names:
+        setattr(cli, name, lambda args: args)
+    try:
+        return build()
+    finally:
+        for name, command in saved.items():
+            setattr(cli, name, command)
+
+
+def _main_parse(parser, argv):
+    """`cli.main(argv)` on `parser` (see `_parse_only`): the parse `main` makes."""
+    cached, cli.build_parser = cli.build_parser, lambda: parser
+    try:
+        return cli.main(argv)
+    finally:
+        cli.build_parser = cached
 
 
 def _process(argv) -> float:
@@ -265,7 +292,7 @@ def rows(directory: str) -> dict:
     of a whole `python -m entqc.cli` process."""
     # on a parser that is built once per process, the un-cached builder
     build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
-    parser = build()
+    parser, parse_only = build(), _parse_only(build)
     channel_file = _channel_file(directory)
     file_argv = ["teleport", "--channel", channel_file, "--seed", SEED]
     inputs = _report_inputs(TELEPORT_ARGV)
@@ -275,7 +302,10 @@ def rows(directory: str) -> dict:
     register, amplitudes = QubitRegister(("a", "b")), teleport.UnknownState.random(int(SEED)).coefficients
     layers = {
         "cli.build_parser.us": build,
-        "cli.parse_args.us": lambda: parser.parse_args(TELEPORT_ARGV),
+        # the parse `cli.main` makes, and the two-level parse of `build_parser().parse_args`
+        "cli.parse_args.us": partial(_main_parse, parse_only, TELEPORT_ARGV),
+        "cli.parse_args.full.us": lambda: parser.parse_args(TELEPORT_ARGV),
+        "cli.parse_args.repro.us": partial(_main_parse, parse_only, ["repro", "--section", "ghz", "--seed", SEED]),
         "cli.teleport_report.json.us": lambda: cli._teleport_report("json", *inputs),
         "cli.teleport_report.text.us": lambda: cli._teleport_report("text", *inputs),
         "cli.teleport_report.file.json.us": lambda: cli._teleport_report("json", *file_inputs),

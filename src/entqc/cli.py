@@ -468,11 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the named section (repeatable)",
     )
     rep.set_defaults(func=cmd_repro)
+    parser.commands = commands.choices  # each command's parser by name, for `main`
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command first: only the two-level parse prints the top-level usage
+        args = parser.parse_args(argv)
+    else:  # the command's arguments, parsed once, by its own parser
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (ContractError, LabelError) as exc:

@@ -78,10 +78,10 @@ class UnknownState(_Frozen):
 
 
 def _outcome_index(outcome) -> int:
-    key = tuple(outcome)
-    if key not in _OUTCOME_INDEX:
-        raise ContractError(f"unknown outcome {key}; both indices run 1..4")
-    return _OUTCOME_INDEX[key]
+    try:
+        return _OUTCOME_INDEX[tuple(outcome)]
+    except (KeyError, TypeError):  # TypeError: not iterable, or an index that is not hashable
+        raise ContractError(f"unknown outcome {outcome!r}; both indices run 1..4") from None
 
 
 class MeasurementBasis(_Frozen):
@@ -298,6 +298,8 @@ def partial_inner_transfer(
     block mapping input amplitudes on U to receiver amplitudes; for the
     standard protocol it equals 1/4 times the inverse correction.
     """
+    _require_kinds("partial_inner_transfer", ("basis_ket", basis_ket, StateVector),
+                   ("channel_state", channel_state, StateVector))
     if basis_ket.register.labels != MEASURED_LABELS:
         raise ContractError(f"register mismatch: ket on {basis_ket.register.labels}")
     _, channel = _channel_matrix(channel_state)
@@ -311,6 +313,7 @@ def corrections_from(
 
     Fails (non-unitary transfer) when the channel is not maximally entangled.
     """
+    _require_kinds("corrections_from", ("basis", basis, MeasurementBasis), ("channel_state", channel_state, StateVector))
     _, channel = _channel_matrix(channel_state)
     return CorrectionTable(recovery_ops(basis.amplitudes.reshape(16, 4, 4), channel))
 
@@ -393,6 +396,7 @@ def is_separable_basis(basis: MeasurementBasis) -> dict:
     Keys are the two admissible splits in BASIS_SPLITS; a ket factors when its
     Schmidt coefficients beyond the first vanish (below 1e-10).
     """
+    _require_kinds("is_separable_basis", ("basis", basis, MeasurementBasis))
     return {
         split: bool((coefficients[:, 1:] <= SCHMIDT_TOL).all())
         for split, coefficients in split_schmidt_coefficients(basis).items()

@@ -232,7 +232,7 @@ class StateVector(_Frozen):
                 raise ContractError(f"register {register.labels} needs {register.dim} amplitudes, got {amps.size}")
             norm = math.sqrt(np.vdot(amps, amps).real)  # vdot does not warn when the norm overflows
             if not abs(norm - 1.0) <= ATOL:
-                raise ContractError(f"state is not normalized: |psi| = {np.float64(norm)!r}")
+                raise ContractError(f"state is not normalized: |psi| = {norm!r}")
         except (TypeError, ValueError, OverflowError):  # ContractError is a ValueError
             _as_complex(amplitudes, "amplitudes")  # first, if they do not convert or have a NaN or inf, its message
             raise

@@ -19,7 +19,8 @@ def test_an_unknown_row_exits_2_and_lists_the_known_rows(tmp_path):
     for name in ("teleport.teleport_all_outcomes.us", "teleport.run_protocol.us", "cli.main.analyze.ms",
                  "report.section.invariance.ms", "entqc.process.teleport.json.ms",
                  "entqc.import.source.ms", "entqc.import.bytecode.ms", "entqc.import.full.source.ms", "cli.teleport_report.json.us",
-                 "cli.teleport_report.file.text.us", "channel.ChannelSpec.us", "teleport.UnknownState.us"):
+                 "cli.teleport_report.file.text.us", "channel.ChannelSpec.us", "teleport.UnknownState.us",
+                 "cli.parse_args.us", "cli.parse_args.full.us", "cli.parse_args.repro.us"):
         assert name in known
     assert not out.exists()
 

@@ -76,7 +76,7 @@ def ref_state_amplitudes(register, amplitudes):
         raise ContractError(
             f"register {register.labels} needs {register.dim} amplitudes, got {amps.size}"
         )
-    norm = np.sqrt(np.vdot(amps, amps).real)
+    norm = float(np.sqrt(np.vdot(amps, amps).real))
     if not abs(norm - 1.0) <= ATOL:
         raise ContractError(f"state is not normalized: |psi| = {norm!r}")
     amps.setflags(write=False)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import unittest.mock
 import warnings
 from pathlib import Path
 
@@ -428,6 +429,65 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+# --- main's parse against the two-level parse, on the same argv ------------------
+#: a parser built as `main` builds it, whose commands return their Namespace: `main`
+#: then parses and returns the Namespace instead of running the command
+PARSE_ONLY = build_parser.__wrapped__()
+for _command in PARSE_ONLY.commands.values():
+    _command.set_defaults(func=lambda args: args)
+
+PARSE_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["--", "teleport"], ["--seed", "3", "teleport"], ["", "teleport"],
+    ["teleprt"], ["tele"], ["bogus", "--seed", "3"], ["teleport"], ["teleport", "-h"], ["analyze", "--help"],
+    ["repro", "--h"], ["teleport", "-h", "--bogus"], ["teleport", "--chan", "ghz"],
+    ["teleport", "--channel=epr", "--seed=4"], ["teleport", "--seed", "4", "--seed", "5"],
+    ["teleport", "--seed", "x"], ["teleport", "--seed"], ["teleport", "--seed 4"], ["teleport", "extra"],
+    ["teleport", "--bogus", "1"], ["teleport", "--", "--seed", "4"], ["teleport", "--s", "4"],
+    ["teleport", "--st", "1,0,0,0,0,0,0,0"], ["teleport", "--format", "xml"], ["teleport", "repro"],
+    ["teleport", "--form", "text", "--output", "x.json"], ["analyze", "--restarts", "0"],
+    ["analyze", "--restarts=8", "--tol", "1e-3"], ["analyze", "--state", "x"],
+    ["repro", "--section", "ghz", "--section", "pairs", "--seed", "7"], ["repro", "--sec=ghz"],
+    ["repro", "--tol", "nan"], ["repro", "--tol=-1"], ["repro", "--seed", "-5"], ["repro", "-x", "-"],
+    ["repro", "ghz", "--", "x"], ["repro", "--section"],
+]
+FLAGS = ["--channel", "--seed", "--restarts", "--tol", "--output", "--format", "--state", "--section", "--help"]
+VALUES = ["0", "4", "-1", "1e-3", "nan", "x", "ghz", "epr", "text", "1,0,0,0,0,0,0,0", "", " ", "@", "é"]
+#: flags, their abbreviations, values and both joined by "=", commands, "--" and junk: one
+#: draw each, which keeps Hypothesis's own cost per example low
+ABBREVIATED = [flag[:n] for flag in FLAGS for n in range(3, len(flag) + 1)]
+TOKENS = ABBREVIATED + VALUES + [f"{flag}={value}" for flag in ABBREVIATED[::3] for value in VALUES[::2]] + [
+    "teleport", "analyze", "repro", "--", "-", "-h", "-x", "-5", "--=", "tele"]
+
+
+def _parsed(parse, argv):
+    """(Namespace items or SystemExit code, stdout, stderr) of `parse(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(parse(list(argv))).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_main_parses_as_the_two_level_parser(argv):
+    with unittest.mock.patch("entqc.cli.build_parser", lambda: PARSE_ONLY):
+        assert _parsed(main, argv) == _parsed(PARSE_ONLY.parse_args, argv), argv
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGV, ids=" ".join)
+def test_main_parses_as_the_two_level_parser(argv):
+    _assert_main_parses_as_the_two_level_parser(argv)
+
+
+@settings(max_examples=125, deadline=None, derandomize=True, database=None)
+@given(tokens=st.lists(st.sampled_from(TOKENS), max_size=6))
+def test_fuzzed_argv_parse_as_the_two_level_parser(tokens):
+    # 500 argv: each drawn list alone and after each command (a draw costs more than a parse)
+    for argv in (tokens, *([command, *tokens] for command in PARSE_ONLY.commands)):
+        _assert_main_parses_as_the_two_level_parser(argv)
 
 
 def test_render_json_is_canonical():

@@ -137,6 +137,11 @@ CALLS = {
     "teleport_all_outcomes": lambda x, y: entqc.teleport_all_outcomes(x, y),
     "series_form": lambda x, y: entqc.series_form(x),
     "povm_check": lambda x, y: entqc.povm_check(x, y),
+    "corrections_from": lambda x, y: entqc.corrections_from(x, y),
+    "is_separable_basis": lambda x, y: entqc.is_separable_basis(x),
+    "partial_inner_transfer": lambda x, y: entqc.partial_inner_transfer(x, y),
+    "MeasurementBasis.ket": lambda x, y: BASIS.ket(x),
+    "CorrectionTable.op": lambda x, y: SIGMA.op(x),
 }
 
 
@@ -163,6 +168,15 @@ CALLS = {
 @example(call="teleport_all_outcomes", x=SPEC, y=UNKNOWN)
 @example(call="series_form", x=STATE, y=None)
 @example(call="povm_check", x=SIGMA, y=RHO)
+@example(call="corrections_from", x=None, y=STATE)
+@example(call="corrections_from", x=BASIS, y=None)
+@example(call="is_separable_basis", x=None, y=None)
+@example(call="partial_inner_transfer", x=None, y=STATE)
+@example(call="partial_inner_transfer", x=BASIS.ket((1, 1)), y=None)
+@example(call="MeasurementBasis.ket", x=5, y=None)
+@example(call="MeasurementBasis.ket", x=[[1], 2], y=None)
+@example(call="CorrectionTable.op", x=5, y=None)
+@example(call="CorrectionTable.op", x=[[1], 2], y=None)
 def test_public_calls_return_or_raise_a_contract_or_label_error(tmp_path_factory, call, x, y):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -62,12 +62,12 @@ def test_register_axes_lookup():
 
 
 def test_state_vector_requires_normalization():
-    with pytest.raises(ContractError):
-        state("ab", [1, 1, 0, 0])
+    with pytest.raises(ContractError, match=r"^state is not normalized: \|psi\| = 1\.4142135623730951$"):
+        state("ab", [1, 1, 0, 0])  # the norm as a plain number, not numpy's scalar repr
     # an overflowing norm is rejected as not normalized, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ContractError, match="not normalized"):
+        with pytest.raises(ContractError, match=r"not normalized: \|psi\| = inf$"):
             StateVector(QubitRegister(("a",)), [1e200, 0])
 
 

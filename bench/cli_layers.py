@@ -77,9 +77,14 @@ import numpy as np  # noqa: E402
 from entqc import cli, entanglement, report, teleport  # noqa: E402
 from entqc.channel import (  # noqa: E402
     ChannelSpec, bell_transform_matrix, builtin_channel, dressed_channel, load_channel_json, resolve_channel)
-from entqc.tensor import (  # noqa: E402
-    QubitRegister, StateVector, haar_draws, haar_random_unitary, operator_schmidt_rank, reduced_densities,
-    reduced_density, require_unitary)
+from entqc.tensor import QubitRegister, StateVector, reduced_densities, reduced_density, require_unitary  # noqa: E402
+
+try:  # the paper's relations and the analysis-only primitives, in their own modules
+    from entqc import relations
+    from entqc.primitives import haar_draws, haar_random_unitary, operator_schmidt_rank
+except ImportError:  # a checkout from before they left `teleport` and `tensor`
+    relations = teleport
+    from entqc.tensor import haar_draws, haar_random_unitary, operator_schmidt_rank
 
 REPEATS = 7
 SEED = "7"
@@ -199,18 +204,19 @@ def protocol_kernels() -> dict:
     pairs, inputs = haar_draws(2, [int(SEED), 2], 100, 2)
     kets = teleport.measurement_kets(bell_transform_matrix())
     sigma = teleport.standard_corrections()
-    t_kets, t_channels = teleport.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1])
+    t_kets, t_channels = relations.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1])
     physical = t_channels[:, 0]
-    recovery = teleport.recovery_ops(t_kets, physical[:, None])
+    recovery = relations.recovery_ops(t_kets, physical[:, None])
     batch = teleport.standard_protocol_batch
+    # the relations' rows keep their `teleport.` names, so that BENCH files of either layout compare
     return {
-        "teleport.transfer_blocks.T100x16.us": lambda: teleport.transfer_blocks(t_kets, t_channels),
-        "teleport.transfer_blocks.one.us": lambda: teleport.transfer_blocks(kets[0], physical[0]),
-        "teleport.transfer_blocks.basis16.us": lambda: teleport.transfer_blocks(kets, physical[0]),
+        "teleport.transfer_blocks.T100x16.us": lambda: relations.transfer_blocks(t_kets, t_channels),
+        "teleport.transfer_blocks.one.us": lambda: relations.transfer_blocks(kets[0], physical[0]),
+        "teleport.transfer_blocks.basis16.us": lambda: relations.transfer_blocks(kets, physical[0]),
         "teleport.standard_protocol_batch.T1.us": lambda: batch(unknowns[:1], dressings[:1]),
         "teleport.standard_protocol_batch.T1002.us": lambda: batch(unknowns, dressings),
         "teleport.invariance_pairs.n100.us":
-            lambda: teleport.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1]),
+            lambda: relations.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1]),
         "teleport.run_protocol_batch.per_trial.T100.us":
             lambda: teleport.run_protocol_batch(inputs, t_kets, physical, recovery),
         "teleport.teleport_all_outcomes.us": lambda: teleport.teleport_all_outcomes(unknown, spec),
@@ -218,7 +224,7 @@ def protocol_kernels() -> dict:
         "teleport.measurement_basis.us": lambda: teleport.measurement_basis(spec),
         "teleport.MeasurementBasis.kets.us": lambda: basis.kets,
         "teleport.invariance_transform.us":
-            lambda: teleport.invariance_transform(basis, sigma, pairs[0, 0], pairs[0, 1]),
+            lambda: relations.invariance_transform(basis, sigma, pairs[0, 0], pairs[0, 1]),
     }
 
 
@@ -229,7 +235,7 @@ def analysis_layers() -> dict:
     once per item."""
     state = builtin_channel("bell-transformed").state
     pairs, triads = entanglement.CHANNEL_PAIRS, entanglement.CHANNEL_TRIADS
-    ops = np.concatenate([teleport.series_form(builtin_channel(name).spec)[1].ops
+    ops = np.concatenate([relations.series_form(builtin_channel(name).spec)[1].ops
                           for name in ("bell-transformed", "epr")])
     calls = {
         "tensor.reduced_densities.pairs6": lambda: reduced_densities(state, pairs),

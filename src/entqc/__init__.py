@@ -3,8 +3,9 @@ channels: exact state-vector simulation, channel validation, entanglement
 analysis (PPT pairs, GHZ-structured triads, witness minimization), and a
 deterministic verification report.
 
-The analysis stack (`entanglement`, `report`, and `entanglement`'s names
-here) is imported on first read (PEP 562): `entqc teleport` compiles neither.
+The analysis stack (`entanglement`, `report`, the paper's `relations` and the
+analysis-only `primitives`, and their public names here) is imported on first
+read (PEP 562): `entqc teleport` compiles none of it.
 """
 from importlib import import_module as _import_module
 
@@ -23,60 +24,37 @@ from .channel import (
     load_channel_json,
     resolve_channel,
 )
-from .tensor import (
-    ContractError,
-    DensityMatrix,
-    LabelError,
-    QubitRegister,
-    StateVector,
-    apply_unitary,
-    fidelity_pure,
-    haar_random_state,
-    haar_random_unitary,
-    hermitian_eigenvalues,
-    kron,
-    operator_schmidt_coefficients,
-    operator_schmidt_rank,
-    partial_inner,
-    partial_trace,
-    partial_transpose,
-    reduced_density,
-    schmidt_coefficients,
-    schmidt_rank,
-    tensor,
-)
-from .teleport import (
-    CorrectionTable,
-    MeasurementBasis,
-    TeleportOutcome,
-    UnknownState,
-    corrections_from,
-    invariance_transform,
-    is_separable_basis,
-    measurement_basis,
-    partial_inner_transfer,
-    pauli_pair,
-    povm_check,
-    run_protocol,
-    series_form,
-    standard_corrections,
-    teleport_all_outcomes,
-)
+from .tensor import (ContractError, DensityMatrix, LabelError, QubitRegister, StateVector, haar_random_state,
+                     hermitian_eigenvalues, kron, reduced_density, tensor)
+from .teleport import (CorrectionTable, MeasurementBasis, TeleportOutcome, UnknownState, measurement_basis, pauli_pair,
+                       run_protocol, standard_corrections, teleport_all_outcomes)
+
+#: the public names imported on first read, by module; those of `__all__` not bound here and
+#: not listed are `entanglement`'s. `tensor` and `teleport` read the names that left them from here.
+_LAZY = {
+    **dict.fromkeys(("apply_unitary", "fidelity_pure", "haar_random_unitary", "operator_schmidt_coefficients",
+                     "operator_schmidt_rank", "partial_inner", "partial_trace", "partial_transpose",
+                     "schmidt_coefficients", "schmidt_rank"), "primitives"),
+    **dict.fromkeys(("corrections_from", "invariance_transform", "is_separable_basis", "partial_inner_transfer",
+                     "povm_check", "series_form"), "relations"),
+}
+_MODULES = ("entanglement", "primitives", "relations", "report")
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # called only for names not bound here: of `__all__`, those are `entanglement`'s
-    if name in ("entanglement", "report"):
+    # called only for names not yet bound here: the lazy modules and public names
+    if name in _MODULES:
         return _import_module(f"{__name__}.{name}")
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(_import_module(f"{__name__}.entanglement"), name)
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_LAZY.get(name, 'entanglement')}"), name)
+    return value  # bound from now on: a later read costs a dict lookup, not an import
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, "entanglement", "report"})
+    return sorted({*globals(), *__all__, *_MODULES})
 
 
 __all__ = [

@@ -21,9 +21,9 @@ import sys
 import numpy as np
 
 from .channel import is_valid_channel, resolve_channel
-# `analyze` and `repro` import the analysis stack (`entanglement`, `report`) when run
+# `analyze` imports `entanglement` when run, `repro` the whole analysis stack (`report` and what it imports)
 from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, MAX_RESTARTS, check, document, section, tag
-from .tensor import ContractError, DensityMatrix, LabelError, QubitRegister, _trusted, reduced_densities
+from .tensor import ContractError, LabelError
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
 
@@ -338,59 +338,9 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .entanglement import (
-        CHANNEL_PAIRS, CHANNEL_TRIADS, stacked_minimize_witness, stacked_pair_analysis, stacked_triad_analysis)
+    from .entanglement import analyze_document
     resolved = resolve_channel(args.channel)
-    seed = _resolve_seed(args)
-    state = resolved.state
-
-    ok, dev = is_valid_channel(state)
-    channel_checks = [
-        check("valid teleportation resource", bool(ok)),
-        check("max two-qubit marginal deviation from I/4", dev),
-    ]
-
-    labels = state.register.labels
-    singles = np.linalg.eigvalsh(reduced_densities(state, [(label,) for label in labels]))
-    marginal_checks = [
-        check(f"single-qubit marginal {label} eigenvalues", eigs)
-        for label, eigs in zip(labels, singles.tolist())
-    ]
-
-    pair_checks = []
-    _, spectra, verdicts = stacked_pair_analysis(state, CHANNEL_PAIRS)
-    for pair, min_eig, entangled in zip(CHANNEL_PAIRS, spectra[:, 0].tolist(), verdicts.tolist()):
-        name = f"pair {tag(pair)}"
-        pair_checks += [check(f"{name} min PT eigenvalue", min_eig),
-                        check(f"{name} entangled", entangled)]
-
-    triad_checks, witness_checks = [], []
-    reduced, *rows = stacked_triad_analysis(state, CHANNEL_TRIADS)
-    marginals = [_trusted(DensityMatrix, register=QubitRegister(triad), matrix=rho)  # of a checked state
-                 for triad, rho in zip(CHANNEL_TRIADS, reduced)]
-    minima, angles, converged, _ = stacked_minimize_witness(marginals, restarts=args.restarts, seed=seed)
-    for triad, eigs, fids, tangles, minimum, best, fraction in zip(
-            CHANNEL_TRIADS, *(r.tolist() for r in (*rows, minima, angles, converged))):
-        name = f"triad {tag(triad)}"
-        triad_checks += [
-            check(f"{name} eigenvalues", eigs),
-            check(f"{name} component fidelities", fids),
-            check(f"{name} three-tangles", tangles),
-        ]
-        witness_checks += [
-            check(f"{name} witness minimum", minimum),
-            check(f"{name} witness parameters", best),
-            check(f"{name} witness converged fraction", fraction),
-        ]
-
-    sections = [
-        section("channel", channel_checks),
-        section("marginals", marginal_checks),
-        section("pairs", pair_checks),
-        section("triads", triad_checks),
-        section("witness", witness_checks),
-    ]
-    _write_document(document("analyze", sections, channel=resolved.name, seed=seed, restarts=args.restarts), args)
+    _write_document(analyze_document(resolved, _resolve_seed(args), args.restarts), args)
     return 0
 
 

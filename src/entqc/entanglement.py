@@ -5,13 +5,14 @@ two orthogonal maximal-GHZ components, the three-tangle, and a GHZ-witness
 minimization over local rotations (multi-start, exact block-coordinate ascent
 on SU(2)^3). Pair and triad analyses and the witness search run on stacks;
 `pair_analysis`, `triad_analysis` and `minimize_witness` are n = 1 cases.
+`analyze_document` builds the `entqc analyze` report from the stacked calls.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import CHANNEL_LABELS
-from .rows import MAX_RESTARTS
+from .channel import CHANNEL_LABELS, is_valid_channel
+from .rows import MAX_RESTARTS, check, document, section, tag
 from .tensor import (
     ATOL,
     ContractError,
@@ -30,6 +31,7 @@ from .tensor import (
     _integer,
     _labels,
     _require_densities,
+    _require_kinds,
     _trusted,
     hermitian_eigenvalues,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
     reduced_densities,
@@ -110,6 +112,7 @@ def stacked_pair_analysis(state: StateVector, pairs):
 
 def pair_analysis(state: StateVector, pair) -> PairReport:
     """Reduce to the named pair and apply the PT separability test."""
+    _require_kinds("pair_analysis", ("state", state, StateVector))
     pair = _labels(pair)
     reduced, spectra, entangled = stacked_pair_analysis(state, [pair])
     return PairReport(pair, _trusted(DensityMatrix, register=QubitRegister(pair), matrix=reduced[0]),
@@ -164,6 +167,7 @@ def stacked_triad_analysis(state: StateVector, triads):
 def triad_analysis(state: StateVector, triad) -> TriadReport:
     """Reduce to the named triad and match its rank-2 eigenspace against the
     reference GHZ components (`stacked_triad_analysis` of one triad)."""
+    _require_kinds("triad_analysis", ("state", state, StateVector))
     triad = _labels(triad)
     reduced, _, fidelities, tangles = stacked_triad_analysis(state, [triad])
     return TriadReport(triad, _trusted(DensityMatrix, register=QubitRegister(triad), matrix=reduced[0]),
@@ -182,8 +186,9 @@ def three_tangle(state):
         raise ContractError(f"three_tangle expects a state (8,) or a stack (n, 8), got {amps.shape}")
     with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
         norms = np.linalg.norm(amps, axis=-1)
-    if np.any(np.abs(norms - 1.0) > ATOL):
-        raise ContractError(f"state is not normalized: |psi| = {norms!r}")
+    off = np.abs(norms - 1.0) > ATOL
+    if off.any():  # the first norm that is off, a plain number (as StateVector writes it)
+        raise ContractError(f"state is not normalized: |psi| = {float(np.ravel(norms)[off.argmax()])!r}")
     # Cayley's hyperdeterminant is the discriminant c1^2 - 4 c0 c2 of
     # det(A0 + t A1) = c0 + c1 t + c2 t^2, for A_i the slices a[i, :, :]
     a = amps.reshape(-1, 8).T
@@ -198,7 +203,7 @@ def symmetric_w_state(labels=CHANNEL_LABELS) -> StateVector:
     """Four-qubit single-excitation symmetric state (pairwise-entangled control)."""
     amps = np.zeros(16, dtype=complex)
     amps[[1, 2, 4, 8]] = 0.5
-    return StateVector(QubitRegister(tuple(labels)), amps)
+    return StateVector(QubitRegister(labels), amps)
 
 
 # --- GHZ witness over local rotations --------------------------------------
@@ -476,3 +481,58 @@ def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchRes
     minima, angles, converged, _ = stacked_minimize_witness([rho], restarts, seed)
     return WitnessSearchResult(float(minima[0]), tuple(angles[0].tolist()), int(restarts),
                                float(converged[0]))
+
+
+def analyze_document(resolved, seed: int, restarts: int) -> dict:
+    """The `entqc analyze` document of a resolved channel: its validity, the
+    single-qubit marginal spectra, the PPT pairs, the GHZ triads and the witness
+    search on each triad marginal (`restarts` restarts from `seed`)."""
+    state = resolved.state
+
+    ok, dev = is_valid_channel(state)
+    channel_checks = [
+        check("valid teleportation resource", bool(ok)),
+        check("max two-qubit marginal deviation from I/4", dev),
+    ]
+
+    labels = state.register.labels
+    singles = np.linalg.eigvalsh(reduced_densities(state, [(label,) for label in labels]))
+    marginal_checks = [
+        check(f"single-qubit marginal {label} eigenvalues", eigs)
+        for label, eigs in zip(labels, singles.tolist())
+    ]
+
+    pair_checks = []
+    _, spectra, verdicts = stacked_pair_analysis(state, CHANNEL_PAIRS)
+    for pair, min_eig, entangled in zip(CHANNEL_PAIRS, spectra[:, 0].tolist(), verdicts.tolist()):
+        name = f"pair {tag(pair)}"
+        pair_checks += [check(f"{name} min PT eigenvalue", min_eig),
+                        check(f"{name} entangled", entangled)]
+
+    triad_checks, witness_checks = [], []
+    reduced, *rows = stacked_triad_analysis(state, CHANNEL_TRIADS)
+    marginals = [_trusted(DensityMatrix, register=QubitRegister(triad), matrix=rho)  # of a checked state
+                 for triad, rho in zip(CHANNEL_TRIADS, reduced)]
+    minima, angles, converged, _ = stacked_minimize_witness(marginals, restarts=restarts, seed=seed)
+    for triad, eigs, fids, tangles, minimum, best, fraction in zip(
+            CHANNEL_TRIADS, *(r.tolist() for r in (*rows, minima, angles, converged))):
+        name = f"triad {tag(triad)}"
+        triad_checks += [
+            check(f"{name} eigenvalues", eigs),
+            check(f"{name} component fidelities", fids),
+            check(f"{name} three-tangles", tangles),
+        ]
+        witness_checks += [
+            check(f"{name} witness minimum", minimum),
+            check(f"{name} witness parameters", best),
+            check(f"{name} witness converged fraction", fraction),
+        ]
+
+    sections = [
+        section("channel", channel_checks),
+        section("marginals", marginal_checks),
+        section("pairs", pair_checks),
+        section("triads", triad_checks),
+        section("witness", witness_checks),
+    ]
+    return document("analyze", sections, channel=resolved.name, seed=seed, restarts=restarts)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
+from importlib import import_module
 
 import numpy as np
 
@@ -50,6 +51,20 @@ def _require_kinds(function: str, *arguments) -> None:
     for name, value, cls in arguments:
         if not isinstance(value, cls):
             raise ContractError(f"{function}() argument {name!r} must be {cls.__name__}, got {type(value).__name__}")
+
+
+def _moved(module: str, home: str):
+    """A module `__getattr__` (PEP 562) for `module`: the public names that the
+    package's `_LAZY` places in `entqc.<home>` are read from there, which is
+    imported on the first such read."""
+    def __getattr__(name):
+        if getattr(import_module("entqc"), "_LAZY", {}).get(name) != home:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(import_module(f"entqc.{home}"), name)
+    return __getattr__
+
+
+__getattr__ = _moved(__name__, "primitives")  # `from entqc.tensor import apply_unitary` still works
 
 
 def _labels(labels) -> tuple:
@@ -276,6 +291,7 @@ def _split_matrix(state: StateVector, part) -> np.ndarray:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product of two states on disjoint registers."""
+    _require_kinds("tensor", ("a", a, StateVector), ("b", b, StateVector))
     shared = set(a.register.labels) & set(b.register.labels)
     if shared:
         raise LabelError(f"registers overlap on {sorted(shared)}")
@@ -283,47 +299,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         QubitRegister(a.register.labels + b.register.labels),
         np.kron(a.amplitudes, b.amplitudes),
     )
-
-
-def apply_unitary(state: StateVector, matrix, targets) -> StateVector:
-    """Apply a unitary to the named qubits, returning a new state."""
-    axes = state.register.axes(targets)
-    k = len(axes)
-    u = require_unitary(matrix, what="operator")
-    if u.shape != (2**k, 2**k):
-        raise ContractError(f"operator shape {u.shape} does not fit {k} qubit(s)")
-    t = np.tensordot(
-        u.reshape((2,) * (2 * k)), state.tensor_view(),
-        axes=(tuple(range(k, 2 * k)), axes),
-    )
-    t = np.moveaxis(t, tuple(range(k)), axes)
-    return StateVector(state.register, t.reshape(-1))
-
-
-def partial_inner(bra: StateVector, ket: StateVector):
-    """Contract <bra| against |ket> over their shared labels.
-
-    Returns (ket_only_labels, bra_only_labels, block) where block has shape
-    (2**len(ket_only), 2**len(bra_only)); a 1x1 block is an ordinary inner
-    product.  Ket-only rows map the bra-only columns, each in register order.
-    """
-    ket_set = set(ket.register.labels)
-    shared = [lab for lab in bra.register.labels if lab in ket_set]
-    if not shared:
-        raise LabelError("no shared labels to contract")
-    bra_only = tuple(lab for lab in bra.register.labels if lab not in ket_set)
-    ket_only = tuple(lab for lab in ket.register.labels if lab not in set(shared))
-    letter = {}
-    for lab in ket.register.labels + bra_only:
-        letter[lab] = chr(ord("a") + len(letter))
-    ket_sub = "".join(letter[lab] for lab in ket.register.labels)
-    bra_sub = "".join(letter[lab] for lab in bra.register.labels)
-    out_sub = "".join(letter[lab] for lab in ket_only + bra_only)
-    block = np.einsum(
-        f"{ket_sub},{bra_sub}->{out_sub}",
-        ket.tensor_view(), bra.tensor_view().conj(),
-    )
-    return ket_only, bra_only, block.reshape(2 ** len(ket_only), 2 ** len(bra_only))
 
 
 def _require_densities(m: np.ndarray) -> None:
@@ -355,19 +330,6 @@ class DensityMatrix(_Frozen):
         )
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not named in `keep`; output follows `keep` order."""
-    keep = _labels(keep)
-    kaxes = rho.register.axes(keep)
-    n = rho.register.size
-    taxes = [i for i in range(n) if i not in kaxes]
-    t = rho.matrix.reshape((2,) * (2 * n))
-    perm = [*kaxes, *taxes, *(n + i for i in kaxes), *(n + i for i in taxes)]
-    dk, dt = 2 ** len(kaxes), 2 ** len(taxes)
-    t = np.transpose(t, perm).reshape(dk, dt, dk, dt)
-    return DensityMatrix(QubitRegister(keep), np.einsum("abcb->ac", t))
-
-
 def reduced_densities(state: StateVector, keeps) -> np.ndarray:
     """Reduced density matrices of a pure state, one per keep (all of one size),
     as a read-only (m, d, d) stack, not checked again (the state was checked when
@@ -383,35 +345,14 @@ def reduced_densities(state: StateVector, keeps) -> np.ndarray:
 
 def reduced_density(state: StateVector, keep) -> DensityMatrix:
     """Reduced density matrix of a pure state: `reduced_densities` of one keep."""
+    _require_kinds("reduced_density", ("state", state, StateVector))
     register = QubitRegister(keep)
     return _trusted(DensityMatrix, register=register, matrix=reduced_densities(state, [register.labels])[0])
-
-
-def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
-    """Transpose row/column indices of the named qubits; may be non-PSD."""
-    paxes = rho.register.axes(part)
-    n = rho.register.size
-    t = rho.matrix.reshape((2,) * (2 * n))
-    perm = list(range(2 * n))
-    for a in paxes:
-        perm[a], perm[n + a] = perm[n + a], perm[a]
-    return np.transpose(t, perm).reshape(rho.register.dim, rho.register.dim)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Real eigenvalues in ascending order; input must be Hermitian."""
     return np.linalg.eigvalsh(require_hermitian(m, tol=EIG_ATOL))
-
-
-def fidelity_pure(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for equal-dimension pure states (labels may differ)."""
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
-        raise ContractError(f"fidelity_pure takes two StateVectors, got {type(a).__name__} and {type(b).__name__}")
-    if a.register.dim != b.register.dim:
-        raise ContractError(
-            f"dimension mismatch: {a.register.labels} vs {b.register.labels}"
-        )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 def _resolve_rng(seed) -> np.random.Generator:
@@ -423,31 +364,6 @@ def _resolve_rng(seed) -> np.random.Generator:
         raise ContractError(f"seed must be a non-negative integer, a sequence of them or a Generator: {exc}") from None
 
 
-def haar_unitaries(normals) -> np.ndarray:
-    """Haar-distributed unitaries (Ginibre QR with phase fix), one per
-    standard-normal block of shape (2, dim, dim): real parts, then imaginary.
-
-    `normals` has shape (..., 2, dim, dim); the result is (..., dim, dim).
-    """
-    normals = np.asarray(normals)
-    z = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-def haar_random_unitary(n_qubits: int, seed) -> np.ndarray:
-    """Haar-distributed unitary on `n_qubits`: one `haar_unitaries` draw.
-
-    `seed` is an integer (PCG64 stream) or an existing Generator.
-    """
-    dim = 2 ** _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
-    u = haar_unitaries(_resolve_rng(seed).standard_normal((2, dim, dim)))
-    u.setflags(write=False)
-    return u
-
-
 def haar_random_state(n_qubits: int, seed) -> np.ndarray:
     """Uniformly random pure-state amplitudes on `n_qubits`."""
     dim = 2 ** _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
@@ -456,51 +372,3 @@ def haar_random_state(n_qubits: int, seed) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def haar_draws(n_qubits: int, seed, trials: int, n_unitaries: int):
-    """Per trial, `n_unitaries` Haar unitaries and a random input state on
-    `n_qubits`, from one normal block drawn in the order of per-trial
-    `haar_random_unitary` calls followed by a `haar_random_state` call.
-
-    Returns unitaries (trials, n_unitaries, dim, dim) and states (trials, dim).
-    The unitaries equal the per-call ones bit for bit; a state may differ
-    from `haar_random_state`'s by 1 ulp, since its norm is summed over the
-    stack in another order than `np.linalg.norm` sums one vector.
-    """
-    dim = 2**n_qubits
-    normals = _resolve_rng(seed).standard_normal((trials, 2 * dim * (n_unitaries * dim + 1)))
-    split = 2 * dim * dim * n_unitaries
-    unitaries = haar_unitaries(normals[:, :split].reshape(trials, n_unitaries, 2, dim, dim))
-    re, im = normals[:, split:].reshape(trials, 2, dim).transpose(1, 0, 2)
-    states = re + 1j * im
-    return unitaries, states / np.linalg.norm(states, axis=-1, keepdims=True)
-
-
-def schmidt_coefficients(state: StateVector, part) -> np.ndarray:
-    """Singular values (descending) across the (part | rest) bipartition."""
-    m = _split_matrix(state, part)
-    if 1 in m.shape:
-        raise LabelError("a bipartition needs qubits on both sides")
-    return np.linalg.svd(m, compute_uv=False)
-
-
-def schmidt_rank(state: StateVector, part, tol: float = EIG_ATOL) -> int:
-    return int(np.count_nonzero(schmidt_coefficients(state, part) > tol))
-
-
-def operator_schmidt_coefficients(m) -> np.ndarray:
-    """Singular values of a two-qubit operator reshuffled across its factors:
-    (4) for a (4, 4) operator, (n, 4) for an (n, 4, 4) stack in one SVD.
-
-    A product operator X (x) Y has exactly one nonzero coefficient.
-    """
-    m = _as_complex(m, "operator")
-    if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3):
-        raise ContractError(f"expected a two-qubit (4x4) operator or an (n, 4, 4) stack, got {m.shape}")
-    r = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(m.shape)
-    return np.linalg.svd(r, compute_uv=False)
-
-
-def operator_schmidt_rank(m, tol: float = EIG_ATOL):
-    """Operator-Schmidt rank: an int for a (4, 4) operator, (n,) ints for a stack."""
-    ranks = (operator_schmidt_coefficients(m) > tol).sum(axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks

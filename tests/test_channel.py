@@ -20,16 +20,8 @@ from entqc.channel import (
     load_channel_json,
     resolve_channel,
 )
-from entqc.tensor import (
-    ContractError,
-    QubitRegister,
-    StateVector,
-    apply_unitary,
-    haar_random_unitary,
-    reduced_density,
-    schmidt_coefficients,
-    schmidt_rank,
-)
+from entqc.primitives import apply_unitary, haar_random_unitary, schmidt_coefficients, schmidt_rank
+from entqc.tensor import ContractError, QubitRegister, StateVector, reduced_density
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 

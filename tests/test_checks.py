@@ -27,17 +27,15 @@ from entqc.channel import (
     is_valid_channel,
 )
 from entqc.entanglement import pair_analysis, triad_analysis, witness_gradient, witness_value
+from entqc.primitives import haar_random_unitary, haar_unitaries
+from entqc.relations import invariance_pairs, invariance_transform, povm_check, series_form
 from entqc.teleport import (
     MEASURED_LABELS,
     CorrectionTable,
     MeasurementBasis,
     UnknownState,
-    invariance_pairs,
-    invariance_transform,
     measurement_basis,
-    povm_check,
     run_protocol,
-    series_form,
     standard_corrections,
     standard_protocol_batch,
     teleport_all_outcomes,
@@ -52,8 +50,6 @@ from entqc.tensor import (
     _as_complex,
     _require,
     haar_random_state,
-    haar_random_unitary,
-    haar_unitaries,
     reduced_density,
     require_unitary,
 )

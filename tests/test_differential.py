@@ -71,6 +71,32 @@ from entqc.entanglement import (
     witness_state,
     witness_value,
 )
+from entqc.primitives import (
+    apply_unitary,
+    fidelity_pure,
+    haar_draws,
+    haar_random_unitary,
+    operator_schmidt_coefficients,
+    operator_schmidt_rank,
+    partial_inner,
+    partial_transpose,
+    schmidt_coefficients,
+    schmidt_rank,
+)
+from entqc.relations import (
+    BASIS_SPLITS,
+    SCHMIDT_TOL,
+    corrections_from,
+    invariance_pairs,
+    invariance_transform,
+    is_separable_basis,
+    partial_inner_transfer,
+    povm_check,
+    recovery_ops,
+    series_form,
+    split_schmidt_coefficients,
+    transfer_blocks,
+)
 from entqc.tensor import (
     EIG_ATOL,
     PAULIS,
@@ -78,48 +104,26 @@ from entqc.tensor import (
     DensityMatrix,
     QubitRegister,
     StateVector,
-    apply_unitary,
-    fidelity_pure,
-    haar_draws,
     haar_random_state,
-    haar_random_unitary,
     hermitian_eigenvalues,
     kron,
-    operator_schmidt_coefficients,
-    operator_schmidt_rank,
-    partial_inner,
-    partial_transpose,
     reduced_densities,
     reduced_density,
     require_unitary,
-    schmidt_coefficients,
-    schmidt_rank,
     tensor,
 )
 from entqc.teleport import (
-    BASIS_SPLITS,
     OUTCOMES,
-    SCHMIDT_TOL,
     MeasurementBasis,
     UnknownState,
-    corrections_from,
-    invariance_pairs,
-    invariance_transform,
-    is_separable_basis,
     measurement_basis,
     measurement_kets,
-    partial_inner_transfer,
     pauli_pair,
-    povm_check,
-    recovery_ops,
     run_protocol,
     run_protocol_batch,
-    series_form,
-    split_schmidt_coefficients,
     standard_corrections,
     standard_protocol_batch,
     teleport_all_outcomes,
-    transfer_blocks,
 )
 
 TOL = 1e-13

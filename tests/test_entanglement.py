@@ -23,6 +23,7 @@ from entqc.entanglement import (
     witness_state,
     witness_value,
 )
+from entqc.primitives import haar_random_unitary, partial_transpose
 from entqc.tensor import (
     ContractError,
     DensityMatrix,
@@ -30,10 +31,8 @@ from entqc.tensor import (
     QubitRegister,
     StateVector,
     haar_random_state,
-    haar_random_unitary,
     hermitian_eigenvalues,
     kron,
-    partial_transpose,
     reduced_density,
 )
 
@@ -237,6 +236,17 @@ def test_three_tangle_input_validation():
     with pytest.raises(ContractError):
         three_tangle(np.stack([GHZ3, np.ones(8)]))  # one unnormalized member
     assert three_tangle(np.stack([GHZ3, GHZ3])).shape == (2,)
+
+
+@pytest.mark.parametrize("amps, norm", [
+    ([1.5] + [0] * 7, "1.5"),
+    (np.stack([GHZ3, [0, 0, 2] + [0] * 5, [3] + [0] * 7]), "2.0"),  # the first member that is off
+    (np.full(8, 1e200), "inf"),
+])
+def test_three_tangle_writes_the_norm_as_a_plain_number(amps, norm):
+    with pytest.raises(ContractError) as info:
+        three_tangle(amps)
+    assert str(info.value) == f"state is not normalized: |psi| = {norm}"
 
 
 @pytest.mark.parametrize("amps", [np.full(8, 1e200), np.full((2, 8), 1e200 + 1e200j)])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from entqc.channel import ChannelSpec, dressed_channel
 from entqc.entanglement import _euler_angles, _euler_columns, three_tangle, witness_state
+from entqc.primitives import fidelity_pure, haar_unitaries, partial_trace
 from entqc.teleport import (
     OUTCOMES,
     UnknownState,
@@ -22,15 +23,7 @@ from entqc.teleport import (
     standard_protocol_batch,
     teleport_all_outcomes,
 )
-from entqc.tensor import (
-    DensityMatrix,
-    StateVector,
-    fidelity_pure,
-    haar_random_state,
-    haar_unitaries,
-    partial_trace,
-    reduced_densities,
-)
+from entqc.tensor import DensityMatrix, StateVector, haar_random_state, reduced_densities
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)

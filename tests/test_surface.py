@@ -47,7 +47,41 @@ def test_teleport_loads_no_analysis_module_and_analyze_no_report():
     protocol = ["entqc.channel", "entqc.cli", "entqc.rows", "entqc.teleport", "entqc.tensor"]
     assert steps[0] == steps[1] == protocol  # after the import, and after a teleport
     assert steps[2] == sorted(protocol + ["entqc.entanglement"])
-    assert steps[3] == sorted(protocol + ["entqc.entanglement", "entqc.report"])
+    analysis = ["entqc.entanglement", "entqc.primitives", "entqc.relations", "entqc.report"]
+    assert steps[3] == sorted(protocol + analysis)
+
+
+#: the public names that left `tensor` and `teleport` for the modules loaded on first use
+MOVED = {
+    "primitives": ("apply_unitary", "fidelity_pure", "haar_random_unitary", "operator_schmidt_coefficients",
+                   "operator_schmidt_rank", "partial_inner", "partial_trace", "partial_transpose",
+                   "schmidt_coefficients", "schmidt_rank"),
+    "relations": ("corrections_from", "invariance_transform", "is_separable_basis", "partial_inner_transfer",
+                  "povm_check", "series_form"),
+}
+
+
+def test_a_moved_name_is_one_object_through_the_package_its_module_and_its_old_module():
+    code = """
+import json, sys
+import entqc
+before = sorted(name for name in sys.modules if name.startswith("entqc."))
+same = []
+for home, old in (("primitives", "tensor"), ("relations", "teleport")):
+    for name in {moved!r}[home]:
+        value, imported = getattr(entqc, name), {{}}  # the first read imports `home`
+        exec(f"from entqc.{{old}} import {{name}}", imported)
+        same.append(value is getattr(sys.modules["entqc." + home], name) is imported[name])
+print(json.dumps([before, all(same), entqc.tensor.__module__ + "." + entqc.tensor.__name__]))
+"""
+    before, same, tensor = json.loads(_fresh(code.format(moved=MOVED)))
+    assert before == ["entqc.channel", "entqc.teleport", "entqc.tensor"]
+    assert same
+    assert tensor == "entqc.tensor.tensor"  # `entqc.tensor` is still the function, not the submodule
+    assert {*MOVED["primitives"], *MOVED["relations"]} <= set(entqc.__all__)
+    # only the public names are read through the old modules; the helpers are at their new paths
+    for old, helper in (("tensor", "haar_draws"), ("teleport", "_stack_last")):
+        assert not hasattr(importlib.import_module(f"entqc.{old}"), helper)
 
 
 def test_every_public_name_resolves_to_its_defining_modules_object():
@@ -61,7 +95,8 @@ print(json.dumps([modules, sorted(set(entqc.__all__) - set(star)), sorted(set(en
 """
     assert json.loads(_fresh(code)) == [["entqc.entanglement", "entqc.report"], [], []]
     # `entqc.tensor` is the function of that name, so the modules are imported by name
-    homes = [importlib.import_module(f"entqc.{name}") for name in ("channel", "entanglement", "tensor", "teleport")]
+    homes = [importlib.import_module(f"entqc.{name}")
+             for name in ("channel", "entanglement", "primitives", "relations", "tensor", "teleport")]
     for name in entqc.__all__:
         held = [getattr(module, name) for module in homes if hasattr(module, name)]
         assert held and all(value is getattr(entqc, name) for value in held), name
@@ -128,6 +163,18 @@ CALLS = {
     "pair_analysis": lambda x, y: entqc.pair_analysis(STATE, x),
     "triad_analysis": lambda x, y: entqc.triad_analysis(STATE, x),
     "fidelity_pure": lambda x, y: entqc.fidelity_pure(x, y),
+    "apply_unitary state": lambda x, y: entqc.apply_unitary(x, np.eye(2), ("A1",)),
+    "partial_inner": lambda x, y: entqc.partial_inner(x, y),
+    "partial_trace rho": lambda x, y: entqc.partial_trace(x, ("A1",)),
+    "partial_transpose rho": lambda x, y: entqc.partial_transpose(x, ("A1",)),
+    "reduced_density state": lambda x, y: entqc.reduced_density(x, ("A1",)),
+    "schmidt_coefficients state": lambda x, y: entqc.schmidt_coefficients(x, ("A1",)),
+    "schmidt_rank state": lambda x, y: entqc.schmidt_rank(x, ("A1",)),
+    "tensor": lambda x, y: entqc.tensor(x, y),
+    "pair_analysis state": lambda x, y: entqc.pair_analysis(x, ("A1", "B1")),
+    "triad_analysis state": lambda x, y: entqc.triad_analysis(x, ("A1", "A2", "B1")),
+    "symmetric_w_state": lambda x, y: entqc.symmetric_w_state(x),
+    "invariance_transform": lambda x, y: entqc.invariance_transform(x, y, np.eye(4), np.eye(4)),
     "dressed_channel": lambda x, y: entqc.dressed_channel(x),
     "measurement_basis": lambda x, y: entqc.measurement_basis(x),
     "generalized_ghz": lambda x, y: entqc.generalized_ghz(x),
@@ -177,6 +224,22 @@ CALLS = {
 @example(call="MeasurementBasis.ket", x=[[1], 2], y=None)
 @example(call="CorrectionTable.op", x=5, y=None)
 @example(call="CorrectionTable.op", x=[[1], 2], y=None)
+@example(call="apply_unitary state", x=None, y=None)
+@example(call="partial_inner", x=None, y=STATE)
+@example(call="partial_inner", x=STATE, y=5)
+@example(call="partial_trace rho", x=STATE, y=None)
+@example(call="partial_transpose rho", x=None, y=None)
+@example(call="reduced_density state", x=RHO, y=None)
+@example(call="schmidt_coefficients state", x=None, y=None)
+@example(call="schmidt_rank state", x=5, y=None)
+@example(call="tensor", x=STATE, y=None)
+@example(call="tensor", x=None, y=STATE)
+@example(call="pair_analysis state", x=RHO, y=None)
+@example(call="triad_analysis state", x=None, y=None)
+@example(call="symmetric_w_state", x=None, y=None)
+@example(call="symmetric_w_state", x=5, y=None)
+@example(call="invariance_transform", x=None, y=SIGMA)
+@example(call="invariance_transform", x=BASIS, y=5)
 def test_public_calls_return_or_raise_a_contract_or_label_error(tmp_path_factory, call, x, y):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

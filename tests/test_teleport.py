@@ -12,42 +12,38 @@ from entqc.channel import (
     epr_pair_channel,
 )
 from entqc.entanglement import WitnessSearchResult, pair_analysis, triad_analysis
-from entqc.report import SuiteConfig
-from entqc.teleport import (
-    BASIS_SPLITS,
-    MEASURED_LABELS,
-    OUTCOMES,
-    CorrectionTable,
-    MeasurementBasis,
-    UnknownState,
-    corrections_from,
-    invariance_transform,
-    is_separable_basis,
-    measurement_basis,
-    partial_inner_transfer,
-    pauli_pair,
-    povm_check,
-    run_protocol,
-    series_form,
-    standard_corrections,
-    standard_protocol_batch,
-    teleport_all_outcomes,
-)
-from entqc.tensor import (
-    PAULIS,
-    ContractError,
-    DensityMatrix,
-    QubitRegister,
-    StateVector,
-    _Frozen,
+from entqc.primitives import (
     apply_unitary,
     fidelity_pure,
     haar_draws,
     haar_random_unitary,
     operator_schmidt_rank,
     schmidt_rank,
-    tensor,
 )
+from entqc.relations import (
+    BASIS_SPLITS,
+    corrections_from,
+    invariance_transform,
+    is_separable_basis,
+    partial_inner_transfer,
+    povm_check,
+    series_form,
+)
+from entqc.report import SuiteConfig
+from entqc.teleport import (
+    MEASURED_LABELS,
+    OUTCOMES,
+    CorrectionTable,
+    MeasurementBasis,
+    UnknownState,
+    measurement_basis,
+    pauli_pair,
+    run_protocol,
+    standard_corrections,
+    standard_protocol_batch,
+    teleport_all_outcomes,
+)
+from entqc.tensor import PAULIS, ContractError, DensityMatrix, QubitRegister, StateVector, _Frozen, tensor
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

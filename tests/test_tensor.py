@@ -4,31 +4,33 @@ import numpy as np
 import pytest
 
 from entqc.entanglement import minimize_witness, pair_analysis, stacked_minimize_witness
-from entqc.tensor import (
-    ATOL,
-    ContractError,
-    _require_densities,
-    DensityMatrix,
-    LabelError,
-    QubitRegister,
-    StateVector,
+from entqc.primitives import (
     apply_unitary,
     fidelity_pure,
-    haar_random_state,
     haar_random_unitary,
-    hermitian_eigenvalues,
-    kron,
     operator_schmidt_coefficients,
     operator_schmidt_rank,
     partial_inner,
     partial_trace,
     partial_transpose,
+    schmidt_coefficients,
+    schmidt_rank,
+)
+from entqc.tensor import (
+    ATOL,
+    ContractError,
+    DensityMatrix,
+    LabelError,
+    QubitRegister,
+    StateVector,
+    _require_densities,
+    haar_random_state,
+    hermitian_eigenvalues,
+    kron,
     reduced_densities,
     reduced_density,
     require_hermitian,
     require_unitary,
-    schmidt_coefficients,
-    schmidt_rank,
     tensor,
 )
 

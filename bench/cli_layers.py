@@ -30,7 +30,9 @@ numpy is imported. Each figure is wall time per call, the minimum over
 REPEATS batches, each batch long enough (>= 0.2 s, as `timeit` picks it) to
 swamp the clock; a process is run REPEATS times and its minimum kept. The
 result is written as `{machine, numpy, end_to_end, layers}`; metric names end
-in their unit (`.us` or `.ms`).
+in their unit (`.us` or `.ms`). Rows are timed in the order of this file,
+the end-to-end rows first, so a result's key order is its timing order: a row
+can read the state (the heap, the caches) that the rows before it left.
 """
 from __future__ import annotations
 
@@ -74,17 +76,11 @@ sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
-from entqc import cli, entanglement, report, teleport  # noqa: E402
+from entqc import cli, entanglement, relations, report, teleport  # noqa: E402
 from entqc.channel import (  # noqa: E402
     ChannelSpec, bell_transform_matrix, builtin_channel, dressed_channel, load_channel_json, resolve_channel)
+from entqc.primitives import haar_draws, haar_random_unitary, operator_schmidt_rank  # noqa: E402
 from entqc.tensor import QubitRegister, StateVector, reduced_densities, reduced_density, require_unitary  # noqa: E402
-
-try:  # the paper's relations and the analysis-only primitives, in their own modules
-    from entqc import relations
-    from entqc.primitives import haar_draws, haar_random_unitary, operator_schmidt_rank
-except ImportError:  # a checkout from before they left `teleport` and `tensor`
-    relations = teleport
-    from entqc.tensor import haar_draws, haar_random_unitary, operator_schmidt_rank
 
 REPEATS = 7
 SEED = "7"
@@ -123,10 +119,8 @@ def _report_inputs(argv) -> tuple:
 def _first_main(argv):
     """`cli.main` as the first call of a process makes it: the parser and the
     teleport report's template built anew."""
-    for cached in (cli.build_parser, getattr(cli, "_teleport_template", None)):
-        clear = getattr(cached, "cache_clear", None)
-        if clear is not None:
-            clear()
+    cli.build_parser.cache_clear()
+    cli._teleport_template.cache_clear()
     return _quiet_main(argv)
 
 
@@ -296,8 +290,7 @@ def _channel_file(directory: str) -> str:
 def rows(directory: str) -> dict:
     """What each row times, by group: a callable, timed per call, or the argv
     of a whole `python -m entqc.cli` process."""
-    # on a parser that is built once per process, the un-cached builder
-    build = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
+    build = cli.build_parser.__wrapped__  # the un-cached builder
     parser, parse_only = build(), _parse_only(build)
     channel_file = _channel_file(directory)
     file_argv = ["teleport", "--channel", channel_file, "--seed", SEED]

@@ -184,8 +184,8 @@ def three_tangle(state):
     amps = state.amplitudes if isinstance(state, StateVector) else _as_complex(state, "state")
     if amps.shape[-1:] != (8,) or amps.ndim > 2:
         raise ContractError(f"three_tangle expects a state (8,) or a stack (n, 8), got {amps.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
-        norms = np.linalg.norm(amps, axis=-1)
+    parts = np.ascontiguousarray(amps).view(float)  # (re, im) pairs: einsum does not warn on an overflow
+    norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))  # an overflowing norm is inf, rejected below
     off = np.abs(norms - 1.0) > ATOL
     if off.any():  # the first norm that is off, a plain number (as StateVector writes it)
         raise ContractError(f"state is not normalized: |psi| = {float(np.ravel(norms)[off.argmax()])!r}")
@@ -282,15 +282,11 @@ def _batch_states(rots: np.ndarray) -> np.ndarray:
     return phi.reshape(8, *rots.shape[3:])
 
 
-def _rho_dot(ms: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """rho . phi: each of m densities (m, 8, 8) on its own columns of states (8, m, r)."""
-    return np.swapaxes(ms @ np.swapaxes(phi, 0, 1), 0, 1)
-
-
 def _states_values(ms: np.ndarray, rots: np.ndarray):
-    """(phi, rho . phi, witness values) for a rotation stack."""
+    """(phi, rho . phi, witness values) for a rotation stack: each of m densities (m, 8, 8)
+    on its own columns of states (8, m, r)."""
     phi = _batch_states(rots)
-    y = _rho_dot(ms, phi)
+    y = np.swapaxes(ms @ np.swapaxes(phi, 0, 1), 0, 1)
     return phi, y, 0.75 - (phi.conj() * y).real.sum(axis=0)
 
 

@@ -73,10 +73,6 @@ class SuiteConfig(_Value):
         self.__dict__.update(seed=seed, restarts=restarts, tol=tol)
 
 
-def _bitstring(index, width=4):
-    return format(index, f"0{width}b")
-
-
 def section_channel(cfg: SuiteConfig):
     checks = []
     dressing = bell_transform_matrix()
@@ -92,7 +88,7 @@ def section_channel(cfg: SuiteConfig):
             target = BELL_CHANNEL_SIGNS[idx] * amp
             checks.append(
                 check(
-                    f"amplitude[{_bitstring(idx)}]",
+                    f"amplitude[{idx:04b}]",
                     float(np.real(state.amplitudes[idx])),
                     target,
                     1e-15,

@@ -9,6 +9,8 @@ does, row by row, and keep the constructor's amplitudes bit for bit. The
 report's float rows must equal the rows of the code they replaced.
 Hypothesis settings are fixed and derandomized, with no example database.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from entqc.channel import (
     generalized_ghz,
     is_valid_channel,
 )
-from entqc.entanglement import pair_analysis, triad_analysis, witness_gradient, witness_value
+from entqc.entanglement import pair_analysis, three_tangle, triad_analysis, witness_gradient, witness_value
 from entqc.primitives import haar_random_unitary, haar_unitaries
 from entqc.relations import invariance_pairs, invariance_transform, povm_check, series_form
 from entqc.teleport import (
@@ -48,9 +50,11 @@ from entqc.tensor import (
     QubitRegister,
     StateVector,
     _as_complex,
+    _deviation,
     _require,
     haar_random_state,
     reduced_density,
+    require_hermitian,
     require_unitary,
 )
 
@@ -337,6 +341,36 @@ def test_constructors_reject_inputs_of_the_wrong_kind_with_a_message(call, error
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+# --- the overflow guard -----------------------------------------------------------
+def ref_require(m, of, tol, fault):
+    """`_require` with its deviation always computed under np.errstate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = _deviation(m, of)
+    if not dev <= tol:
+        raise ContractError(f"{fault}: deviation {dev:.3e} > {tol:g}")
+
+
+@pytest.mark.parametrize("value", [1e149, 1e151, 1e200, np.nan, np.inf, -np.inf, complex(1e151, -1e151)])
+@pytest.mark.parametrize("of", ["unitary", "hermitian", "trace"])
+def test_checks_either_side_of_the_overflow_guard_raise_no_warning(of, value):
+    register = QubitRegister(("a", "b"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for shape in [(4, 4), (3, 4, 4)]:
+            for entries in ([(1, 2)], [(1, 2), (2, 1)], [(2, 2)]):  # off the diagonal, mirrored, on it
+                m = np.broadcast_to(np.eye(4, dtype=complex), shape).copy()
+                for i, j in entries:
+                    m[..., i, j] = value
+                assert outcome(_require, m, of, ATOL, "fault") == outcome(ref_require, m, of, ATOL, "fault")
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = value
+        checks = {"unitary": require_unitary, "hermitian": require_hermitian,
+                  "trace": lambda a: DensityMatrix(register, a)}
+        for call in (checks[of], lambda a: StateVector(register, a[1]), lambda a: three_tangle(np.full(8, value))):
+            with pytest.raises(ContractError):
+                call(m)
 
 
 # --- values derived from checked inputs ----------------------------------------

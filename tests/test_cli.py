@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entqc
@@ -603,7 +603,16 @@ def test_fuzzed_teleport_exits_0_1_or_2_with_a_message(tmp_path_factory, doc, ch
         with open(channel, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
     flag, value = unknown
-    argv = ["teleport", "--channel", channel, f"{flag}={value}", "--format", fmt]
+    assert_exits_0_1_or_2_with_a_message(["teleport", "--channel", channel, f"{flag}={value}", "--format", fmt], fmt)
+
+
+#: each command's report name, as the documents and the text headers write it
+REPORTS = {"teleport": "teleport", "analyze": "analyze", "repro": "verification"}
+
+
+def assert_exits_0_1_or_2_with_a_message(argv, fmt):
+    """`main(argv)` exits 0 with a report, 1 with a FAIL or the channel's refusal, or
+    2 with an error message, and raises no other exception and no RuntimeWarning."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error", RuntimeWarning)
@@ -618,5 +627,57 @@ def test_fuzzed_teleport_exits_0_1_or_2_with_a_message(tmp_path_factory, doc, ch
     elif code == 1:
         assert (out == "" and "cannot carry the protocol" in err) or "FAIL" in out or '"pass": false' in out
     else:
-        assert out.startswith('{"report": "teleport"' if fmt == "json" else "entqc teleport report\n")
+        report = REPORTS[argv[0]]
+        assert out.startswith(f'{{"report": "{report}"' if fmt == "json" else f"entqc {report} report\n")
         assert err == "" or err.startswith("warning: normalizing --state")
+
+
+# --- fuzzed command lines ------------------------------------------------------
+
+#: the `repro` sections that take a few ms at most; `teleport` and `invariance` take longer
+CHEAP_SECTIONS = ["channel", "measurement", "ghz", "pairs", "wstate", "triads", "witness", "series", "gradient"]
+#: flag values, valid and not; a valid `--restarts` is at most 4, so that no search is long
+FLAG_VALUES = {
+    "--seed": st.integers(-2, 2**64).map(str) | st.sampled_from(["", "abc", "1.5", "0x10", " 3", "1e3"]),
+    "--state": STATES,
+    "--tol": st.sampled_from(["1e-3", "0.5", "1e-300", "0", "-1", "nan", "inf", "abc", ""]),
+    "--restarts": st.integers(-1, 4).map(str) | st.sampled_from(["", "abc", "4097", "1e3", "2.0"]),
+    "--format": st.sampled_from(["json", "text", "xml"]),
+    "--channel": st.sampled_from(["epr", "bell-transformed", "ghz", "nope", "missing.json"]),
+    "--section": st.sampled_from(CHEAP_SECTIONS + ["nope", ""]),
+    "--bogus": st.just("1"),
+}
+#: the flags drawn after each command: its own, and one it does not take
+COMMAND_FLAGS = {
+    "teleport": ["--seed", "--state", "--format", "--channel", "--bogus"],
+    "analyze": ["--seed", "--tol", "--restarts", "--format", "--channel", "--bogus"],
+    "repro": ["--seed", "--tol", "--restarts", "--format", "--section", "--bogus"],
+}
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    """A command (or junk in its place), a valid `--restarts` and, for `repro`, cheap
+    sections, then up to four drawn flags, repeats allowed, as `--flag=value` or two words."""
+    command = draw(st.sampled_from(["teleport", "analyze", "repro"] * 3 + ["nope", "--seed"]))
+    argv = [command]
+    if command in ("analyze", "repro"):
+        argv += ["--restarts", str(draw(st.integers(1, 4)))]
+    if command == "repro":
+        for name in draw(st.lists(st.sampled_from(CHEAP_SECTIONS), min_size=1, max_size=2)):
+            argv += ["--section", name]
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS.get(command, sorted(FLAG_VALUES))), max_size=4))
+    formats = ["json"]
+    for flag in flags:
+        value = draw(FLAG_VALUES[flag])
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+        formats += [value] if flag == "--format" else []
+    return argv, formats[-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn=fuzzed_argvs())
+@example(drawn=(["repro", "--restarts", "1", "--section", "witness", "--tol", "1e-300", "--format", "text"], "text"))
+@example(drawn=(["analyze", "--restarts", "4", "--channel", "ghz", "--tol=1e-300"], "json"))
+def test_fuzzed_command_lines_exit_0_1_or_2_with_a_message(drawn):
+    assert_exits_0_1_or_2_with_a_message(*drawn)

@@ -8,7 +8,8 @@ through their checked constructors, a channel file read and checked, a seeded
 input state, a checked four-amplitude state) and
 channel resolution (built-in channel and channel file), `cli.main`
 (`teleport`, `analyze` and each `repro` section), the batched protocol
-kernels and the protocol's object API, the stacked analysis calls and witness
+kernels and the protocol's object API, the calls that return one derived
+state or density, the stacked analysis calls and witness
 kernels (with their n = 1 wrappers looped over the same items) and the
 `repro` section builders; and, as one-shot use pays them, a first `cli.main`
 call (parser built anew), a fresh `import entqc, entqc.cli` (compiled from
@@ -78,9 +79,12 @@ import numpy as np  # noqa: E402
 
 from entqc import cli, entanglement, relations, report, teleport  # noqa: E402
 from entqc.channel import (  # noqa: E402
-    ChannelSpec, bell_transform_matrix, builtin_channel, dressed_channel, load_channel_json, resolve_channel)
-from entqc.primitives import haar_draws, haar_random_unitary, operator_schmidt_rank  # noqa: E402
-from entqc.tensor import QubitRegister, StateVector, reduced_densities, reduced_density, require_unitary  # noqa: E402
+    ChannelSpec, GhzSpec, bell_transform_matrix, builtin_channel, dressed_channel, generalized_ghz, load_channel_json,
+    resolve_channel)
+from entqc.primitives import (  # noqa: E402
+    apply_unitary, haar_draws, haar_random_unitary, operator_schmidt_rank, partial_trace)
+from entqc.tensor import (  # noqa: E402
+    DensityMatrix, QubitRegister, StateVector, reduced_densities, reduced_density, require_unitary, tensor)
 
 REPEATS = 7
 SEED = "7"
@@ -190,7 +194,7 @@ def protocol_kernels() -> dict:
     `partial_inner_transfer` and `corrections_from` take them; and the object API
     on the sweep's first draw: `teleport_all_outcomes` and `run_protocol` (sixteen
     TeleportOutcomes each), the checked basis `measurement_basis` builds, its
-    sixteen kets as StateVectors, and `invariance_transform` of that basis."""
+    sixteen kets as StateVectors, one of them alone, and `invariance_transform` of that basis."""
     dressings, unknowns = haar_draws(2, [int(SEED), 1], 1002, 1)
     dressings = dressings[:, 0]
     spec, unknown = ChannelSpec(dressings[0]), teleport.UnknownState(unknowns[0])
@@ -217,8 +221,30 @@ def protocol_kernels() -> dict:
         "teleport.run_protocol.us": lambda: teleport.run_protocol(unknown, basis, channel_state, sigma),
         "teleport.measurement_basis.us": lambda: teleport.measurement_basis(spec),
         "teleport.MeasurementBasis.kets.us": lambda: basis.kets,
+        "teleport.MeasurementBasis.ket.us": lambda: basis.ket((2, 3)),
         "teleport.invariance_transform.us":
             lambda: relations.invariance_transform(basis, sigma, pairs[0, 0], pairs[0, 1]),
+    }
+
+
+def derived_values() -> dict:
+    """The calls that return one state or density derived from checked inputs,
+    on the sweep's first dressing: a two-qubit unitary applied to its channel
+    state, that state's density matrix and a two-qubit marginal of it, its
+    product with a seeded input state, and a generalized GHZ state on four
+    Haar local bases."""
+    dressing = haar_draws(2, [int(SEED), 1], 1, 1)[0][0, 0]
+    state = dressed_channel(ChannelSpec(dressing))
+    rho = DensityMatrix.from_state(state)
+    unitary = haar_random_unitary(2, [int(SEED), 3])
+    unknown = teleport.UnknownState.random(int(SEED)).as_state(("X1", "X2"))
+    ghz = GhzSpec((0.6, 0.8), [haar_random_unitary(1, [int(SEED), 5, q]) for q in range(4)])
+    return {
+        "primitives.apply_unitary.us": lambda: apply_unitary(state, unitary, ("B2", "A1")),
+        "primitives.partial_trace.us": lambda: partial_trace(rho, ("B1", "A1")),
+        "tensor.tensor.us": lambda: tensor(unknown, state),
+        "tensor.DensityMatrix.from_state.us": lambda: DensityMatrix.from_state(state),
+        "channel.generalized_ghz.us": lambda: generalized_ghz(ghz),
     }
 
 
@@ -320,6 +346,7 @@ def rows(directory: str) -> dict:
         "report.check.float_row.us": lambda: report.check("outcome (1,1) probability", 0.0625, 0.0625, 1e-10),
     }
     layers.update(protocol_kernels())
+    layers.update(derived_values())
     layers.update(analysis_layers())
     layers.update(witness_layers())
     for name, builder in report.SECTION_BUILDERS.items():

@@ -55,7 +55,8 @@ class ChannelSpec(_Frozen):
 
 def epr_pair_channel() -> StateVector:
     """Two EPR pairs, (A1,B1) and (A2,B2): amplitude matrix I/2 (see `epr_amplitudes`)."""
-    return StateVector(_CHANNEL_REGISTER, np.eye(4) / 2.0)
+    amplitudes = np.eye(4, dtype=complex).reshape(-1) / 2.0
+    return _trusted(StateVector, register=_CHANNEL_REGISTER, amplitudes=amplitudes)
 
 
 def epr_amplitudes(ops) -> np.ndarray:
@@ -126,7 +127,7 @@ def generalized_ghz(spec: GhzSpec = GhzSpec()) -> StateVector:
         return functools.reduce(np.multiply.outer, [b[:, k] for b in spec.local_bases]).reshape(-1)
 
     amps = spec.amplitudes[0] * branch(0) + spec.amplitudes[1] * branch(1)
-    return StateVector(_CHANNEL_REGISTER, amps)
+    return _trusted(StateVector, register=_CHANNEL_REGISTER, amplitudes=amps)
 
 
 def is_valid_channel(state: StateVector) -> tuple[bool, float]:

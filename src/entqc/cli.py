@@ -356,7 +356,7 @@ def cmd_repro(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, with_channel=None, with_search=False):
+def _add_common(sub, with_channel=None, with_search=False, with_tol=False):
     if with_channel is not None:
         sub.add_argument(
             "--channel",
@@ -370,6 +370,7 @@ def _add_common(sub, with_channel=None, with_search=False):
     if with_search:
         sub.add_argument("--restarts", type=_restarts, default=DEFAULT_RESTARTS,
                          help=f"witness-search restarts, 1..{MAX_RESTARTS}")
+    if with_tol:
         sub.add_argument("--tol", type=_positive_tol, default=DEFAULT_WITNESS_TOL,
                          help="tolerance for witness-bound checks")
     sub.add_argument("--output", default=None, help="write the report to a file")
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = commands.add_parser(
         "repro", help="run the built-in verification suite"
     )
-    _add_common(rep, with_search=True)
+    _add_common(rep, with_search=True, with_tol=True)
     rep.add_argument(
         "--section",
         action="append",

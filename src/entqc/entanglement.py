@@ -184,11 +184,12 @@ def three_tangle(state):
     amps = state.amplitudes if isinstance(state, StateVector) else _as_complex(state, "state")
     if amps.shape[-1:] != (8,) or amps.ndim > 2:
         raise ContractError(f"three_tangle expects a state (8,) or a stack (n, 8), got {amps.shape}")
-    parts = np.ascontiguousarray(amps).view(float)  # (re, im) pairs: einsum does not warn on an overflow
-    norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))  # an overflowing norm is inf, rejected below
-    off = np.abs(norms - 1.0) > ATOL
-    if off.any():  # the first norm that is off, a plain number (as StateVector writes it)
-        raise ContractError(f"state is not normalized: |psi| = {float(np.ravel(norms)[off.argmax()])!r}")
+    if not isinstance(state, StateVector):  # a StateVector is used as it is, an array's norms are checked
+        parts = np.ascontiguousarray(amps).view(float)  # (re, im) pairs: einsum does not warn on an overflow
+        norms = np.sqrt(np.einsum("...i,...i->...", parts, parts))  # an overflowing norm is inf, rejected below
+        off = np.abs(norms - 1.0) > ATOL
+        if off.any():  # the first norm that is off, a plain number (as StateVector writes it)
+            raise ContractError(f"state is not normalized: |psi| = {float(np.ravel(norms)[off.argmax()])!r}")
     # Cayley's hyperdeterminant is the discriminant c1^2 - 4 c0 c2 of
     # det(A0 + t A1) = c0 + c1 t + c2 t^2, for A_i the slices a[i, :, :]
     a = amps.reshape(-1, 8).T
@@ -475,8 +476,8 @@ def minimize_witness(rho, restarts: int = 64, seed: int = 0) -> WitnessSearchRes
     angles.
     """
     minima, angles, converged, _ = stacked_minimize_witness([rho], restarts, seed)
-    return WitnessSearchResult(float(minima[0]), tuple(angles[0].tolist()), int(restarts),
-                               float(converged[0]))
+    return _trusted(WitnessSearchResult, min_value=float(minima[0]), parameters=tuple(angles[0].tolist()),
+                    restarts=int(restarts), converged_fraction=float(converged[0]))
 
 
 def analyze_document(resolved, seed: int, restarts: int) -> dict:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .tensor import (
     EIG_ATOL, MAX_QUBITS, ContractError, DensityMatrix, LabelError, QubitRegister, StateVector, _as_complex,
-    _integer, _labels, _require_kinds, _resolve_rng, _split_matrix, require_unitary)
+    _integer, _labels, _require_kinds, _resolve_rng, _split_matrix, _trusted, require_unitary)
 
 
 def apply_unitary(state: StateVector, matrix, targets) -> StateVector:
@@ -24,7 +24,7 @@ def apply_unitary(state: StateVector, matrix, targets) -> StateVector:
         axes=(tuple(range(k, 2 * k)), axes),
     )
     t = np.moveaxis(t, tuple(range(k)), axes)
-    return StateVector(state.register, t.reshape(-1))
+    return _trusted(StateVector, register=state.register, amplitudes=t.reshape(-1))
 
 
 def partial_inner(bra: StateVector, ket: StateVector):
@@ -65,7 +65,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     perm = [*kaxes, *taxes, *(n + i for i in kaxes), *(n + i for i in taxes)]
     dk, dt = 2 ** len(kaxes), 2 ** len(taxes)
     t = np.transpose(t, perm).reshape(dk, dt, dk, dt)
-    return DensityMatrix(QubitRegister(keep), np.einsum("abcb->ac", t))
+    return _trusted(DensityMatrix, register=QubitRegister(keep), matrix=np.einsum("abcb->ac", t))
 
 
 def partial_transpose(rho: DensityMatrix, part) -> np.ndarray:
@@ -144,9 +144,10 @@ def schmidt_coefficients(state: StateVector, part) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def schmidt_rank(state: StateVector, part, tol: float = EIG_ATOL) -> int:
+def schmidt_rank(state: StateVector, part) -> int:
+    """Schmidt coefficients above EIG_ATOL across (part | rest)."""
     _require_kinds("schmidt_rank", ("state", state, StateVector))
-    return int(np.count_nonzero(schmidt_coefficients(state, part) > tol))
+    return int(np.count_nonzero(schmidt_coefficients(state, part) > EIG_ATOL))
 
 
 def operator_schmidt_coefficients(m) -> np.ndarray:
@@ -162,7 +163,7 @@ def operator_schmidt_coefficients(m) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False)
 
 
-def operator_schmidt_rank(m, tol: float = EIG_ATOL):
-    """Operator-Schmidt rank: an int for a (4, 4) operator, (n,) ints for a stack."""
-    ranks = (operator_schmidt_coefficients(m) > tol).sum(axis=-1)
+def operator_schmidt_rank(m):
+    """Operator-Schmidt rank (coefficients above EIG_ATOL): an int for a (4, 4) operator, (n,) ints for a stack."""
+    ranks = (operator_schmidt_coefficients(m) > EIG_ATOL).sum(axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks

@@ -113,7 +113,8 @@ class MeasurementBasis(_Frozen):
         return _states(MEASURED_LABELS, self.amplitudes)
 
     def ket(self, outcome) -> StateVector:
-        return StateVector(QubitRegister(MEASURED_LABELS), self.amplitudes[_outcome_index(outcome)])
+        return _trusted(StateVector, register=QubitRegister(MEASURED_LABELS),
+                        amplitudes=self.amplitudes[_outcome_index(outcome)])
 
     def items(self):
         return zip(OUTCOMES, self.kets)
@@ -165,15 +166,9 @@ class TeleportOutcome(_Frozen):
 
 
 def _states(labels, rows) -> tuple[StateVector, ...]:
-    """StateVectors on `labels` for the rows of a derived (n, dim) stack, after one stacked norm
-    check: squared norms within ATOL of 1, narrower than the constructor's rule, as a stacked norm
-    is not `vdot`'s bit for bit (einsum neither warns on nor hides a NaN or inf); else the constructor decides."""
+    """Read-only StateVectors on `labels` for the rows of a (n, dim) stack derived from checked inputs."""
     register = QubitRegister(tuple(labels))
     rows = np.ascontiguousarray(rows, dtype=complex)
-    parts = rows.view(float)
-    if not (np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0) <= ATOL).all():
-        for row in rows:
-            StateVector(register, row)  # raises for the first row the constructor rejects
     rows.setflags(write=False)
     return tuple(_trusted(StateVector, register=register, amplitudes=row) for row in rows)
 

@@ -162,7 +162,7 @@ def _trusted(cls, **fields):
 def kron(*factors) -> np.ndarray:
     """Kronecker product of one or more vectors/matrices, left to right."""
     if not factors:
-        raise ValueError("kron needs at least one factor")
+        raise ContractError("kron needs at least one factor")
     return reduce(np.kron, (_as_complex(f) for f in factors))
 
 
@@ -275,7 +275,7 @@ class StateVector(_Frozen):
         m = _split_matrix(self, new_order)  # one column when new_order holds every label
         if m.shape[1] != 1:
             raise LabelError("permutation must mention every label exactly once")
-        return StateVector(QubitRegister(tuple(new_order)), m.ravel())
+        return _trusted(StateVector, register=QubitRegister(tuple(new_order)), amplitudes=m.ravel())
 
     def relabeled(self, mapping) -> "StateVector":
         """Rename labels without touching amplitudes."""
@@ -297,10 +297,8 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     shared = set(a.register.labels) & set(b.register.labels)
     if shared:
         raise LabelError(f"registers overlap on {sorted(shared)}")
-    return StateVector(
-        QubitRegister(a.register.labels + b.register.labels),
-        np.kron(a.amplitudes, b.amplitudes),
-    )
+    return _trusted(StateVector, register=QubitRegister(a.register.labels + b.register.labels),
+                    amplitudes=np.kron(a.amplitudes, b.amplitudes))
 
 
 def _require_densities(m: np.ndarray) -> None:
@@ -327,9 +325,9 @@ class DensityMatrix(_Frozen):
 
     @staticmethod
     def from_state(state: StateVector) -> "DensityMatrix":
-        return DensityMatrix(
-            state.register, np.outer(state.amplitudes, state.amplitudes.conj())
-        )
+        _require_kinds("DensityMatrix.from_state", ("state", state, StateVector))
+        return _trusted(DensityMatrix, register=state.register,
+                        matrix=np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
 def reduced_densities(state: StateVector, keeps) -> np.ndarray:

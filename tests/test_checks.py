@@ -2,21 +2,23 @@
 
 The unitarity and state checks each decide by one rule, computed once; the code
 they replaced is kept here, test-only, as the oracle, and they must give its
-decisions, deviations, messages and stored values. Values the library derives from checked inputs are wrapped without a
-second check: they must be read-only and still pass the checks they skip. A stack
-of derived states gets one stacked norm check: it must decide as the constructor
-does, row by row, and keep the constructor's amplitudes bit for bit. The
-report's float rows must equal the rows of the code they replaced.
+decisions, deviations, messages and stored values. Values the library derives from
+checked inputs are wrapped without a second check: they must be read-only, build
+nothing through a checking constructor, hold the numbers that constructor would
+store, bit for bit, and on Haar inputs still pass the checks they skip; a result
+composed of inputs that each pass their check is returned, whatever deviation
+they add up to. The report's float rows must equal the rows of the code they replaced.
 Hypothesis settings are fixed and derandomized, with no example database.
 """
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entqc import report, teleport
+from entqc import report
 from entqc.channel import (
     BUILTIN_CHANNELS,
     CHANNEL_LABELS,
@@ -25,11 +27,21 @@ from entqc.channel import (
     GhzSpec,
     builtin_channel,
     dressed_channel,
+    epr_pair_channel,
     generalized_ghz,
     is_valid_channel,
 )
-from entqc.entanglement import pair_analysis, three_tangle, triad_analysis, witness_gradient, witness_value
-from entqc.primitives import haar_random_unitary, haar_unitaries
+from entqc.entanglement import (
+    WitnessSearchResult,
+    minimize_witness,
+    pair_analysis,
+    stacked_minimize_witness,
+    three_tangle,
+    triad_analysis,
+    witness_gradient,
+    witness_value,
+)
+from entqc.primitives import apply_unitary, haar_random_unitary, haar_unitaries, partial_trace
 from entqc.relations import invariance_pairs, invariance_transform, povm_check, series_form
 from entqc.teleport import (
     MEASURED_LABELS,
@@ -56,6 +68,7 @@ from entqc.tensor import (
     reduced_density,
     require_hermitian,
     require_unitary,
+    tensor,
 )
 
 
@@ -389,6 +402,43 @@ def test_builtin_specs_are_checked_once_and_shared():
     assert a.state.amplitudes.tobytes() == generalized_ghz().amplitudes.tobytes()
 
 
+def wrapped_calls(spec, seed):
+    """(name, call, labels, derivation) of each single state or density that the library wraps
+    unchecked, on inputs built here: `derivation` writes out the numbers that the call derives,
+    as the checked constructor received them before the call wrapped its result."""
+    state = dressed_channel(spec)
+    psi = state.tensor_view()
+    rho = DensityMatrix.from_state(state)
+    basis = measurement_basis(spec)
+    u = haar_random_unitary(2, [seed, 20])
+    unknown = UnknownState.random(seed).as_state(("X1", "X2"))
+    ghz = GhzSpec((0.6, 0.8), [haar_random_unitary(1, [seed, 21, q]) for q in range(4)])
+    branches = [reduce(np.kron, [b[:, k] for b in ghz.local_bases]) for k in (0, 1)]
+    traced = rho.matrix.reshape((2,) * 8).transpose(2, 0, 1, 3, 6, 4, 5, 7).reshape(4, 4, 4, 4)
+    return [
+        ("apply_unitary", lambda: apply_unitary(state, u, ("B2", "A1")), CHANNEL_LABELS,
+         lambda: np.moveaxis(np.tensordot(u.reshape(2, 2, 2, 2), psi, axes=((2, 3), (3, 0))),
+                             (0, 1), (3, 0)).reshape(-1)),
+        ("partial_trace", lambda: partial_trace(rho, ("B1", "A1")), ("B1", "A1"),
+         lambda: np.einsum("abcb->ac", traced)),
+        ("tensor", lambda: tensor(unknown, state), ("X1", "X2", *CHANNEL_LABELS),
+         lambda: np.kron(unknown.amplitudes, state.amplitudes)),
+        ("permuted", lambda: state.permuted(("B2", "A1", "B1", "A2")), ("B2", "A1", "B1", "A2"),
+         lambda: psi.transpose(3, 0, 2, 1).reshape(-1)),
+        ("DensityMatrix.from_state", lambda: DensityMatrix.from_state(state), CHANNEL_LABELS,
+         lambda: np.outer(state.amplitudes, state.amplitudes.conj())),
+        ("generalized_ghz", lambda: generalized_ghz(ghz), CHANNEL_LABELS,
+         lambda: ghz.amplitudes[0] * branches[0] + ghz.amplitudes[1] * branches[1]),
+        ("epr_pair_channel", epr_pair_channel, CHANNEL_LABELS, lambda: np.eye(4) / 2.0),
+        ("MeasurementBasis.ket", lambda: basis.ket((2, 3)), MEASURED_LABELS, lambda: basis.amplitudes[6]),
+    ]
+
+
+def numbers(value) -> np.ndarray:
+    """The array a StateVector or a DensityMatrix holds."""
+    return value.amplitudes if isinstance(value, StateVector) else value.matrix
+
+
 def trusted_values(spec):
     state = dressed_channel(spec)
     yield "dressed_channel", state.amplitudes, lambda a: StateVector(QubitRegister(CHANNEL_LABELS), a)
@@ -404,6 +454,9 @@ def trusted_values(spec):
     yield "reduced_density", reduced_density(state, ("A1", "B1")).matrix, None
     yield "pair_analysis", pair_analysis(state, ("A1", "B2")).reduced.matrix, None
     yield "triad_analysis", triad_analysis(state, ("A1", "A2", "B1")).reduced.matrix, None
+    for name, call, labels, _ in wrapped_calls(spec, 11):
+        value = call()
+        yield name, numbers(value), lambda a, cls=type(value), labels=labels: cls(QubitRegister(labels), a)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -424,26 +477,28 @@ def test_unknown_state_random_equals_the_checked_constructor():
         assert trusted.dtype == checked.dtype and np.array_equal(trusted, checked)
 
 
-# --- derived state stacks: one stacked norm check, then trusted rows -----------
-def count_constructor_calls(monkeypatch) -> list:
+# --- derived values: wrapped, never built through a checking constructor ---------
+def count_constructor_calls(monkeypatch, *classes) -> list:
+    """Patch each class's `__init__` to record the class's name, then check as before."""
     built = []
-    check_state = StateVector.__init__
+    for cls in classes:
+        def counted(self, *args, check=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            check(self, *args, **kwargs)
 
-    def counted(self, register, amplitudes):
-        built.append(self)
-        check_state(self, register, amplitudes)
-
-    monkeypatch.setattr(StateVector, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return built
 
 
-def assert_constructor_state(state, register, row):
-    """`state` is what `StateVector(register, row)` builds, bit for bit, and read-only."""
-    ref = StateVector(register, row)
-    assert state.register == ref.register
-    assert state.amplitudes.dtype == ref.amplitudes.dtype and state.amplitudes.shape == (register.dim,)
-    assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
-    assert not state.amplitudes.flags.writeable
+def assert_constructor_state(value, register, row):
+    """`value` is what its class's checked constructor builds from (register, row), bit for bit,
+    and read-only."""
+    ref = type(value)(register, row)
+    got, want = numbers(value), numbers(ref)
+    assert value.register == ref.register
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
 
 
 def protocol_inputs(seed):
@@ -454,61 +509,18 @@ def protocol_inputs(seed):
 def test_derived_state_stacks_build_no_state_through_the_constructor(monkeypatch):
     spec, unknown, basis, channel, corrections = protocol_inputs(3)
     w_l, w_r = haar_random_unitary(2, [3, 18]), haar_random_unitary(2, [3, 19])
-    built = count_constructor_calls(monkeypatch)
+    calls = wrapped_calls(spec, 3)
+    marginal = reduced_density(channel, ("A1", "A2", "B1"))
+    built = count_constructor_calls(monkeypatch, StateVector, DensityMatrix, WitnessSearchResult)
     outcomes = teleport_all_outcomes(unknown, spec)
     run = run_protocol(unknown, basis, channel, corrections)
     kets = basis.kets
     _, states = invariance_transform(basis, corrections, w_l, w_r)
+    singles = [call() for _, call, _, _ in calls]
+    minimize_witness(marginal, restarts=2, seed=3)
     assert built == []
     assert len(outcomes) == len(run) == len(kets) == len(states) == 16
-
-
-@pytest.mark.parametrize("corrupt", [lambda row: row * (1.0 + 3e-12), lambda row: np.full_like(row, np.nan)],
-                         ids=["scaled", "nan"])
-def test_a_corrupted_outcome_row_is_rejected(monkeypatch, corrupt):
-    batch = teleport.run_protocol_batch
-
-    def corrupted(*args):
-        probabilities, bob, corrected = batch(*args)
-        corrected = corrected.copy()
-        corrected[0, 9] = corrupt(corrected[0, 9])
-        return probabilities, bob, corrected
-
-    monkeypatch.setattr(teleport, "run_protocol_batch", corrupted)
-    spec, unknown, basis, channel, corrections = protocol_inputs(4)
-    for call in (lambda: teleport_all_outcomes(unknown, spec),
-                 lambda: run_protocol(unknown, basis, channel, corrections)):
-        with pytest.raises(ContractError, match="state is not normalized|non-finite"):
-            call()
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_stacked_state_check_decides_row_by_row_as_the_constructor(seed):
-    """Rows as `near_states` draws them, squared norms straddling 1 +- ATOL and 1 +- 2 ATOL,
-    and Haar rows: one row at a time, then each register's rows as one stack."""
-    stacks = {}
-    for register, v in near_states(seed):
-        if isinstance(v, np.ndarray) and v.ndim == 1:  # as the rows of a derived stack are
-            stacks.setdefault(register, []).append(v)
-    rng = np.random.default_rng([seed, 16])
-    decisions = []
-    for register, rows in stacks.items():
-        rows += [haar_random_state(register.size, rng) for _ in range(8)]
-        refs = [outcome(StateVector, register, row) for row in rows]
-        for row, ref in zip(rows, refs):
-            got = outcome(teleport._states, register.labels, row[None])
-            assert got[0] == ref[0], (got, ref)
-            decisions.append(got[0])
-            if got[0] == "error":
-                assert got[1] == ref[1]
-            else:
-                assert_constructor_state(got[1][0], register, row)
-        accepted = [row for row, ref in zip(rows, refs) if ref[0] == "ok"]
-        for state, row in zip(teleport._states(register.labels, accepted), accepted, strict=True):
-            assert_constructor_state(state, register, row)
-        # the whole stack fails with the constructor's message for its first rejected row
-        assert outcome(teleport._states, register.labels, rows) == next(ref for ref in refs if ref[0] == "error")
-    assert "ok" in decisions and "error" in decisions
+    assert len(singles) == 8
 
 
 @pytest.mark.parametrize("name", ["epr", "bell-transformed", "haar"])
@@ -529,6 +541,50 @@ def test_derived_states_equal_the_constructors(name):
     for result, b, c in zip(teleport_all_outcomes(unknown, spec), bob[0], corrected[0], strict=True):
         assert_constructor_state(result.bob_state, receiver, b)
         assert_constructor_state(result.corrected_state, receiver, c)
+    for _, call, labels, derivation in wrapped_calls(spec, 5):
+        assert_constructor_state(call(), QubitRegister(labels), derivation())
+    # the witness search's result equals the checked constructor's on the stacked search's row
+    marginal = reduced_density(dressed_channel(spec), ("A1", "A2", "B1"))
+    result = minimize_witness(marginal, restarts=2, seed=5)
+    minima, angles, converged, _ = stacked_minimize_witness([marginal], 2, 5)
+    ref = WitnessSearchResult(float(minima[0]), tuple(angles[0].tolist()), 2, float(converged[0]))
+    assert result == ref and [type(v) for _, v in result._fields()] == [type(v) for _, v in ref._fields()]
+
+
+# --- results composed of inputs that each pass their check ------------------------
+#: 1 + 0.495e-12 J: max |U†U - 1| = 0.99e-12, within ATOL, for J the all-ones matrix
+U_NEAR, V_NEAR = np.eye(4) + 0.495e-12 * np.ones((4, 4)), np.eye(2) + 0.495e-12 * np.ones((2, 2))
+#: one-qubit states of norm 1 + 0.9e-12, within ATOL
+LONG = [StateVector(QubitRegister((label,)), [1.0 + 0.9e-12, 0.0]) for label in "abc"]
+COMPOSED = {
+    "run_protocol": lambda: run_protocol(
+        UnknownState(np.ones(4) / 2), measurement_basis(ChannelSpec(np.eye(4))),
+        dressed_channel(ChannelSpec(np.eye(4))), CorrectionTable([U_NEAR @ s for s in standard_corrections().ops])),
+    "apply_unitary": lambda: apply_unitary(
+        StateVector(QubitRegister(("a", "b")), np.ones(4) / 2), U_NEAR, ("a", "b")),
+    "tensor": lambda: tensor(*LONG[:2]),
+    "generalized_ghz": lambda: generalized_ghz(GhzSpec(local_bases=(V_NEAR,) * 4)),
+    "DensityMatrix.from_state": lambda: DensityMatrix.from_state(LONG[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED))
+def test_results_composed_of_checked_inputs_are_returned(name):
+    """Each input passes its constructor; the result carries the deviation they add up to,
+    which a constructor would reject, and is returned without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = COMPOSED[name]()
+    values = [r.corrected_state for r in result] if name == "run_protocol" else [result]
+    decisions = [outcome(type(v), v.register, numbers(v))[0] for v in values]
+    assert "error" in decisions
+
+
+def test_three_tangle_uses_a_state_as_it_is_and_checks_an_array():
+    state = tensor(LONG[0], tensor(LONG[1], LONG[2]))  # |psi| = (1 + 0.9e-12)^3, beyond ATOL
+    assert three_tangle(state) == 0.0  # a product state
+    with pytest.raises(ContractError, match="state is not normalized"):
+        three_tangle(state.amplitudes)
 
 
 # --- report rows ----------------------------------------------------------------

@@ -417,6 +417,14 @@ def test_repro_rejects_tol_not_finite_and_positive(capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_analyze_takes_no_tol(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["analyze", "--channel", "ghz", "--restarts", "1", "--tol", "1e-3"])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and "error: unrecognized arguments: --tol 1e-3" in err_text
+
+
 @pytest.mark.parametrize("restarts", ["0", "-1", "4097"])
 def test_repro_rejects_restarts_out_of_range(capsys, restarts):
     with pytest.raises(SystemExit) as err:

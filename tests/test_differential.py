@@ -85,7 +85,6 @@ from entqc.primitives import (
 )
 from entqc.relations import (
     BASIS_SPLITS,
-    SCHMIDT_TOL,
     corrections_from,
     invariance_pairs,
     invariance_transform,
@@ -913,7 +912,7 @@ def test_split_schmidt_coefficients_match_per_ket():
             assert coefficients[split].shape == (16, 4)
             assert np.abs(coefficients[split] - ref).max() <= TOL
             ref_verdict = all(
-                schmidt_rank(ket, split[0], tol=SCHMIDT_TOL) == 1 for ket in basis.kets
+                schmidt_rank(ket, split[0]) == 1 for ket in basis.kets
             )
             assert verdicts[split] is ref_verdict
     # both verdicts occur among the bases above

@@ -137,6 +137,8 @@ CALLS = {
     "CorrectionTable": lambda x, y: entqc.CorrectionTable(x),
     "WitnessSearchResult": lambda x, y: entqc.WitnessSearchResult(x, y, 1, 1.0),
     "kron": lambda x, y: entqc.kron(x, y),
+    "kron of no factor": lambda x, y: entqc.kron(),
+    "DensityMatrix.from_state": lambda x, y: entqc.DensityMatrix.from_state(x),
     "builtin_channel": lambda x, y: entqc.builtin_channel(x),
     "resolve_channel": lambda x, y: entqc.resolve_channel(x),
     "load_channel_json": lambda x, y: entqc.load_channel_json(x),
@@ -195,6 +197,8 @@ CALLS = {
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(call=st.sampled_from(sorted(CALLS)) | st.just("channel file"), x=ARGUMENTS, y=ARGUMENTS)
 @example(call="haar_random_state", x=-1, y=1)
+@example(call="kron of no factor", x=None, y=None)
+@example(call="DensityMatrix.from_state", x=RHO, y=None)
 @example(call="haar_random_unitary", x=0.5, y=1)
 @example(call="haar_random_state", x=2, y=0.5)
 @example(call="haar_random_state", x=2, y=1j)

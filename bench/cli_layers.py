@@ -9,7 +9,7 @@ input state, a checked four-amplitude state) and
 channel resolution (built-in channel and channel file), `cli.main`
 (`teleport`, `analyze` and each `repro` section), the batched protocol
 kernels and the protocol's object API, the calls that return one derived
-state or density, the stacked analysis calls and witness
+state or density, the checks of a channel and of its pairing, the stacked analysis calls and witness
 kernels (with their n = 1 wrappers looped over the same items) and the
 `repro` section builders; and, as one-shot use pays them, a first `cli.main`
 call (parser built anew), a fresh `import entqc, entqc.cli` (compiled from
@@ -79,8 +79,8 @@ import numpy as np  # noqa: E402
 
 from entqc import cli, entanglement, relations, report, teleport  # noqa: E402
 from entqc.channel import (  # noqa: E402
-    ChannelSpec, GhzSpec, bell_transform_matrix, builtin_channel, dressed_channel, generalized_ghz, load_channel_json,
-    resolve_channel)
+    ChannelSpec, GhzSpec, bell_transform_matrix, builtin_channel, dressed_channel, generalized_ghz, is_valid_channel,
+    load_channel_json, resolve_channel)
 from entqc.primitives import (  # noqa: E402
     apply_unitary, haar_draws, haar_random_unitary, operator_schmidt_rank, partial_trace)
 from entqc.tensor import (  # noqa: E402
@@ -248,6 +248,20 @@ def derived_values() -> dict:
     }
 
 
+def pairing_checks() -> dict:
+    """The checks the `channel` and `measurement` sections make, on the sweep's
+    first dressing: its channel state's maximal-entanglement check, the corrections
+    its measurement basis implies against that state (judged within 1e-10) and the
+    sigma-pair twirl of the state."""
+    spec = ChannelSpec(haar_draws(2, [int(SEED), 1], 1, 1)[0][0, 0])
+    basis, state, sigma = teleport.measurement_basis(spec), dressed_channel(spec), teleport.standard_corrections()
+    return {
+        "channel.is_valid_channel.us": lambda: is_valid_channel(state),
+        "relations.corrections_from.us": lambda: relations.corrections_from(basis, state),
+        "relations.povm_check.us": lambda: relations.povm_check(sigma.ops, state),
+    }
+
+
 def analysis_layers() -> dict:
     """The stacked analysis calls on the `repro` sections' inputs: the six
     pairs and four triads of the bell-transformed channel and the 32
@@ -347,6 +361,7 @@ def rows(directory: str) -> dict:
     }
     layers.update(protocol_kernels())
     layers.update(derived_values())
+    layers.update(pairing_checks())
     layers.update(analysis_layers())
     layers.update(witness_layers())
     for name, builder in report.SECTION_BUILDERS.items():

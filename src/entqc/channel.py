@@ -14,6 +14,7 @@ import numpy as np
 
 from .tensor import (
     ATOL,
+    EIG_ATOL,
     ContractError,
     I2,
     QubitRegister,
@@ -32,9 +33,6 @@ CHANNEL_LABELS = ("A1", "A2", "B1", "B2")
 _CHANNEL_REGISTER = QubitRegister(CHANNEL_LABELS)
 SENDER_LABELS = ("A1", "A2")
 RECEIVER_LABELS = ("B1", "B2")
-
-# Looser than construction tolerance so accumulated products still validate.
-VALID_CHANNEL_ATOL = 1e-10
 
 BUILTIN_CHANNELS = ("epr", "bell-transformed", "ghz")
 
@@ -134,7 +132,7 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
     """Maximal-entanglement check across the sender/receiver split.
 
     Returns (ok, max_deviation): ok iff both two-qubit marginals equal I/4
-    within 1e-10, with the worst entrywise deviation reported either way.
+    within EIG_ATOL (1e-10), with the worst entrywise deviation reported either way.
     """
     _require_kinds("is_valid_channel", ("state", state, StateVector))
     if state.register.size != 4:
@@ -142,7 +140,7 @@ def is_valid_channel(state: StateVector) -> tuple[bool, float]:
     labels = state.register.labels
     marginals = reduced_densities(state, (labels[:2], labels[2:]))
     dev = float(np.abs(marginals - np.eye(4) / 4.0).max())
-    return dev <= VALID_CHANNEL_ATOL, dev
+    return dev <= EIG_ATOL, dev
 
 
 class ResolvedChannel(_Frozen):

@@ -23,7 +23,7 @@ import numpy as np
 from .channel import is_valid_channel, resolve_channel
 # `analyze` imports `entanglement` when run, `repro` the whole analysis stack (`report` and what it imports)
 from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, MAX_RESTARTS, check, document, section, tag
-from .tensor import ContractError, LabelError
+from .tensor import ATOL, ContractError, LabelError
 # teleport_all_outcomes (the object API) stays importable from here
 from .teleport import OUTCOMES, UnknownState, standard_protocol_batch, teleport_all_outcomes  # noqa: F401
 
@@ -285,7 +285,7 @@ def _parse_state_arg(text: str) -> UnknownState:
             f"--state norm {norm:.9g} is off by {dev:.3g} (limit {STATE_NORM_LIMIT:g}); "
             "pass a normalized state"
         )
-    if dev > 1e-12:
+    if dev > ATOL:
         sys.stderr.write(
             f"warning: normalizing --state (norm off by {dev:.3g})\n"
         )

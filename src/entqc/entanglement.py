@@ -15,6 +15,7 @@ from .channel import CHANNEL_LABELS, is_valid_channel
 from .rows import MAX_RESTARTS, check, document, section, tag
 from .tensor import (
     ATOL,
+    EIG_ATOL,
     ContractError,
     DensityMatrix,
     I2,
@@ -37,9 +38,6 @@ from .tensor import (
     reduced_densities,
     reduced_density,  # noqa: F401  (perfbench's traced cli_mix rebinds it here)
 )
-
-#: a pair is declared entangled iff its minimum PT eigenvalue is below this
-PPT_VERDICT_TOL = -1e-10
 
 #: branch signs (l1, l2, l3, l4) of the two GHZ components of each triad
 #: marginal of the Bell-transformed reference channel
@@ -95,8 +93,8 @@ class WitnessSearchResult(_Value):
 
 
 def stacked_pair_analysis(state: StateVector, pairs):
-    """Marginals (m, 4, 4) of the named pairs, the ascending spectra (m, 4) of
-    their partial transposes on the second qubit and the PT verdicts (m,):
+    """Marginals (m, 4, 4) of the named pairs, the ascending spectra (m, 4) of their partial
+    transposes on the second qubit and the PT verdicts (m,), least eigenvalue < -EIG_ATOL:
     one reduction, one stacked `eigvalsh`. A pair is two distinct labels."""
     if state.register.size != 4:
         raise ContractError("pair analysis expects a four-qubit state")
@@ -107,7 +105,7 @@ def stacked_pair_analysis(state: StateVector, pairs):
     reduced = reduced_densities(state, pairs)
     pt = reduced.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     spectra = np.linalg.eigvalsh(pt)
-    return reduced, spectra, spectra[:, 0] < PPT_VERDICT_TOL
+    return reduced, spectra, spectra[:, 0] < -EIG_ATOL
 
 
 def pair_analysis(state: StateVector, pair) -> PairReport:
@@ -145,7 +143,7 @@ def stacked_triad_analysis(state: StateVector, triads):
     component (m, 2) fidelities, the weights of each reference component in
     the span of the two leading eigenvectors, and tangles of the normalized
     projections (deterministic even when the leading eigenvalue is
-    degenerate; 0 below fidelity 1e-12).
+    degenerate; 0 below fidelity EIG_ATOL).
     """
     if state.register.size != 4:
         raise ContractError("triad analysis expects a four-qubit state")
@@ -157,7 +155,7 @@ def stacked_triad_analysis(state: StateVector, triads):
     weights = np.swapaxes(top, -1, -2).conj() @ np.swapaxes(refs, -1, -2)  # (m, 2, comp)
     fidelities = np.einsum("mkc,mkc->mc", weights.conj(), weights).real
     projections = np.swapaxes(top @ weights, -1, -2)  # (m, comp, 8)
-    kept = fidelities >= 1e-12
+    kept = fidelities >= EIG_ATOL
     tangles = np.zeros(fidelities.shape)
     chosen = projections[kept]
     tangles[kept] = three_tangle(chosen / np.linalg.norm(chosen, axis=-1, keepdims=True))

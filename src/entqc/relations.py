@@ -9,13 +9,11 @@ import numpy as np
 from .channel import CHANNEL_LABELS, ChannelSpec
 from .teleport import (
     _SERIES_BASIS, _SIGMA_PAIRS, MEASURED_LABELS, CorrectionTable, MeasurementBasis, _channel_matrix, _states)
-from .tensor import EIG_ATOL, ContractError, StateVector, _require, _require_kinds, _trusted, _unitary_stack
+from .tensor import (
+    EIG_ATOL, ContractError, StateVector, _require, _require_kinds, _trusted, _unitary_stack, require_unitary)
 
 #: the two admissible sender/input pairings for separability questions
 BASIS_SPLITS = ((("A1", "U1"), ("A2", "U2")), (("A1", "U2"), ("A2", "U1")))
-
-POVM_ATOL = 1e-10
-SCHMIDT_TOL = 1e-10
 
 
 def _stack_last(a, ndim: int) -> np.ndarray:
@@ -85,11 +83,13 @@ def partial_inner_transfer(basis_ket: StateVector, channel_state: StateVector) -
 def corrections_from(basis: MeasurementBasis, channel_state: StateVector) -> CorrectionTable:
     """Recovery unitaries implied by a basis/channel pairing: (4 . transfer)†.
 
-    Fails (non-unitary transfer) when the channel is not maximally entangled.
+    Computed from checked values, they are judged within EIG_ATOL: fails
+    (non-unitary transfer) when the channel is not maximally entangled.
     """
     _require_kinds("corrections_from", ("basis", basis, MeasurementBasis), ("channel_state", channel_state, StateVector))
     _, channel = _channel_matrix(channel_state)
-    return CorrectionTable(recovery_ops(basis.amplitudes.reshape(16, 4, 4), channel))
+    ops = recovery_ops(basis.amplitudes.reshape(16, 4, 4), channel)
+    return _trusted(CorrectionTable, ops=require_unitary(ops, tol=EIG_ATOL, what="correction"))
 
 
 def invariance_transform(basis: MeasurementBasis, corrections: CorrectionTable,
@@ -135,11 +135,11 @@ def is_separable_basis(basis: MeasurementBasis) -> dict:
     """Per-split verdicts: does every ket factor across that pairing?
 
     Keys are the two admissible splits in BASIS_SPLITS; a ket factors when its
-    Schmidt coefficients beyond the first vanish (below 1e-10).
+    Schmidt coefficients beyond the first vanish (at most EIG_ATOL).
     """
     _require_kinds("is_separable_basis", ("basis", basis, MeasurementBasis))
     return {
-        split: bool((coefficients[:, 1:] <= SCHMIDT_TOL).all())
+        split: bool((coefficients[:, 1:] <= EIG_ATOL).all())
         for split, coefficients in split_schmidt_coefficients(basis).items()
     }
 
@@ -170,4 +170,4 @@ def povm_check(unitary_set, channel_state: StateVector) -> tuple[bool, float]:
     twirled = (k @ ops.transpose(0, 2, 1)).reshape(len(ops), 16)
     acc = twirled.T @ twirled.conj() / len(ops)
     deviation = float(np.abs(acc - np.eye(16) / 16.0).max())
-    return deviation <= POVM_ATOL, deviation
+    return deviation <= EIG_ATOL, deviation

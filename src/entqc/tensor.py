@@ -13,8 +13,8 @@ from importlib import import_module
 
 import numpy as np
 
-ATOL = 1e-12  # algebraic identities: norms, unitarity, hermiticity, traces
-EIG_ATOL = 1e-10  # anything that passed through an eigensolver or SVD
+ATOL = 1e-12  # a value a caller gives: its norm, unitarity, hermiticity, trace
+EIG_ATOL = 1e-10  # a value computed from checked ones: eigenvalues, singular values, marginals, twirls, corrections
 MAX_QUBITS = 6  # most qubits of a Haar draw: 64 dimensions, the largest object entqc handles
 ZERO_NORM = 1e-14  # a vector with a smaller norm is zero: it cannot be normalized
 

@@ -20,7 +20,8 @@ def test_an_unknown_row_exits_2_and_lists_the_known_rows(tmp_path):
                  "report.section.invariance.ms", "entqc.process.teleport.json.ms",
                  "entqc.import.source.ms", "entqc.import.bytecode.ms", "entqc.import.full.source.ms", "cli.teleport_report.json.us",
                  "cli.teleport_report.file.text.us", "channel.ChannelSpec.us", "teleport.UnknownState.us",
-                 "cli.parse_args.us", "cli.parse_args.full.us", "cli.parse_args.repro.us"):
+                 "cli.parse_args.us", "cli.parse_args.full.us", "cli.parse_args.repro.us",
+                 "channel.is_valid_channel.us", "relations.corrections_from.us", "relations.povm_check.us"):
         assert name in known
     assert not out.exists()
 

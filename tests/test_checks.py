@@ -36,13 +36,14 @@ from entqc.entanglement import (
     minimize_witness,
     pair_analysis,
     stacked_minimize_witness,
+    stacked_triad_analysis,
     three_tangle,
     triad_analysis,
     witness_gradient,
     witness_value,
 )
-from entqc.primitives import apply_unitary, haar_random_unitary, haar_unitaries, partial_trace
-from entqc.relations import invariance_pairs, invariance_transform, povm_check, series_form
+from entqc.primitives import apply_unitary, haar_random_unitary, haar_unitaries, partial_inner, partial_trace
+from entqc.relations import corrections_from, invariance_pairs, invariance_transform, povm_check, series_form
 from entqc.teleport import (
     MEASURED_LABELS,
     CorrectionTable,
@@ -323,6 +324,9 @@ def test_real_readers_raise_contract_errors(call):
         call()
 
 
+TWO_QUBITS = StateVector(QubitRegister(("a", "b")), np.ones(4) / 2)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: QubitRegister(5), LabelError, "register labels must be an iterable of labels, got 5"),
     (lambda: QubitRegister(None), LabelError, "register labels must be an iterable of labels, got None"),
@@ -347,9 +351,23 @@ def test_real_readers_raise_contract_errors(call):
     (lambda: series_form([]), ContractError, "series_form() argument 'channel' must be ChannelSpec, got list"),
     (lambda: povm_check(5, dressed_channel(ChannelSpec(np.eye(4)))), ContractError,
      "povm_check() argument 'unitary_set' must be iterable, got int"),
+    # arrays of the wrong size, and states on the wrong register
+    (lambda: ChannelSpec(np.eye(2)), ContractError, "channel dressing must be a two-qubit (4x4) operator"),
+    (lambda: WitnessSearchResult(0.0, (0.0,) * 8, 1, 1.0), ContractError, "witness parameters are 9 rotation angles"),
+    (lambda: stacked_triad_analysis(TWO_QUBITS, [("a", "b", "c")]), ContractError,
+     "triad analysis expects a four-qubit state"),
+    (lambda: partial_inner(TWO_QUBITS, StateVector(QubitRegister(("c",)), [1, 0])), LabelError,
+     "no shared labels to contract"),
+    (lambda: povm_check(standard_corrections().ops, TWO_QUBITS), ContractError,
+     "povm_check expects a four-qubit state"),
+    (lambda: MeasurementBasis(np.eye(4)), ContractError, "a measurement basis is 16 kets of 16 amplitudes, got (4, 4)"),
+    (lambda: require_hermitian(np.ones((2, 3))), ContractError, "matrix is not square: shape (2, 3)"),
+    (lambda: TWO_QUBITS.permuted(("a",)), LabelError, "permutation must mention every label exactly once"),
 ], ids=["QubitRegister-int", "QubitRegister-None", "GhzSpec-local_bases", "MeasurementBasis", "CorrectionTable",
         "StateVector-register", "DensityMatrix-register", "dressed_channel", "measurement_basis", "generalized_ghz",
-        "is_valid_channel", "run_protocol", "teleport_all_outcomes", "series_form", "povm_check"])
+        "is_valid_channel", "run_protocol", "teleport_all_outcomes", "series_form", "povm_check",
+        "ChannelSpec-size", "WitnessSearchResult-size", "stacked_triad_analysis-size", "partial_inner-labels",
+        "povm_check-size", "MeasurementBasis-size", "require_hermitian-size", "permuted-labels"])
 def test_constructors_reject_inputs_of_the_wrong_kind_with_a_message(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -554,6 +572,8 @@ def test_derived_states_equal_the_constructors(name):
 # --- results composed of inputs that each pass their check ------------------------
 #: 1 + 0.495e-12 J: max |U†U - 1| = 0.99e-12, within ATOL, for J the all-ones matrix
 U_NEAR, V_NEAR = np.eye(4) + 0.495e-12 * np.ones((4, 4)), np.eye(2) + 0.495e-12 * np.ones((2, 2))
+#: a Haar dressing times U_NEAR, within ATOL of unitary: its implied corrections are off by a few times 1e-12
+SPEC_NEAR = ChannelSpec(haar_random_unitary(2, [0, 17]) @ U_NEAR)
 #: one-qubit states of norm 1 + 0.9e-12, within ATOL
 LONG = [StateVector(QubitRegister((label,)), [1.0 + 0.9e-12, 0.0]) for label in "abc"]
 COMPOSED = {
@@ -565,6 +585,7 @@ COMPOSED = {
     "tensor": lambda: tensor(*LONG[:2]),
     "generalized_ghz": lambda: generalized_ghz(GhzSpec(local_bases=(V_NEAR,) * 4)),
     "DensityMatrix.from_state": lambda: DensityMatrix.from_state(LONG[0]),
+    "corrections_from": lambda: corrections_from(measurement_basis(SPEC_NEAR), dressed_channel(SPEC_NEAR)),
 }
 
 
@@ -576,7 +597,8 @@ def test_results_composed_of_checked_inputs_are_returned(name):
         warnings.simplefilter("error")
         result = COMPOSED[name]()
     values = [r.corrected_state for r in result] if name == "run_protocol" else [result]
-    decisions = [outcome(type(v), v.register, numbers(v))[0] for v in values]
+    decisions = [outcome(CorrectionTable, v.ops)[0] if isinstance(v, CorrectionTable)
+                 else outcome(type(v), v.register, numbers(v))[0] for v in values]
     assert "error" in decisions
 
 

@@ -57,7 +57,6 @@ from entqc.channel import (
 from entqc.entanglement import (
     CHANNEL_PAIRS,
     CHANNEL_TRIADS,
-    PPT_VERDICT_TOL,
     minimize_witness,
     pair_analysis,
     stacked_minimize_witness,
@@ -501,7 +500,7 @@ def ref_pair_analysis(state, pair):
     on the second qubit, and the PT verdict."""
     reduced = ref_reduced_density(state, pair)
     spectrum = hermitian_eigenvalues(partial_transpose(reduced, (reduced.register.labels[1],)))
-    return reduced.matrix, spectrum, bool(spectrum.min() < PPT_VERDICT_TOL)
+    return reduced.matrix, spectrum, bool(spectrum.min() < -EIG_ATOL)
 
 
 def ref_three_tangle(amps):

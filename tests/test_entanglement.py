@@ -423,6 +423,17 @@ def test_minimize_witness_reaches_the_certificate_below_the_sweep_cap(monkeypatc
     assert len(sweeps) == 6 and max(sweeps) < entanglement.MAX_SWEEPS
 
 
+def test_a_search_that_reaches_the_sweep_cap_stops_there(monkeypatch):
+    # sweep 1 always rises from -inf, so with a cap of 1 no density stops by the no-rise rule
+    monkeypatch.setattr(entanglement, "MAX_SWEEPS", 1)
+    rhos = np.array(repro_witness_cases())
+    minima, angles, converged, sweeps = stacked_minimize_witness(rhos, restarts=4, seed=7)
+    assert sweeps.tolist() == [1] * len(rhos)
+    for rho, minimum, row, share in zip(rhos, minima, angles, converged, strict=True):
+        result = minimize_witness(rho, restarts=4, seed=7)
+        assert (result.min_value, result.parameters, result.converged_fraction) == (minimum, tuple(row.tolist()), share)
+
+
 def test_minimize_witness_validates_restarts():
     for restarts in (0, MAX_RESTARTS + 1, 2.5, True):
         with pytest.raises(ContractError, match="restarts"):

@@ -1,5 +1,6 @@
 """Property-based invariants of the stacked analysis primitives, the
-witness search's Euler-angle read-out and the standard protocol.
+witness search's Euler-angle read-out, the standard protocol and the
+corrections a basis/channel pairing implies.
 
 Hypothesis draws the sizes, seeds and state families; every numpy draw comes
 from a seeded generator. The settings are fixed and derandomized, with no
@@ -8,12 +9,14 @@ example database, so every run checks the same examples.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entqc.channel import ChannelSpec, dressed_channel
+from entqc.channel import ChannelSpec, builtin_channel, dressed_channel
 from entqc.entanglement import _euler_angles, _euler_columns, three_tangle, witness_state
 from entqc.primitives import fidelity_pure, haar_unitaries, partial_trace
+from entqc.relations import corrections_from, series_form
 from entqc.teleport import (
     OUTCOMES,
     UnknownState,
@@ -23,7 +26,7 @@ from entqc.teleport import (
     standard_protocol_batch,
     teleport_all_outcomes,
 )
-from entqc.tensor import DensityMatrix, StateVector, haar_random_state, reduced_densities
+from entqc.tensor import ContractError, DensityMatrix, StateVector, haar_random_state, reduced_densities
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -120,3 +123,20 @@ def test_teleport_all_outcomes_is_the_standard_protocol(seed):
     # the receiver's outcome-averaged state is I/4: no signalling
     marginal = np.einsum("g,gi,gj->ij", probabilities, bob, bob.conj())
     assert np.abs(marginal - np.eye(4) / 4.0).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(seed=SEEDS, eps=st.floats(min_value=0.0, max_value=0.495e-12))
+def test_corrections_from_returns_the_corrections_of_every_accepted_dressing(seed, eps):
+    """A Haar dressing times 1 + eps J (J the all-ones matrix) is within ATOL of unitary,
+    so ChannelSpec accepts it. The corrections implied by its pairings are computed from
+    it, off by a few times 1e-12, and returned; a channel that is not maximally entangled
+    still fails."""
+    rng = np.random.default_rng(seed)
+    spec = ChannelSpec(haar_unitaries(rng.standard_normal((2, 4, 4))) @ (np.eye(4) + eps * np.ones((4, 4))))
+    channel, basis = dressed_channel(spec), measurement_basis(spec)
+    assert np.abs(corrections_from(basis, channel).ops - standard_corrections().ops).max() <= 1e-10
+    series_basis, series_corrections = series_form(spec)
+    assert np.abs(corrections_from(series_basis, channel).ops - series_corrections.ops).max() <= 1e-10
+    with pytest.raises(ContractError, match="correction is not unitary"):
+        corrections_from(basis, builtin_channel("ghz").state)

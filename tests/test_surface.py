@@ -94,6 +94,7 @@ exec("from entqc import *", star)
 print(json.dumps([modules, sorted(set(entqc.__all__) - set(star)), sorted(set(entqc.__all__) - set(dir(entqc)))]))
 """
     assert json.loads(_fresh(code)) == [["entqc.entanglement", "entqc.report"], [], []]
+    assert set(entqc.__all__) <= set(dir(entqc))  # in this process too, whatever it has loaded
     # `entqc.tensor` is the function of that name, so the modules are imported by name
     homes = [importlib.import_module(f"entqc.{name}")
              for name in ("channel", "entanglement", "primitives", "relations", "tensor", "teleport")]

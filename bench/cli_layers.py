@@ -14,7 +14,9 @@ kernels (with their n = 1 wrappers looped over the same items) and the
 `repro` section builders; and, as one-shot use pays them, a first `cli.main`
 call (parser built anew), a fresh `import entqc, entqc.cli` (compiled from
 source, and from cached bytecode), the same import with `entqc.report` (what
-`entqc repro` loads, from source) and a whole `python -m entqc.cli` process.
+`entqc repro` loads, from source) and a whole `python -m entqc.cli` process;
+and one count, the AST nodes of the modules a fresh `import entqc, entqc.cli`
+loads: the code that import compiles from source.
 
 Run from anywhere; the library is imported from this checkout's `src/`:
 
@@ -31,13 +33,15 @@ numpy is imported. Each figure is wall time per call, the minimum over
 REPEATS batches, each batch long enough (>= 0.2 s, as `timeit` picks it) to
 swamp the clock; a process is run REPEATS times and its minimum kept. The
 result is written as `{machine, numpy, end_to_end, layers}`; metric names end
-in their unit (`.us` or `.ms`). Rows are timed in the order of this file,
+in their unit (`.us` or `.ms`, or `.ast_nodes` for the count, which is
+called once and repeats exactly). Rows are timed in the order of this file,
 the end-to-end rows first, so a result's key order is its timing order: a row
 can read the state (the heap, the caches) that the rows before it left.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
@@ -167,22 +171,29 @@ def _process(argv) -> float:
     return best
 
 
-def _import_entqc(pycache_prefix: str, write_bytecode: bool, modules=("entqc", "entqc.cli")) -> None:
+def _import_entqc(pycache_prefix: str, write_bytecode: bool, modules=("entqc", "entqc.cli")) -> list[str]:
     """A fresh import of `modules` (by default `import entqc, entqc.cli`) in this
     process, bytecode read from and (if `write_bytecode`) written to
     `pycache_prefix` only, never the checkout; the modules imported before are
-    restored after."""
+    restored after. Returns the source files of the `entqc` modules it loaded."""
     saved = {name: sys.modules.pop(name) for name in list(sys.modules) if name.partition(".")[0] == "entqc"}
     flags = sys.pycache_prefix, sys.dont_write_bytecode
     sys.pycache_prefix, sys.dont_write_bytecode = pycache_prefix, not write_bytecode
     try:
         for name in modules:
             importlib.import_module(name)
+        return [module.__file__ for name, module in sys.modules.items() if name.partition(".")[0] == "entqc"]
     finally:
         sys.pycache_prefix, sys.dont_write_bytecode = flags
         for name in [name for name in sys.modules if name.partition(".")[0] == "entqc"]:
             del sys.modules[name]
         sys.modules.update(saved)
+
+
+def _protocol_ast_nodes(pycache_prefix: str) -> int:
+    """AST nodes, summed over the modules that a fresh `import entqc, entqc.cli` loads."""
+    files = _import_entqc(pycache_prefix, False)
+    return sum(sum(1 for _ in ast.walk(ast.parse(Path(f).read_text(encoding="utf-8")))) for f in files)
 
 
 def protocol_kernels() -> dict:
@@ -200,13 +211,14 @@ def protocol_kernels() -> dict:
     spec, unknown = ChannelSpec(dressings[0]), teleport.UnknownState(unknowns[0])
     basis, channel_state = teleport.measurement_basis(spec), dressed_channel(spec)
     pairs, inputs = haar_draws(2, [int(SEED), 2], 100, 2)
-    kets = teleport.measurement_kets(bell_transform_matrix())
+    kets = teleport.measurement_basis(ChannelSpec(bell_transform_matrix())).amplitudes.reshape(16, 4, 4)
     sigma = teleport.standard_corrections()
     t_kets, t_channels = relations.invariance_pairs(kets, sigma.ops, pairs[:, 0], pairs[:, 1])
     physical = t_channels[:, 0]
     recovery = relations.recovery_ops(t_kets, physical[:, None])
     batch = teleport.standard_protocol_batch
-    # the relations' rows keep their `teleport.` names, so that BENCH files of either layout compare
+    # the relations' rows keep their `teleport.` names, so that BENCH files of either layout compare;
+    # the protocol objects are read through `teleport`, where either layout serves them
     return {
         "teleport.transfer_blocks.T100x16.us": lambda: relations.transfer_blocks(t_kets, t_channels),
         "teleport.transfer_blocks.one.us": lambda: relations.transfer_blocks(kets[0], physical[0]),
@@ -381,6 +393,8 @@ def rows(directory: str) -> dict:
         # and with the analysis stack that `entqc teleport` no longer loads: what `entqc repro` imports
         "entqc.import.full.source.ms": partial(_import_entqc, tempfile.mkdtemp(dir=directory), False,
                                                ("entqc", "entqc.cli", "entqc.report")),
+        # what that first import compiles from source, as a count
+        "entqc.import.protocol.ast_nodes": partial(_protocol_ast_nodes, tempfile.mkdtemp(dir=directory)),
         "cli.main.analyze.ms": partial(_quiet_main, ANALYZE_ARGV),
     }
     for name in report.SECTION_BUILDERS:
@@ -389,10 +403,15 @@ def rows(directory: str) -> dict:
 
 
 def timed(group: dict, only) -> dict:
-    """The group's rows (those named in `only`, if given) timed, in their units."""
+    """The group's rows (those named in `only`, if given) timed, in their units;
+    a count row is called once."""
     out = {}
     for name, what in group.items():
-        if only is None or name in only:
+        if only is not None and name not in only:
+            continue
+        if name.endswith(".ast_nodes"):
+            out[name] = what()
+        else:
             seconds = _process(what) if isinstance(what, list) else _per_call(what)
             out[name] = seconds * (1e3 if name.endswith(".ms") else 1e6)
     return out

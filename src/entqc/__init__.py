@@ -6,8 +6,8 @@ deterministic verification report.
 `import entqc` loads `entqc.tensor` alone. Every other public name, and every
 submodule read as `entqc.<module>`, is imported on first read (PEP 562) from
 the module that `_HOMES` names: `entqc teleport` compiles none of the analysis
-stack (`entanglement`, `report`, the paper's `relations` and the analysis-only
-`primitives`).
+stack (`entanglement`, `report`, `relations` with the general protocol objects
+and the analysis-only `primitives`), and the renderers only to write its report.
 """
 from importlib import import_module as _import_module
 
@@ -21,13 +21,13 @@ _HOMES = {
                      "generalized_ghz", "is_valid_channel", "load_channel_json", "resolve_channel"), "channel"),
     **dict.fromkeys(("ContractError", "DensityMatrix", "LabelError", "QubitRegister", "StateVector",
                      "haar_random_state", "hermitian_eigenvalues", "kron", "reduced_density", "tensor"), "tensor"),
-    **dict.fromkeys(("CorrectionTable", "MeasurementBasis", "TeleportOutcome", "UnknownState", "measurement_basis",
-                     "pauli_pair", "run_protocol", "standard_corrections", "teleport_all_outcomes"), "teleport"),
+    **dict.fromkeys(("TeleportOutcome", "UnknownState", "teleport_all_outcomes"), "teleport"),
     **dict.fromkeys(("apply_unitary", "fidelity_pure", "haar_random_unitary", "operator_schmidt_coefficients",
                      "operator_schmidt_rank", "partial_inner", "partial_trace", "partial_transpose",
                      "schmidt_coefficients", "schmidt_rank"), "primitives"),
-    **dict.fromkeys(("corrections_from", "invariance_transform", "is_separable_basis", "partial_inner_transfer",
-                     "povm_check", "series_form"), "relations"),
+    **dict.fromkeys(("CorrectionTable", "MeasurementBasis", "corrections_from", "invariance_transform",
+                     "is_separable_basis", "measurement_basis", "partial_inner_transfer", "pauli_pair", "povm_check",
+                     "run_protocol", "series_form", "standard_corrections"), "relations"),
     **dict.fromkeys(("CHANNEL_PAIRS", "CHANNEL_TRIADS", "PairReport", "TriadReport", "WitnessSearchResult",
                      "minimize_witness", "pair_analysis", "stacked_minimize_witness", "symmetric_w_state",
                      "three_tangle", "triad_analysis", "triad_component_states", "witness_gradient",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import operator
 import os
 import sys
@@ -35,141 +34,16 @@ STATE_NORM_LIMIT = 1e-6
 # Serialization
 # ---------------------------------------------------------------------------
 
-_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of a str
-_FLOATS = (float, np.floating)  # built once, not per call
-
-
-def _float_formatter(memo: dict, spec: str):
-    """`fresh(x)`: format(x, spec) of a float x, which must be finite, kept in
-    `memo` so that each distinct value is formatted once: callers read
-    `memo.get(x) or fresh(x)`. Zeros are not kept (0.0 == -0.0 would share a
-    key); nan and inf are rejected, so never kept."""
-    def fresh(x: float) -> str:
-        text = format(x, spec)
-        if text[-1] > "9":  # nan, inf, -inf: the only formatted floats ending in a letter
-            raise ContractError(f"cannot write the non-finite number {text}: report values must be finite")
-        if x:
-            memo[x] = text
-        return text
-    return fresh
-
-
-def _encoder():
-    """The JSON encoder of one rendering: `encode(value)` returns the text of
-    a value, floats at %.17g, each distinct float formatted once per encoder.
-    Exact floats, None, bools and ints dispatch on their type, strings on
-    `isinstance`; anything else (numpy scalars, dict/tuple subclasses,
-    complex numbers, ndarrays) goes through the `isinstance` chain."""
-    memo: dict = {}
-    known, fresh = memo.get, _float_formatter(memo, ".17g")
-    out: list[str] = []
-    append = out.append
-
-    def emit(value):
-        kind = type(value)
-        if kind is float:
-            append(known(value) or fresh(value))
-        elif isinstance(value, str):
-            append(_encode_str(value))
-        elif value is None:
-            append("null")
-        elif kind is bool:
-            append("true" if value else "false")
-        elif kind is int:
-            append(str(value))
-        elif isinstance(value, dict):
-            sep = "{"
-            for key, item in value.items():
-                append(sep)
-                append(_encode_str(str(key)))
-                append(": ")
-                emit(item)
-                sep = ", "
-            append("}" if value else "{}")
-        elif isinstance(value, (list, tuple)):
-            sep = "["
-            for item in value:
-                append(sep)
-                emit(item)
-                sep = ", "
-            append("]" if value else "[]")
-        elif isinstance(value, _FLOATS):
-            emit(float(value))
-        elif isinstance(value, (bool, np.bool_)):
-            append("true" if value else "false")
-        elif isinstance(value, (int, np.integer)):
-            append(str(int(value)))
-        elif isinstance(value, (complex, np.complexfloating)):
-            emit([float(value.real), float(value.imag)])
-        elif isinstance(value, np.ndarray):
-            emit(value.tolist())
-        else:
-            raise TypeError(f"cannot serialize {type(value).__name__}")
-
-    def encode(value) -> str:
-        emit(value)
-        text = "".join(out)
-        out.clear()
-        return text
-
-    return encode
-
-
 def render_json(doc) -> str:
-    """Deterministic JSON: insertion order, floats as %.17g (finite only).
-    Each distinct float is formatted once per call; nothing outlives it."""
-    return _encoder()(doc) + "\n"
-
-
-def _verdict(passed) -> str:
-    if passed is None:
-        return "info"
-    if isinstance(passed, str):  # a slot marker of the teleport template
-        return passed
-    return "PASS" if passed else "FAIL"
+    """Deterministic JSON, floats as %.17g: `render.render_json`, its module loaded on first use."""
+    from .render import render_json
+    return render_json(doc)
 
 
 def render_text(doc) -> str:
-    """The text report: a header, one `key=value` line of the document's
-    other top-level entries, then one line per check row. Scalars are
-    written at %.10g and lists, dicts and tuples as their JSON (%.17g), with
-    each distinct float formatted once per format and call."""
-    encode, memo = _encoder(), {}
-    known, fresh = memo.get, _float_formatter(memo, ".10g")
-
-    def scalar(value) -> str:
-        if isinstance(value, _FLOATS):
-            value = float(value)
-            return known(value) or fresh(value)
-        if isinstance(value, (list, tuple, dict)):
-            return encode(value)
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
-    kind = doc.get("report", "report")
-    lines = [f"entqc {kind} report"]
-    meta = [
-        f"{key}={scalar(value)}"
-        for key, value in doc.items()
-        if key not in ("report", "sections", "pass")
-    ]
-    if meta:
-        lines.append("  ".join(meta))
-    for sec in doc.get("sections", ()):
-        lines.append("")
-        lines.append(f"[{_verdict(sec['pass'])}] section {sec['name']}")
-        for row in sec["checks"]:
-            piece = f"  [{_verdict(row['pass'])}] {row['name']}: value={scalar(row['value'])}"
-            if row.get("target") is not None:
-                piece += f" target={scalar(row['target'])}"
-            if row.get("tolerance") is not None:
-                piece += f" tolerance={scalar(row['tolerance'])}"
-            lines.append(piece)
-    if "pass" in doc:
-        lines.append("")
-        lines.append(f"overall: {_verdict(doc['pass'])}")
-    return "\n".join(lines) + "\n"
+    """The text report of the same document: `render.render_text`, its module loaded on first use."""
+    from .render import render_text
+    return render_text(doc)
 
 
 def _write_document(doc, args) -> None:
@@ -192,17 +66,18 @@ def _write(text: str, args) -> None:
 @functools.cache
 def _teleport_template(fmt: str, seeded: bool):
     """The teleport document in `fmt`, with a seed or without, as a %-template;
-    the `itemgetter` that orders its fill values for it; and the renderer's
-    texts of a failed and a passed verdict. Fill value i is, in turn: the
-    unknown state's [re, im] pairs, then per outcome the probability,
-    corrected fidelity and receiver [re, im] pairs (the 168 floats, in
-    document order); the 32 row verdicts; the section and overall verdicts;
-    the channel name and the seed.
+    the `itemgetter` that orders its fill values for it; the renderer's texts
+    of a failed and a passed verdict; and its writer of a str, for the channel
+    name. Fill value i is, in turn: the unknown state's [re, im] pairs, then per
+    outcome the probability, corrected fidelity and receiver [re, im] pairs (the
+    168 floats, in document order); the 32 row verdicts; the section and overall
+    verdicts; the channel name and the seed.
 
     The template is `render_json` or `render_text` of the document with the
     marker "@i@" for value i, its other text escaped. A quoted marker was
     written as JSON, so a float there becomes %.17g, and a bare one as a text
     scalar, %.10g; the other slots are %s, filled with their text."""
+    from .render import _encode_str, _encoder, _verdict
     mark = "@{}@".format
     v = 8 + 16 * 10  # the first verdict slot, after the floats
     rows = []
@@ -217,32 +92,31 @@ def _teleport_template(fmt: str, seeded: bool):
     meta = {"channel": mark(v + 34), **({"seed": mark(v + 35)} if seeded else {})}
     doc = document("teleport", [{**section("outcomes", rows), "pass": mark(v + 32)}], **meta,
                    unknown_state=[[mark(k), mark(k + 1)] for k in range(0, 8, 2)])
-    render, verdict = (render_text, _verdict) if fmt == "text" else (render_json, _encoder())
+    render, verdict, name = (render_text, _verdict, str) if fmt == "text" else (render_json, _encoder(), _encode_str)
     text = render({**doc, "pass": mark(v + 33)}).replace("%", "%%")
     # the document's own text holds no "@": the markers are the odd parts, "J" marks a quoted one
     parts = text.replace('"@', "@J").replace('@"', "@").split("@")
     slots = parts[1::2]
     order = [int(m.lstrip("J")) for m in slots]
     parts[1::2] = ["%s" if i >= v else "%.17g" if m[0] == "J" else "%.10g" for m, i in zip(slots, order)]
-    return "".join(parts), operator.itemgetter(*order), (verdict(False), verdict(True))
+    return "".join(parts), operator.itemgetter(*order), (verdict(False), verdict(True)), name
 
 
 def _teleport_report(fmt: str, channel: str, seed, unknown, probs, fids, receivers) -> tuple[str, bool]:
     """The text of one run's teleport document in `fmt` (meta `seed` unless
     None), and its verdict. A probability or corrected fidelity passes iff
     |value - target| <= FIDELITY_ATOL, as its `check` row would; the channel
-    name is written as the renderer writes a str, `_encode_str` or as is."""
+    name is written as the renderer writes a str."""
     pairs = np.ascontiguousarray  # a complex array viewed as float: [re, im] interleaved
     table = np.column_stack([probs, fids, pairs(receivers).view(float)])
     floats = np.concatenate([pairs(unknown).view(float), table.ravel()])
     finite = np.isfinite(floats)
-    if not finite.all():  # the first non-finite value, as the encoder meets it
-        _float_formatter({}, ".17g")(float(floats[finite.argmin()]))
+    if not finite.all():  # raise on the first non-finite value, as the encoder meets it
+        render_json(float(floats[finite.argmin()]))
     gates = (np.abs(table[:, :2] - (1.0 / 16.0, 1.0)) <= FIDELITY_ATOL).ravel().tolist()
-    template, pick, words = _teleport_template(fmt, seed is not None)
+    template, pick, words, name = _teleport_template(fmt, seed is not None)
     passed = all(gates)
-    fill = [*floats.tolist(), *[words[g] for g in gates], words[passed], words[passed],
-            channel if fmt == "text" else _encode_str(channel), seed]
+    fill = [*floats.tolist(), *[words[g] for g in gates], words[passed], words[passed], name(channel), seed]
     return template % pick(fill), passed
 
 

@@ -1,16 +1,146 @@
-"""The paper's relations, which `entqc repro` re-checks: the protocol is unchanged
-when a unitary pair (w_l, w_r) transforms basis and channel together, the dressing
-moves from the measurement into the corrections (`series_form`), and the basis
-separability and twirl tests. `entqc teleport` never imports this module."""
+"""The general protocol objects, any basis (`MeasurementBasis`) with any
+corrections (`CorrectionTable`) run by `run_protocol`, and the paper's relations
+on them, which `entqc repro` re-checks: the protocol is unchanged when a unitary
+pair (w_l, w_r) transforms basis and channel together, the dressing moves from the
+measurement into the corrections (`series_form`), and the basis separability and
+twirl tests. `entqc teleport` never imports this module."""
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import CHANNEL_LABELS, ChannelSpec
+from .channel import CHANNEL_LABELS, SENDER_LABELS, ChannelSpec, epr_amplitudes
 from .teleport import (
-    _SERIES_BASIS, _SIGMA_PAIRS, MEASURED_LABELS, CorrectionTable, MeasurementBasis, _channel_matrix, _states)
+    _SERIES_KETS, _SIGMA_PAIRS, MEASURED_LABELS, OUTCOMES, UNKNOWN_LABELS, TeleportOutcome, UnknownState, _outcomes,
+    _states, run_protocol_batch)
 from .tensor import (
-    EIG_ATOL, ContractError, StateVector, _require, _require_kinds, _trusted, _unitary_stack, require_unitary)
+    ATOL, EIG_ATOL, ContractError, QubitRegister, StateVector, _Frozen, _as_complex, _integer, _require, _require_kinds,
+    _split_matrix, _trusted, _unitary_stack, require_unitary)
+
+
+def _outcome_index(outcome) -> int:
+    """The position in OUTCOMES of an outcome (alpha, beta), each an integer in 1..4."""
+    try:
+        alpha, beta = outcome
+    except (TypeError, ValueError):  # not iterable, or not a pair
+        raise ContractError(f"unknown outcome {outcome!r}; both indices run 1..4") from None
+    return 4 * _integer(alpha, "outcome index alpha", 1, 4) + _integer(beta, "outcome index beta", 1, 4) - 5
+
+
+def pauli_pair(alpha: int, beta: int) -> np.ndarray:
+    """sigma_alpha (x) sigma_beta with indices 1..4 = (identity, x, y, z)."""
+    return _SIGMA_PAIRS[_outcome_index((alpha, beta))].copy()
+
+
+class MeasurementBasis(_Frozen):
+    """Sixteen joint-measurement kets on (A1,A2,U1,U2), in OUTCOMES order.
+
+    `amplitudes` is one read-only (16, 16) array, row g the ket of outcome g;
+    sixteen StateVectors on (A1,A2,U1,U2) are accepted in its place.
+    """
+
+    def __init__(self, amplitudes):
+        kets = amplitudes
+        if not isinstance(kets, np.ndarray):
+            try:
+                kets = tuple(kets)
+            except TypeError:  # not iterable: fails the check below as one item
+                kets = (kets,)
+            if not all(isinstance(k, StateVector) and k.register.labels == MEASURED_LABELS
+                       for k in kets):
+                raise ContractError(f"basis kets must be StateVectors on {MEASURED_LABELS}")
+            kets = [k.amplitudes for k in kets]
+        amps = _as_complex(kets, "basis").copy()
+        if amps.shape != (16, 16):
+            raise ContractError(f"a measurement basis is 16 kets of 16 amplitudes, got {amps.shape}")
+        # rows orthonormal (the Gram diagonal also checks each ket's norm) and columns
+        # complete (the projectors resolve the identity): one stacked unitarity check
+        _require(np.stack([amps.T, amps]), "unitary", ATOL, "basis is not orthonormal and complete")
+        amps.setflags(write=False)
+        self.__dict__["amplitudes"] = amps
+
+    @property
+    def kets(self) -> tuple[StateVector, ...]:
+        return _states(MEASURED_LABELS, self.amplitudes)
+
+    def ket(self, outcome) -> StateVector:
+        return _trusted(StateVector, register=QubitRegister(MEASURED_LABELS),
+                        amplitudes=self.amplitudes[_outcome_index(outcome)])
+
+    def items(self):
+        return zip(OUTCOMES, self.kets)
+
+
+class CorrectionTable(_Frozen):
+    """The receiver's per-outcome recovery unitaries, in OUTCOMES order.
+
+    `ops` is one read-only (16, 4, 4) array; any sequence of sixteen 4x4
+    unitaries is accepted in its place.
+    """
+
+    def __init__(self, ops):
+        try:
+            ops = ops if isinstance(ops, np.ndarray) else tuple(ops)
+            count = len(ops)
+        except TypeError:
+            raise ContractError(f"a correction table is a sequence of 16 unitaries, got {ops!r}") from None
+        if count != 16:
+            raise ContractError(f"a correction table has 16 entries, got {count}")
+        ops = _unitary_stack(ops, (4, 4), "correction", "corrections act on two qubits (4x4)")
+        self.__dict__["ops"] = ops
+
+    def op(self, outcome) -> np.ndarray:
+        return self.ops[_outcome_index(outcome)]
+
+    def items(self):
+        return zip(OUTCOMES, self.ops)
+
+
+#: the kernel's constants in `teleport` as checked objects: sigma-pair corrections, series-form basis
+_STANDARD_CORRECTIONS = CorrectionTable(_SIGMA_PAIRS)
+_SERIES_BASIS = MeasurementBasis(_SERIES_KETS.reshape(16, 16))
+
+
+def _channel_matrix(channel_state: StateVector):
+    """(rest, K): K is the amplitude matrix on (A1A2, rest), rest the other two qubits."""
+    labels = channel_state.register.labels
+    rest = tuple(lab for lab in labels if lab not in SENDER_LABELS)
+    if len(labels) != 4 or len(rest) != 2 or set(rest) & set(UNKNOWN_LABELS):
+        raise ContractError(f"register mismatch: channel on {labels}")
+    return rest, _split_matrix(channel_state, SENDER_LABELS)
+
+
+def measurement_kets(dressings) -> np.ndarray:
+    """Kets (1 (x) sigma-pair . D)|EPR pairs> for dressings D (..., 4, 4): (..., 16, 4, 4),
+    from one (64, 4) . (4, 4) product of the stacked sigma-pairs per D."""
+    products = _SIGMA_PAIRS.reshape(64, 4) @ dressings
+    return epr_amplitudes(products.reshape(*products.shape[:-2], 16, 4, 4))
+
+
+def measurement_basis(channel: ChannelSpec) -> MeasurementBasis:
+    """The 16 kets (1 (x) sigma-pair . D)|EPR pairs> on (A,U): a basis as D is unitary."""
+    _require_kinds("measurement_basis", ("channel", channel, ChannelSpec))
+    return _trusted(MeasurementBasis, amplitudes=measurement_kets(channel.dressing).reshape(16, 16))
+
+
+def standard_corrections() -> CorrectionTable:
+    """Recovery table for the dressed protocol: plain sigma-pairs."""
+    return _STANDARD_CORRECTIONS
+
+
+def run_protocol(
+    unknown: UnknownState,
+    basis: MeasurementBasis,
+    channel_state: StateVector,
+    corrections: CorrectionTable,
+) -> list[TeleportOutcome]:
+    """Simulate all sixteen outcomes of one protocol variant end to end."""
+    _require_kinds("run_protocol", ("unknown", unknown, UnknownState), ("basis", basis, MeasurementBasis),
+                   ("channel_state", channel_state, StateVector), ("corrections", corrections, CorrectionTable))
+    rest, channel = _channel_matrix(channel_state)
+    kets = basis.amplitudes.reshape(16, 4, 4)
+    batch = run_protocol_batch(unknown.coefficients[None], kets, channel[None], corrections.ops)
+    return _outcomes(rest, batch)
+
 
 #: the two admissible sender/input pairings for separability questions
 BASIS_SPLITS = ((("A1", "U1"), ("A2", "U2")), (("A1", "U2"), ("A2", "U1")))

@@ -30,11 +30,11 @@ from .entanglement import (
     witness_value,
 )
 from .primitives import haar_draws, operator_schmidt_rank, schmidt_rank
-from .relations import (BASIS_SPLITS, invariance_pairs, is_separable_basis, povm_check, recovery_ops, series_form,
-                        split_schmidt_coefficients, transfer_blocks)
+from .relations import (BASIS_SPLITS, invariance_pairs, is_separable_basis, measurement_basis, measurement_kets,
+                        povm_check, recovery_ops, series_form, split_schmidt_coefficients, standard_corrections,
+                        transfer_blocks)
 from .rows import DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_WITNESS_TOL, check, document, section, tag
-from .teleport import (measurement_basis, measurement_kets, run_protocol_batch, standard_corrections,
-                       standard_protocol_batch)
+from .teleport import run_protocol_batch, standard_protocol_batch
 from .tensor import (
     ContractError,
     DensityMatrix,

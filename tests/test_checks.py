@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entqc import report
+from entqc import report, teleport
 from entqc.channel import (
     BUILTIN_CHANNELS,
     CHANNEL_LABELS,
@@ -43,7 +43,8 @@ from entqc.entanglement import (
     witness_value,
 )
 from entqc.primitives import apply_unitary, haar_random_unitary, haar_unitaries, partial_inner, partial_trace
-from entqc.relations import corrections_from, invariance_pairs, invariance_transform, povm_check, series_form
+from entqc.relations import (
+    corrections_from, invariance_pairs, invariance_transform, pauli_pair, povm_check, series_form)
 from entqc.teleport import (
     MEASURED_LABELS,
     CorrectionTable,
@@ -363,11 +364,18 @@ TWO_QUBITS = StateVector(QubitRegister(("a", "b")), np.ones(4) / 2)
     (lambda: MeasurementBasis(np.eye(4)), ContractError, "a measurement basis is 16 kets of 16 amplitudes, got (4, 4)"),
     (lambda: require_hermitian(np.ones((2, 3))), ContractError, "matrix is not square: shape (2, 3)"),
     (lambda: TWO_QUBITS.permuted(("a",)), LabelError, "permutation must mention every label exactly once"),
+    # outcome indices that are not integers: a bool or a float is no index, even of an index's value
+    (lambda: pauli_pair(True, 1.0), ContractError, "outcome index alpha must be an integer, got True"),
+    (lambda: pauli_pair(1, 1.0), ContractError, "outcome index beta must be an integer, got 1.0"),
+    (lambda: measurement_basis(ChannelSpec(np.eye(4))).ket((2.0, True)), ContractError,
+     "outcome index alpha must be an integer, got 2.0"),
+    (lambda: standard_corrections().op((2, True)), ContractError, "outcome index beta must be an integer, got True"),
 ], ids=["QubitRegister-int", "QubitRegister-None", "GhzSpec-local_bases", "MeasurementBasis", "CorrectionTable",
         "StateVector-register", "DensityMatrix-register", "dressed_channel", "measurement_basis", "generalized_ghz",
         "is_valid_channel", "run_protocol", "teleport_all_outcomes", "series_form", "povm_check",
         "ChannelSpec-size", "WitnessSearchResult-size", "stacked_triad_analysis-size", "partial_inner-labels",
-        "povm_check-size", "MeasurementBasis-size", "require_hermitian-size", "permuted-labels"])
+        "povm_check-size", "MeasurementBasis-size", "require_hermitian-size", "permuted-labels",
+        "pauli_pair-bool", "pauli_pair-float", "MeasurementBasis.ket-float", "CorrectionTable.op-bool"])
 def test_constructors_reject_inputs_of_the_wrong_kind_with_a_message(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -486,6 +494,17 @@ def test_trusted_values_are_read_only_and_pass_the_checks_they_skip(seed):
             value.reshape(-1)[0] = 0.0
         if checked is not None:
             checked(value)  # raises if the skipped check would have failed
+
+
+def test_the_protocol_kernels_constants_are_the_checked_ones():
+    """`standard_protocol_batch` reads two arrays built without a constructor; they are
+    read-only and hold, bit for bit, the checked objects that `relations` builds."""
+    spec = ChannelSpec(haar_random_unitary(2, [5, 17]))
+    for constant, checked in ((teleport._SIGMA_PAIRS, standard_corrections().ops),
+                              (teleport._SERIES_KETS, series_form(spec)[0].amplitudes.reshape(16, 4, 4))):
+        assert not constant.flags.writeable
+        assert constant.dtype == checked.dtype and constant.shape == checked.shape == (16, 4, 4)
+        assert constant.tobytes() == checked.tobytes()
 
 
 def test_unknown_state_random_equals_the_checked_constructor():

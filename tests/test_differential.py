@@ -88,6 +88,7 @@ from entqc.relations import (
     invariance_pairs,
     invariance_transform,
     is_separable_basis,
+    measurement_kets,
     partial_inner_transfer,
     povm_check,
     recovery_ops,
@@ -115,7 +116,6 @@ from entqc.teleport import (
     MeasurementBasis,
     UnknownState,
     measurement_basis,
-    measurement_kets,
     pauli_pair,
     run_protocol,
     run_protocol_batch,

@@ -45,10 +45,12 @@ def test_teleport_loads_no_analysis_module_and_analyze_no_report():
     steps = json.loads(_fresh(LOADED.format(argvs=[["teleport", "--seed", "3"], ["analyze", "--restarts", "2"],
                                                    ["repro", "--section", "ghz"]])))
     protocol = ["entqc.channel", "entqc.cli", "entqc.rows", "entqc.teleport", "entqc.tensor"]
-    assert steps[0] == steps[1] == protocol  # after the import, and after a teleport
-    assert steps[2] == sorted(protocol + ["entqc.entanglement"])
+    assert steps[0] == protocol  # the import: the protocol modules, no renderer
+    rendered = sorted(protocol + ["entqc.render"])
+    assert steps[1] == rendered  # a teleport adds the renderers alone
+    assert steps[2] == sorted(rendered + ["entqc.entanglement"])
     analysis = ["entqc.entanglement", "entqc.primitives", "entqc.relations", "entqc.report"]
-    assert steps[3] == sorted(protocol + analysis)
+    assert steps[3] == sorted(rendered + analysis)
 
 
 #: the public names that left `tensor` and `teleport` for the modules loaded on first use
@@ -57,7 +59,8 @@ MOVED = {
                    "operator_schmidt_rank", "partial_inner", "partial_trace", "partial_transpose",
                    "schmidt_coefficients", "schmidt_rank"),
     "relations": ("corrections_from", "invariance_transform", "is_separable_basis", "partial_inner_transfer",
-                  "povm_check", "series_form"),
+                  "povm_check", "series_form", "CorrectionTable", "MeasurementBasis", "measurement_basis",
+                  "pauli_pair", "run_protocol", "standard_corrections"),
 }
 
 
@@ -80,7 +83,7 @@ print(json.dumps([before, all(same), entqc.tensor.__module__ + "." + entqc.tenso
     assert tensor == "entqc.tensor.tensor"  # `entqc.tensor` is still the function, not the submodule
     assert {*MOVED["primitives"], *MOVED["relations"]} <= set(entqc.__all__)
     # only the public names are read through the old modules; the helpers are at their new paths
-    for old, helper in (("tensor", "haar_draws"), ("teleport", "_stack_last")):
+    for old, helper in (("tensor", "haar_draws"), ("teleport", "_stack_last"), ("teleport", "measurement_kets")):
         assert not hasattr(importlib.import_module(f"entqc.{old}"), helper)
 
 
